@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import linalg as la
 from . import serialize as ser
 from .algebra import close, factor_one, factorization_residual
 from .decompose import decompose_certified
@@ -86,12 +87,14 @@ def cmd_verify(args) -> int:
         raise _ParseFailure("verify handles one-dimensional specs only")
     if isinstance(spec, BlockQCA):
         report_n = block_neighborhood(spec, args.tol)
-        unitary = True  # enforced by the block constructor
+        # the constructor only checks its own gauge tolerance
+        unitary = la.is_unitary(spec.u, args.tol) and la.is_unitary(spec.v, args.tol)
         shift_inv = True  # one repeated block pair is shift invariant
+        status = "local" if report_n.is_local else "nonlocal"
         rep = ser.verification_report(unitary, shift_inv, report_n.neighborhood,
-                                      None, "local")
+                                      None, status)
         _emit(rep, args.out)
-        return 0
+        return 0 if (unitary and report_n.is_local) else 1
     op = _as_window(spec, args.window, args.boundary)
     unitary = check_unitary(op, args.tol)
     shift_inv = check_shift_invariance(op, args.tol)

@@ -11,12 +11,17 @@ against the input window up to a global shift and phase.
 
 Cell-algebra images are held compressed on their two-cell patches, so all
 algebra work happens in ambient dimension d^2 regardless of the window
-dimension; one-hot (generalized permutation) windows are conjugated
-sparsely and never densified.
+dimension.  Conjugation and localization residuals come from the verifier's
+one primitive: dense windows conjugate rank-one cell operators as C_x C_y†
+(seeded random probes for localization, matrix units on the quiescent rows
+for the compressed images), and the backward direction is the forward one
+on the adjoint window; one-hot (generalized permutation) windows are
+conjugated by reindexing and never densified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,9 +51,10 @@ from .model import (
     window_matrix,
 )
 from .verify import (
-    _coo_localization_residual,
-    _hot_unit_entries,
+    _cell_slices,
+    _dense_conjugation,
     _one_hot_columns,
+    _unit_conjugation,
     check_shift_invariance,
     check_unitary,
     fast_localization_residual,
@@ -100,53 +106,25 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     return WindowOperator(op.alphabet, w, mat, op.boundary, op.out_shift)
 
 
-def _cell_contracted_slice(mat: np.ndarray, d: int, w: int, cell: int,
-                           vec: np.ndarray, columns: bool) -> np.ndarray:
-    """Contract one cell axis of the window matrix with a cell vector.
-
-    With ``columns=True`` returns sum_k vec[k] G[:, (.., k, ..)] of shape
-    (n, n/d); otherwise the analogous row contraction of shape (n/d, n)."""
-    n = d**w
-    left = d**cell
-    right = d ** (w - 1 - cell)
-    if columns:
-        t = mat.reshape(n, left, d, right)
-        return np.einsum("nakb,k->nab", t, vec).reshape(n, n // d)
-    t = mat.reshape(left, d, right, n)
-    return np.einsum("akbn,k->abn", t, vec).reshape(n // d, n)
-
-
-def _rank_one_probe_residual(mat: np.ndarray, d: int, w: int, cell: int,
-                             region, forward: bool, rng) -> float:
-    """Localization residual of the conjugation of a random rank-one cell
-    operator |x><y|.  A generic element of the conjugated cell algebra is
-    localized only if the whole algebra is, so failures are detected with
-    probability one at a fraction of the cost of conjugating every unit."""
+def _random_cell_vector(rng, d: int) -> np.ndarray:
+    """Seeded random unit vector of C^d, one side of a rank-one probe."""
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    x /= np.linalg.norm(x)
-    y /= np.linalg.norm(y)
-    if forward:
-        cx = _cell_contracted_slice(mat, d, w, cell, x, columns=True)
-        cy = _cell_contracted_slice(mat, d, w, cell, y, columns=True)
-        t = cx @ la.dagger(cy)
-    else:
-        rx = _cell_contracted_slice(mat, d, w, cell, np.conj(x), columns=False)
-        ry = _cell_contracted_slice(mat, d, w, cell, np.conj(y), columns=False)
-        t = la.dagger(rx) @ ry
-    return fast_localization_residual(t, d, w, region)
+    return x / np.linalg.norm(x)
 
 
 def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
                  tol: float, probes: int = 2) -> np.ndarray:
-    """Conjugated matrix units G E_kl G† at ``cell``, compressed onto their
-    two-cell patch.
+    """Conjugated matrix units G (E_kl ⊗ I) G† at ``cell``, compressed onto
+    their two-cell patch.
 
     Localization on the patch is established through seeded random
-    rank-one probes (dense path) or per-unit sparse checks (one-hot path);
-    the end-to-end reconstruction certificate independently covers
-    anything a probe could miss.  The compressed blocks themselves come
-    from small row-slice products, never from full conjugations.
+    rank-one probes G (|x><y| ⊗ I) G† (dense path: a generic element of the
+    image algebra is localized only if the whole algebra is) or per-unit
+    sparse checks (one-hot path); the end-to-end reconstruction certificate
+    independently covers anything a probe could miss.  Both come from the
+    one conjugation routine of their storage format.  The compressed blocks
+    are the dense routine applied to the rows of G whose complement cells
+    are quiescent, never full conjugations.
     """
     d, w = op.alphabet.d, op.width
     n = op.dim
@@ -154,7 +132,6 @@ def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
     pw = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
     comp = [i for i in range(w) if i not in patch]
     out = np.zeros((d, d, d * d, d * d), dtype=np.complex128)
-    hot = _one_hot_columns(op)
 
     idx = np.arange(n, dtype=np.int64)
     kept_of = ((idx // pw[patch[0]]) % d) * d + (idx // pw[patch[1]]) % d
@@ -162,50 +139,44 @@ def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
     for pos in comp:
         rest_of = rest_of * d + (idx // pw[pos]) % d
 
-    if hot is not None:
-        def compress_coo(rows, cols, vals):
-            rows = np.asarray(rows, dtype=np.int64)
-            cols = np.asarray(cols, dtype=np.int64)
-            m = np.zeros((d * d, d * d), dtype=np.complex128)
-            sel = (rest_of[rows] == 0) & (rest_of[cols] == 0)
-            np.add.at(m, (kept_of[rows[sel]], kept_of[cols[sel]]),
-                      np.asarray(vals)[sel])
-            return m
-
+    if _one_hot_columns(op) is not None:
+        unit = _unit_conjugation(op, cell, forward=True)
         for k in range(d):
             for l in range(d):
-                rows, cols, vals = _hot_unit_entries(op, cell, k, l, forward=True)
-                resid = _coo_localization_residual(rows, cols, vals, d, w, patch)
+                t = unit(k, l)
+                resid = fast_localization_residual(t, d, w, patch)
                 if resid > tol:
                     raise NotLocal(
                         f"image of cell-{cell} unit ({k},{l}) is not localized on "
                         f"cells {patch} (residual {resid:.2e})")
-                out[k, l] = compress_coo(rows, cols, vals)
+                rows, cols, vals = t
+                sel = (rest_of[rows] == 0) & (rest_of[cols] == 0)
+                np.add.at(out[k, l], (kept_of[rows[sel]], kept_of[cols[sel]]), vals[sel])
         return out
 
     mat = op.dense()
+    slices = _cell_slices(mat, d, w, cell)
     rng = np.random.default_rng(0xC0FFEE + cell)
     for _ in range(probes):
-        resid = _rank_one_probe_residual(mat, d, w, cell, patch, True, rng)
+        x, y = _random_cell_vector(rng, d), _random_cell_vector(rng, d)
+        resid = fast_localization_residual(_dense_conjugation(slices, x, y), d, w, patch)
         if resid > tol:
             raise NotLocal(
                 f"image of the cell-{cell} algebra is not localized on cells "
                 f"{patch} (probe residual {resid:.2e})")
-    # Compressed image blocks: M_kl = Gr_k Gr_l† with Gr the rows of the
-    # window matrix whose complement cells are quiescent.
     sub = np.flatnonzero(rest_of == 0)[np.argsort(kept_of[rest_of == 0], kind="stable")]
-    gr = mat[sub, :]
-    digit = (idx // pw[cell]) % d
-    slices = [gr[:, digit == k] for k in range(d)]
+    patch_slices = _cell_slices(mat[sub, :], d, w, cell)
+    eye = np.eye(d)
     for k in range(d):
         for l in range(d):
-            out[k, l] = slices[k] @ la.dagger(slices[l])
+            out[k, l] = _dense_conjugation(patch_slices, eye[k], eye[l])
     return out
 
 
 def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
-    """Images of the full cell algebras of cells 1 and 2 under the
-    evolution, localized on cells (0,1) and (1,2).
+    """Images of the full cell algebras of cells 1 and 2 under forward
+    conjugation G (E_kl ⊗ I) G†, localized on cells (0,1) and (1,2) and
+    compressed there by _unit_images.
 
     Conjugation by a unitary is a *-isomorphism, so the images of the
     matrix units already span a product/adjoint-closed set; the spans are
@@ -457,24 +428,26 @@ def _normalize_alignment(op: WindowOperator, tol: float) -> tuple[WindowOperator
     cc = (w - 1) // 2
 
     hot = _one_hot_columns(op)
-    mat = None if hot is not None else op.dense()
+    if hot is not None:
+        unit = _unit_conjugation(op, cc, forward=False)
+    else:
+        slices = _cell_slices(la.dagger(op.dense()), d, w, cc)
 
     def localized_on(offsets) -> bool:
         region = tuple(cc + o for o in offsets)
         if min(region) < 0 or max(region) > w - 1:
             return False
         if hot is not None:
-            for k in range(d):
-                for l in range(d):
-                    rows, cols, vals = _hot_unit_entries(op, cc, k, l, forward=False)
-                    resid = _coo_localization_residual(rows, cols, vals, d, w, region)
-                    if resid > tol:
-                        return False
-            return True
+            # the unit (l, k) is the adjoint of (k, l), with the same residual
+            return all(fast_localization_residual(unit(k, l), d, w, region) <= tol
+                       for k, l in combinations_with_replacement(range(d), 2))
         rng = np.random.default_rng(0xA11CE)
-        return all(
-            _rank_one_probe_residual(mat, d, w, cc, region, False, rng) <= tol
-            for _ in range(3))
+        for _ in range(3):
+            x, y = _random_cell_vector(rng, d), _random_cell_vector(rng, d)
+            if fast_localization_residual(_dense_conjugation(slices, x, y),
+                                          d, w, region) > tol:
+                return False
+        return True
 
     # composing with the cyclic shift sigma^s relabels outputs so that
     # N -> N + s; pick s moving the found alignment onto {0, 1}.

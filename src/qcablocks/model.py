@@ -567,8 +567,7 @@ def window_matrix(g: BlockQCA, w: int, max_dim: int = DENSE_WINDOW_CAP) -> Windo
     n = d**w
     if n > max_dim:
         raise DimensionMismatch(
-            f"dense window would have dimension {n} > cap {max_dim}; "
-            "use the streaming comparison for large cells")
+            f"dense window would have dimension {n} > cap {max_dim}")
     lu = reduce(np.kron, [g.u] * w)
     # Row axes after the u-layer: (a_0, b_0, ..., a_{w-1}, b_{w-1}); the
     # v-layer pairs (b_i, a_{i+1 mod w}), a cyclic left shift of the axes.
@@ -576,31 +575,6 @@ def window_matrix(g: BlockQCA, w: int, max_dim: int = DENSE_WINDOW_CAP) -> Windo
     t = np.transpose(t, list(range(1, 2 * w)) + [0, 2 * w]).reshape(n, n)
     lv = reduce(np.kron, [g.v] * w)
     return WindowOperator(g.alphabet, w, lv @ t, boundary="periodic")
-
-
-def block_window_columns(g: BlockQCA, w: int, columns: np.ndarray) -> np.ndarray:
-    """Selected columns of :func:`window_matrix` without materializing it.
-
-    ``columns`` is an array of basis indices; the result has one column per
-    requested index.  Used for streamed certification at large cell
-    dimension.
-    """
-    d, p, q = g.d, g.p, g.q
-    k = len(columns)
-    digits = (np.asarray(columns, dtype=np.int64)[:, None]
-              // (d ** np.arange(w - 1, -1, -1))[None, :]) % d
-    # u-layer on a basis column is a pure tensor of u-columns.
-    acc = np.ones((k, 1), dtype=np.complex128)
-    for i in range(w):
-        acc = np.einsum("kr,ks->krs", acc, g.u[:, digits[:, i]].T).reshape(k, -1)
-    t = acc.reshape([k] + [q, p] * w)
-    t = np.transpose(t, [0] + list(range(2, 2 * w + 1)) + [1])
-    t = t.reshape(k, (p * q) ** w)
-    v2 = g.v.reshape(d, p * q)
-    t = t.reshape([k] + [p * q] * w)
-    for ax in range(1, w + 1):
-        t = np.moveaxis(np.tensordot(t, v2.T, axes=([ax], [0])), -1, ax)
-    return t.reshape(k, d**w).T
 
 
 def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,

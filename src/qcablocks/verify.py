@@ -8,15 +8,28 @@ restricts itself to regions with a boundary margin (one cell for truncated
 windows, none for periodic ones) and callers see ``WindowTooSmall`` when a
 requested radius cannot be tested soundly.
 
-Window operators whose columns are one-hot (quantized classical rules) are
-handled by an exact sparse path: conjugating a cell operator by a
-generalized permutation only reindexes its entries, so windows far beyond
-the dense cap stay cheap.
+Every locality verdict asks one question: is the conjugated cell operator
+G† (E_kl ⊗ I) G (backward) or G (E_kl ⊗ I) G† (forward) supported on a
+region R?  Each storage format has one forward conjugation routine, and the
+backward direction is the forward one on the adjoint window.  Dense windows
+conjugate a rank-one cell operator |x><y| as C_x C_y†, with C_x the
+x-weighted sum of the column slices of G by the cell's digit; windows whose
+columns are one-hot (quantized classical rules) only reindex entries, so
+windows far beyond the dense cap stay cheap, and their adjoint is the
+inverse column map with conjugated phases.  fast_localization_residual is
+the one residual entry point for both formats.
+
+The residual is adjoint-invariant (the projection onto M_R ⊗ I commutes
+with † and so does the max-norm), and G† E_lk G is the adjoint of
+G† E_kl G, so only the units with k <= l are tested.  The neighborhood
+search streams them, dropping each candidate region at its first failing
+unit; the verdict stays exhaustive and exact.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,99 +156,82 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> b
 
 # ------------------------------------------------- conjugated cell units
 
-def _dense_conjugated_unit(mat: np.ndarray, d: int, w: int, cell: int,
-                           k: int, l: int, forward: bool) -> np.ndarray:
-    """G E_kl G† (forward) or G† E_kl G (backward) for the matrix unit E_kl
-    at the given cell, via row/column slicing: both equal a product of a
-    d^{w-1}-column slice with the adjoint of another."""
-    n = d**w
+def _cell_slices(mat: np.ndarray, d: int, w: int, cell: int) -> np.ndarray:
+    """The column slices G[:, cell digit = k], k < d, of a matrix whose
+    columns index the d^w window, stacked into shape (d, rows, d^(w-1))."""
+    r = mat.shape[0]
+    t = mat.reshape(r, d**cell, d, d ** (w - 1 - cell)).transpose(2, 0, 1, 3)
+    return np.ascontiguousarray(t).reshape(d, r, -1)
+
+
+def _dense_conjugation(slices: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """C_x C_y† with C_x = Σ_k x_k G[:, cell digit = k], which is
+    G (|x><y| ⊗ I) G†: a matrix unit E_kl is x = e_k, y = e_l, a rank-one
+    probe is a random pair.  Restricting G to some rows restricts the
+    result to the same rows and columns."""
+    cx = np.tensordot(x, slices, 1)
+    cy = np.tensordot(y, slices, 1)
+    return cx @ la.dagger(cy)
+
+
+def _one_hot_conjugation(rows: np.ndarray, phases: np.ndarray, d: int, w: int,
+                         cell: int, k: int, l: int):
+    """COO triple of G (E_kl ⊗ I) G† for the one-hot window
+    G|x> = phases[x] |rows[x]>.  Conjugation only reindexes: the inputs with
+    cell digit k come in rest order, and each one's partner with digit l
+    is the same index moved by (l - k) digit places."""
     pw = d ** (w - 1 - cell)
-    idx = np.arange(n, dtype=np.int64)
-    digit = (idx // pw) % d
-    if forward:
-        ck = mat[:, digit == k]
-        cl = mat[:, digit == l]
-        return ck @ la.dagger(cl)
-    rk = mat[digit == k, :]
-    rl = mat[digit == l, :]
-    return la.dagger(rk) @ rl
+    idx = np.arange(d**w, dtype=np.int64)
+    src_k = idx[(idx // pw) % d == k]
+    src_l = src_k + (l - k) * pw
+    return rows[src_k], rows[src_l], phases[src_k] * np.conj(phases[src_l])
 
 
-class _DenseUnitConjugations:
-    """All d^2 conjugated matrix units at one cell in a single BLAS product.
-
-    Stacking the d relevant slices of the window matrix vertically turns
-    the d^2 slice-pair products into blocks of one (dn x n/d)(n/d x dn)
-    product, which is much faster than d^2 separate small products."""
-
-    def __init__(self, mat: np.ndarray, d: int, w: int, cell: int, forward: bool):
-        n = d**w
-        pw = d ** (w - 1 - cell)
-        idx = np.arange(n, dtype=np.int64)
-        digit = (idx // pw) % d
-        if forward:
-            stack = np.concatenate([mat[:, digit == s] for s in range(d)], axis=0)
-        else:
-            stack = np.concatenate([la.dagger(mat[digit == s, :]) for s in range(d)],
-                                   axis=0)
-        self.n = n
-        self.big = stack @ la.dagger(stack)
-
-    def unit(self, k: int, l: int) -> np.ndarray:
-        n = self.n
-        return self.big[k * n : (k + 1) * n, l * n : (l + 1) * n]
+def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
+    """The adjoint of a one-hot window in the same (rows, phases) form: the
+    inverse column map with conjugated phases.  Exists only for a bijective
+    column map."""
+    n = len(rows)
+    if len(np.unique(rows)) != n:
+        raise PreconditionViolated(
+            "locality analysis needs a unitary window; this one-hot "
+            "operator is not injective")
+    inv = np.empty(n, dtype=np.int64)
+    inv[rows] = np.arange(n, dtype=np.int64)
+    return inv, np.conj(phases[inv])
 
 
-def fast_localization_residual(t: np.ndarray, d: int, w: int, region) -> float:
-    """Exact max-norm localization residual, equal to
-    ``linalg.localization_residual(t, (d,)*w, region)`` but computed without
-    materializing the embedded comparison operator."""
-    region = sorted(region)
-    comp = [i for i in range(w) if i not in region]
-    dk = d ** len(region)
-    dc = d ** len(comp)
-    order = region + comp
-    x = t.reshape((d,) * (2 * w))
-    x = x.transpose([*order, *[w + i for i in order]])
-    x = x.reshape(dk, dc, dk, dc).copy()
-    m = np.einsum("arbr->ab", x) / dc
-    ii = np.arange(dc)
-    x[:, ii, :, ii] -= m[None, :, :]
-    return float(np.max(np.abs(x)))
-
-
-def _hot_unit_entries(op: WindowOperator, cell: int, k: int, l: int, forward: bool):
-    """COO entries of the conjugated matrix unit for one-hot windows.
-
-    The backward direction pairs inputs through the rests of their images
-    and assumes the column map is a bijection (checked by callers through
-    check_unitary); the forward direction needs no inverse."""
-    rows, phases = _one_hot_columns(op)
+def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
+    """Function (k, l) -> conjugated matrix unit E_kl at ``cell``: forward
+    G (E_kl ⊗ I) G†, backward G† (E_kl ⊗ I) G.  One-hot windows give COO
+    triples, others dense arrays."""
     d, w = op.alphabet.d, op.width
-    n = op.dim
-    pw = d ** (w - 1 - cell)
-    idx = np.arange(n, dtype=np.int64)
-    if forward:
-        digit = (idx // pw) % d
-        rest_k = idx[digit == k] - k * pw
-        rest_l = idx[digit == l] - l * pw
-        # rests enumerate the same set in the same order by construction
-        order_k = np.argsort(rest_k, kind="stable")
-        order_l = np.argsort(rest_l, kind="stable")
-        src_k = idx[digit == k][order_k]
-        src_l = idx[digit == l][order_l]
-        return (rows[src_k], rows[src_l], phases[src_k] * np.conj(phases[src_l]))
-    img_digit = (rows // pw) % d
-    img_rest = rows - img_digit * pw
-    mask_k = img_digit == k
-    mask_l = img_digit == l
-    rest_k = img_rest[mask_k]
-    rest_l = img_rest[mask_l]
-    src_k = idx[mask_k]
-    src_l = idx[mask_l]
-    common, ia, ib = np.intersect1d(rest_k, rest_l, return_indices=True)
-    return (src_k[ia], src_l[ib],
-            np.conj(phases[src_k[ia]]) * phases[src_l[ib]])
+    hot = _one_hot_columns(op)
+    if hot is not None:
+        rows, phases = hot if forward else _one_hot_adjoint(*hot)
+        return lambda k, l: _one_hot_conjugation(rows, phases, d, w, cell, k, l)
+    mat = op.dense()
+    slices = _cell_slices(mat if forward else la.dagger(mat), d, w, cell)
+    eye = np.eye(d)
+    return lambda k, l: _dense_conjugation(slices, eye[k], eye[l])
+
+
+def _adjoint(entry):
+    """Adjoint of a conjugated unit in either format."""
+    if isinstance(entry, tuple):
+        rows, cols, vals = entry
+        return cols, rows, np.conj(vals)
+    return la.dagger(entry)
+
+
+def fast_localization_residual(t, d: int, w: int, region) -> float:
+    """Max-norm localization residual of an operator on the d^w window,
+    given dense (``linalg.localization_residual``) or as a COO triple
+    (rows, cols, vals) (sparse kernel).  It is adjoint-invariant: the
+    projection onto M_region ⊗ I commutes with † and so does the max-norm."""
+    if isinstance(t, tuple):
+        return _coo_localization_residual(*t, d, w, tuple(region))
+    return la.localization_residual(t, (d,) * w, region)
 
 
 def _coo_localization_residual(rows, cols, vals, d: int, w: int,
@@ -306,28 +302,6 @@ def max_testable_radius(op: WindowOperator, cell: int | None = None) -> int:
     return min(cc - margin, op.width - 1 - margin - cc - 1)
 
 
-def _unit_entry_iter(op: WindowOperator, cell: int, forward: bool):
-    """Yield (k, l, operator) with the operator either dense or COO triple."""
-    d = op.alphabet.d
-    hot = _one_hot_columns(op)
-    if hot is not None:
-        for k in range(d):
-            for l in range(d):
-                yield k, l, _hot_unit_entries(op, cell, k, l, forward)
-        return
-    batch = _DenseUnitConjugations(op.dense(), d, op.width, cell, forward)
-    for k in range(d):
-        for l in range(d):
-            yield k, l, batch.unit(k, l)
-
-
-def _unit_localization(entry, d: int, w: int, region) -> float:
-    if isinstance(entry, tuple):
-        rows, cols, vals = entry
-        return _coo_localization_residual(rows, cols, vals, d, w, tuple(region))
-    return fast_localization_residual(entry, d, w, region)
-
-
 def _candidate_intervals(max_radius: int):
     lo_min, hi_max = -max_radius, max_radius + 1
     for width in range(1, hi_max - lo_min + 2):
@@ -356,37 +330,34 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
             f"{max_testable_radius(op, cc)} for a width-{op.width} "
             f"{op.boundary} window probed at cell {cc}")
     d, w = op.alphabet.d, op.width
-    hot = _one_hot_columns(op)
-    if hot is not None and len(np.unique(hot[0])) != op.dim:
-        raise PreconditionViolated(
-            "neighborhood analysis needs a unitary window; this one-hot "
-            "operator is not injective")
-    units = list(_unit_entry_iter(op, cc, forward=False))
+    unit = _unit_conjugation(op, cc, forward=False)
     # a candidate covering the whole window is vacuous: every operator is
     # "localized" there, so it can never support a locality claim
-    candidates = [c for c in _candidate_intervals(max_radius)
-                  if cc + c[0] >= 0 and cc + c[1] <= w - 1
-                  and c[1] - c[0] + 1 < w]
-    verdict = np.zeros((len(units), len(candidates)), dtype=bool)
-    for i, (_, _, entry) in enumerate(units):
-        for j, (lo, hi) in enumerate(candidates):
-            region = range(cc + lo, cc + hi + 1)
-            verdict[i, j] = _unit_localization(entry, d, w, region) <= tol
-    order = sorted(range(len(candidates)),
-                   key=lambda j: (candidates[j][1] - candidates[j][0], candidates[j][0]))
+    candidates = sorted((c for c in _candidate_intervals(max_radius)
+                         if cc + c[0] >= 0 and cc + c[1] <= w - 1
+                         and c[1] - c[0] + 1 < w),
+                        key=lambda c: (c[1] - c[0], c[0]))
+    alive = candidates
+    # units stream outer, each dropping the candidates it fails on; the
+    # unit (l, k) is the adjoint of (k, l) and has the same residuals
+    for k, l in combinations_with_replacement(range(d), 2):
+        if not alive:
+            break
+        t = unit(k, l)
+        alive = [c for c in alive
+                 if fast_localization_residual(t, d, w, range(cc + c[0], cc + c[1] + 1))
+                 <= tol]
     probe_cell = cc + op.out_shift
-    for j in order:
-        if verdict[:, j].all():
-            lo, hi = candidates[j]
-            return NeighborhoodReport(
-                True, (lo - op.out_shift, hi - op.out_shift), None, max_radius, probe_cell)
+    if alive:
+        lo, hi = alive[0]
+        return NeighborhoodReport(
+            True, (lo - op.out_shift, hi - op.out_shift), None, max_radius, probe_cell)
     witness = None
     if make_witness:
+        units = {kl: unit(*kl) for kl in combinations_with_replacement(range(d), 2)}
         # demonstrate the failure on a tested region: widest first, so the
         # witness states agree on as much of the window as possible
-        by_width = sorted(order, key=lambda j: candidates[j][0] - candidates[j][1])
-        for j in by_width:
-            lo, hi = candidates[j]
+        for lo, hi in sorted(candidates, key=lambda c: c[0] - c[1]):
             region = range(cc + lo, cc + hi + 1)
             witness = _nonlocality_witness(op, cc, units, region, tol)
             if witness is not None:
@@ -409,10 +380,9 @@ def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
         raise WindowTooSmall(
             f"mirrored region [{wlo}, {whi}] does not fit the window at cell {cc}")
     region = range(cc + wlo, cc + whi + 1)
-    for _, _, entry in _unit_entry_iter(op, cc, forward=True):
-        if _unit_localization(entry, d, w, region) > tol:
-            return False
-    return True
+    unit = _unit_conjugation(op, cc, forward=True)
+    return all(fast_localization_residual(unit(k, l), d, w, region) <= tol
+               for k, l in combinations_with_replacement(range(d), 2))
 
 
 # ------------------------------------------------------- witness machinery
@@ -483,19 +453,18 @@ def _nonlocality_witness(op: WindowOperator, cc: int, units, region,
                          tol: float) -> Witness | None:
     """Construct a state pair with equal restrictions on the tested region
     whose images differ at the probed cell, from a block of a conjugated
-    Hermitian probe that is not a multiple of the identity."""
+    Hermitian probe that is not a multiple of the identity.  ``units`` maps
+    (k, l) with k <= l to the backward-conjugated matrix unit."""
     d, w = op.alphabet.d, op.width
     region = tuple(sorted(region))
     dc = d ** (w - len(region))
     # Hermitian probes: diagonal units and Hermitian/anti-Hermitian
-    # combinations of off-diagonal ones.
-    combos = []
-    for k, l, entry in units:
-        if k == l:
-            combos.append([(1.0, entry)])
-    for k, l, entry in units:
+    # combinations of off-diagonal ones; the unit (l, k) is the adjoint of
+    # (k, l).
+    combos = [[(1.0, entry)] for (k, l), entry in units.items() if k == l]
+    for (k, l), entry in units.items():
         if k < l:
-            partner = next(e for kk, ll, e in units if kk == l and ll == k)
+            partner = _adjoint(entry)
             combos.append([(0.5, entry), (0.5, partner)])
             combos.append([(0.5j, entry), (-0.5j, partner)])
 

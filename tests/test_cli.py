@@ -44,6 +44,34 @@ def test_verify_swap_window_local(capsys):
     assert report["status"] == "local"
 
 
+def test_verify_block_checks_unitarity_at_requested_tol(tmp_path, capsys):
+    # scaling a non-quiescent column of u leaves the gauge exact and makes u
+    # unitary only to ~4e-7, inside the constructor's gauge tolerance 1e-6
+    from qcablocks import linalg as la
+    from qcablocks.gallery import swap_qca
+    from qcablocks.model import BlockQCA
+    g = swap_qca()
+    u = g.u.copy()
+    u[:, 1] *= 1 + 2e-7
+    loose = BlockQCA(g.alphabet, g.p, g.q, u, g.v, g.q1, g.q2)
+    assert 1e-7 < la.max_norm(la.dagger(u) @ u - np.eye(g.d)) < 1e-6
+    path = tmp_path / "loose.json"
+    ser.dump(ser.qca_to_json(loose), path)
+    code, report = run(capsys, "verify", str(path), "--tol", "1e-12")
+    assert code == 1
+    assert report["unitary"] is False
+    code, report = run(capsys, "verify", str(path), "--tol", "1e-5")
+    assert code == 0
+    assert report["unitary"] is True and report["status"] == "local"
+
+
+def test_verify_shipped_block_exact_at_tight_tol(capsys):
+    code, report = run(capsys, "verify", spec("swap.json"), "--tol", "1e-12")
+    assert code == 0
+    assert report["unitary"] is True
+    assert report["status"] == "local"
+
+
 def test_verify_missing_file_exit_2(capsys):
     code, report = run(capsys, "verify", spec("missing.json"))
     assert code == 2

@@ -1,9 +1,17 @@
-"""Tensor-core checks: Kronecker products, partial traces, localization."""
+"""Tensor-core checks: Kronecker products, partial traces, and the
+localization residual kernels (dense and sparse)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcablocks.errors import DimensionMismatch
 from qcablocks import linalg as la
+from qcablocks.verify import (
+    _one_hot_adjoint,
+    _one_hot_conjugation,
+    fast_localization_residual,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -193,3 +201,92 @@ def test_phase_fix_canonicalizes():
     for theta in (0.3, 1.1, -2.0):
         fixed = la.phase_fix(np.exp(1j * theta) * m)
         assert np.allclose(fixed, la.phase_fix(m))
+
+
+# ------------------------------------------- localization residual kernels
+#
+# Properties of the one dense kernel and the sparse (COO) kernel behind
+# every locality verdict, over random factor shapes and regions.
+
+@st.composite
+def operators_on_factors(draw):
+    """(a, dims, region): a random or nearly localized operator on a mixed
+    factor shape, in C or Fortran memory order, with any region (empty,
+    non-contiguous or full)."""
+    dims = draw(st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda pq: pq + pq),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)))
+    region = sorted(draw(st.sets(st.integers(0, len(dims) - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(np.prod(dims))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        dk = int(np.prod([dims[i] for i in region]))
+        m = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
+        a = la.embed_on_factors(m, dims, region) + 1e-6 * a
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    return a, dims, region
+
+
+def _residual_by_definition(a, dims, region):
+    dc = int(np.prod([dims[i] for i in range(len(dims)) if i not in region]))
+    local = la.partial_trace(a, dims, region) / dc
+    return la.max_norm(a - la.embed_on_factors(local, dims, region))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators_on_factors())
+def test_localization_residual_matches_definition(case):
+    a, dims, region = case
+    assert la.localization_residual(a, dims, region) == pytest.approx(
+        _residual_by_definition(a, dims, region), rel=1e-12, abs=1e-12)
+    assert la.localization_residual(a, dims, range(len(dims))) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators_on_factors())
+def test_localization_residual_is_adjoint_invariant(case):
+    a, dims, region = case
+    assert la.localization_residual(a, dims, region) == \
+        la.localization_residual(la.dagger(a), dims, region)
+
+
+@st.composite
+def one_hot_units(draw):
+    """A random generalized-permutation window, a cell, a matrix unit and a
+    region."""
+    d = draw(st.integers(2, 3))
+    w = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = d**w
+    rows = rng.permutation(n).astype(np.int64)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    cell = draw(st.integers(0, w - 1))
+    k, l = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    region = sorted(draw(st.sets(st.integers(0, w - 1))))
+    return rows, phases, d, w, cell, k, l, region
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_hot_units())
+def test_coo_kernel_matches_dense_kernel_on_one_hot_conjugations(case):
+    rows, phases, d, w, cell, k, l, region = case
+    n = d**w
+    g = np.zeros((n, n), dtype=complex)
+    g[rows, np.arange(n)] = phases
+    e = np.zeros((d, d), dtype=complex)
+    e[k, l] = 1.0
+    emb = la.embed_on_factors(e, (d,) * w, {cell})
+    # forward on the window, backward as forward on its adjoint
+    for pair, expected in (((rows, phases), g @ emb @ la.dagger(g)),
+                           (_one_hot_adjoint(rows, phases), la.dagger(g) @ emb @ g)):
+        coo = _one_hot_conjugation(*pair, d, w, cell, k, l)
+        dense = np.zeros((n, n), dtype=complex)
+        np.add.at(dense, (coo[0], coo[1]), coo[2])
+        assert la.max_norm(dense - expected) <= 1e-12
+        assert fast_localization_residual(coo, d, w, region) == pytest.approx(
+            la.localization_residual(dense, (d,) * w, region), rel=1e-12, abs=1e-12)
+        adjoint = (coo[1], coo[0], np.conj(coo[2]))
+        assert fast_localization_residual(adjoint, d, w, region) == pytest.approx(
+            fast_localization_residual(coo, d, w, region), rel=1e-12, abs=1e-12)

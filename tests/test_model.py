@@ -17,7 +17,6 @@ from qcablocks.model import (
     SparseState,
     apply_block,
     apply_window,
-    block_window_columns,
     config_from_cells,
     fit_offset,
     group_cells,
@@ -199,15 +198,6 @@ def test_window_matrix_agrees_with_apply_block():
                     cfg = Configuration.make(0, word)
                     assert sparse_out.terms.get(cfg, 0.0) == pytest.approx(
                         dense_out[idx], abs=1e-10)
-
-
-def test_block_window_columns_matches_dense():
-    g = random_block_qca(4, 2, 2, seed=9)
-    op = window_matrix(g, 3)
-    m = op.dense()
-    cols = np.array([0, 5, 17, 63])
-    streamed = block_window_columns(g, 3, cols)
-    assert np.allclose(streamed, m[:, cols], atol=1e-12)
 
 
 # --------------------------------------------------------------- quantize

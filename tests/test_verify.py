@@ -1,5 +1,7 @@
 """Verifier checks: unitarity, shift invariance, neighborhoods, the
 inverse-locality mirror, signalling detection, and the block-native path."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qcablocks.errors import PreconditionViolated, WindowTooSmall
 from qcablocks.gallery import (
     phase_qca,
     shift_qca,
+    swap_qca,
     toffoli_ca,
     xor_ca,
     xor_signalling_pair,
@@ -23,6 +26,7 @@ from qcablocks.model import (
 )
 from qcablocks.rand import random_block_qca, random_sparse_state
 from qcablocks.verify import (
+    _unit_conjugation,
     block_conjugated_unit,
     block_inverse_locality,
     block_neighborhood,
@@ -30,6 +34,7 @@ from qcablocks.verify import (
     check_shift_invariance,
     check_unitary,
     detect_signalling,
+    fast_localization_residual,
     max_testable_radius,
     neighborhood,
 )
@@ -168,14 +173,16 @@ def test_neighborhood_monotone_under_superset():
     op = window_matrix(g, 5)
     rep = neighborhood(op, max_radius=1)
     lo, hi = rep.neighborhood
-    from qcablocks.verify import _unit_entry_iter, _unit_localization
     cc = 2
-    for _, _, entry in _unit_entry_iter(op, cc, forward=False):
-        for grow in [(lo - 1, hi), (lo, hi + 1), (lo - 1, hi + 1)]:
-            region = range(cc + grow[0], cc + grow[1] + 1)
-            if min(region) < 0 or max(region) > op.width - 1:
-                continue
-            assert _unit_localization(entry, 4, 5, region) <= 1e-9
+    unit = _unit_conjugation(op, cc, forward=False)
+    for k in range(4):
+        for l in range(4):
+            entry = unit(k, l)
+            for grow in [(lo - 1, hi), (lo, hi + 1), (lo - 1, hi + 1)]:
+                region = range(cc + grow[0], cc + grow[1] + 1)
+                if min(region) < 0 or max(region) > op.width - 1:
+                    continue
+                assert fast_localization_residual(entry, 4, 5, region) <= 1e-9
 
 
 # -------------------------------------------------------- inverse locality
@@ -203,6 +210,134 @@ def test_identity_window_localized_both_ways():
     assert check_inverse_locality(op, (0, 0))
 
 
+# ------------------------------------------------------ brute-force oracle
+#
+# The oracle conjugates every matrix unit densely through embed_on_factors,
+# tests all d^2 of them on every candidate, and picks the first passing
+# candidate in (width, lo) order; the streamed search must agree exactly.
+
+def _oracle_units(op, cell, forward):
+    g = op.dense()
+    d, w = op.alphabet.d, op.width
+    out = []
+    for _, _, e in la.matrix_units(d):
+        emb = la.embed_on_factors(e, (d,) * w, {cell})
+        out.append(g @ emb @ la.dagger(g) if forward else la.dagger(g) @ emb @ g)
+    return out
+
+
+def _oracle_localized(units, d, w, region):
+    return all(la.localization_residual(t, (d,) * w, region) <= la.DEFAULT_TOL
+               for t in units)
+
+
+def _oracle_neighborhood(op, max_radius):
+    d, w = op.alphabet.d, op.width
+    cc = (w - 1) // 2
+    units = _oracle_units(op, cc, forward=False)
+    cands = sorted(((lo, hi) for lo in range(-max_radius, max_radius + 2)
+                    for hi in range(lo, max_radius + 2)
+                    if cc + lo >= 0 and cc + hi <= w - 1 and hi - lo + 1 < w),
+                   key=lambda c: (c[1] - c[0], c[0]))
+    for lo, hi in cands:
+        if _oracle_localized(units, d, w, range(cc + lo, cc + hi + 1)):
+            return (lo - op.out_shift, hi - op.out_shift)
+    return None
+
+
+def _assert_matches_oracle(op, max_radius):
+    d, w = op.alphabet.d, op.width
+    cc = (w - 1) // 2
+    rep = neighborhood(op, max_radius=max_radius)
+    expected = _oracle_neighborhood(op, max_radius)
+    assert rep.neighborhood == expected
+    assert rep.is_local == (expected is not None)
+    if expected is None:
+        assert rep.witness is not None and rep.witness.trace_distance > 1e-9
+    forward = _oracle_units(op, cc, forward=True)
+    for lo in range(-max_radius, max_radius + 2):
+        for hi in range(lo, max_radius + 2):
+            wlo, whi = -hi + op.out_shift, -lo + op.out_shift
+            if cc + wlo < 0 or cc + whi > w - 1:
+                with pytest.raises(WindowTooSmall):
+                    check_inverse_locality(op, (lo, hi))
+                continue
+            region = range(cc + wlo, cc + whi + 1)
+            assert check_inverse_locality(op, (lo, hi)) == \
+                _oracle_localized(forward, d, w, region)
+    return rep
+
+
+def test_neighborhood_matches_oracle_on_gallery_windows():
+    local = [(window_matrix(shift_qca(), 4), 1), (window_matrix(phase_qca(), 4), 1),
+             (window_matrix(swap_qca(), 4), 1),
+             (quantize(toffoli_ca(), 4, "periodic"), 1)]
+    for op, radius in local:
+        assert _assert_matches_oracle(op, radius).is_local
+    assert not _assert_matches_oracle(quantize(xor_ca(), 6), 1).is_local
+
+
+def test_neighborhood_matches_oracle_on_random_blocks():
+    cases = [((2, 2, 1), 5, 1), ((4, 2, 2), 4, 1), ((4, 1, 4), 4, 1),
+             ((6, 2, 3), 3, 0), ((6, 3, 2), 3, 0)]
+    for seed, ((d, p, q), w, radius) in enumerate(cases):
+        g = random_block_qca(d, p, q, seed=seed + 80)
+        assert _assert_matches_oracle(window_matrix(g, w), radius).is_local
+
+
+def test_neighborhood_matches_oracle_on_perturbed_windows():
+    # a weak coupling two cells apart, applied before (d = 2) or after
+    # (d = 4) the evolution, pushes the backward image outside every
+    # candidate region
+    from scipy.linalg import expm
+
+    def coupling(d, w, cells, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        v = expm(1e-3j * (h + la.dagger(h)))
+        rest = [c for c in range(w) if c not in cells]
+        perm = np.transpose(np.arange(d**w).reshape([d] * w), [*cells, *rest]).ravel()
+        out = np.zeros((d**w, d**w), dtype=complex)
+        out[np.ix_(perm, perm)] = np.kron(v, np.eye(d ** len(rest)))
+        return out
+
+    g2 = window_matrix(random_block_qca(2, 2, 1, seed=90), 5)
+    g4 = window_matrix(random_block_qca(4, 2, 2, seed=91), 4)
+    for op, mat in ((g2, g2.dense() @ coupling(2, 5, (0, 2), 92)),
+                    (g4, coupling(4, 4, (1, 3), 93) @ g4.dense())):
+        bad = WindowOperator(op.alphabet, op.width, mat, op.boundary)
+        assert check_unitary(bad)
+        rep = _assert_matches_oracle(bad, 1)
+        assert not rep.is_local and rep.witness is not None
+
+
+def _inverse_verdict(op, interval):
+    try:
+        return check_inverse_locality(op, interval)
+    except WindowTooSmall:
+        return "window too small"
+
+
+def test_one_hot_and_densified_windows_give_identical_reports():
+    for op in (quantize(toffoli_ca(), 5, "periodic"), quantize(xor_ca(), 6)):
+        assert op.dim <= 4096
+        dense = WindowOperator(op.alphabet, op.width, op.dense(), op.boundary,
+                               op.out_shift)
+        hot_rep = neighborhood(op, max_radius=1)
+        dense_rep = neighborhood(dense, max_radius=1)
+        assert dataclasses.replace(hot_rep, witness=None) == \
+            dataclasses.replace(dense_rep, witness=None)
+        if hot_rep.witness is not None:
+            # SparseState compares by identity: compare the witness by value
+            wa, wb = hot_rep.witness, dense_rep.witness
+            assert (wa.cell, wa.context, wa.trace_distance) == \
+                (wb.cell, wb.context, wb.trace_distance)
+            assert wa.state_a.terms == wb.state_a.terms
+            assert wa.state_b.terms == wb.state_b.terms
+        for interval in [(lo, hi) for lo in range(-1, 3) for hi in range(lo, 3)]:
+            assert _inverse_verdict(op, interval) == _inverse_verdict(dense, interval)
+
+
 # ------------------------------------------------------------- block-native
 
 def test_block_native_matches_window_verifier():
@@ -217,14 +352,13 @@ def test_block_native_matches_window_verifier():
 def test_block_conjugated_unit_matches_window_conjugation():
     g = random_block_qca(4, 2, 2, seed=70)
     op = window_matrix(g, 4)
-    mat = op.dense()
     d, w, cc = 4, 4, 1
-    from qcablocks.verify import _dense_conjugated_unit
+    unit = _unit_conjugation(op, cc, forward=False)
     for k, l in [(0, 0), (1, 2), (3, 1)]:
         e = np.zeros((d, d), dtype=complex)
         e[k, l] = 1.0
         t_native = block_conjugated_unit(g, e, forward=False)
-        t_window = _dense_conjugated_unit(mat, d, w, cc, k, l, forward=False)
+        t_window = unit(k, l)
         embedded = la.embed_on_factors(t_native, (d,) * w, {cc, cc + 1})
         assert la.max_norm(t_window - embedded) <= 1e-10
 
