@@ -44,7 +44,7 @@ MAX_SAMPLE_RETRIES = 6
 
 @dataclass(frozen=True)
 class GeneratedAlgebra:
-    """A matrix *-algebra: generators plus an HS-orthonormal closure basis.
+    """A matrix *-algebra held as an HS-orthonormal basis of its span.
 
     ``basis`` is a stacked array of shape (dim, n, n).  The span of the
     basis contains the identity and is closed under +, scalar, product and
@@ -52,7 +52,6 @@ class GeneratedAlgebra:
     """
 
     ambient_dim: int
-    generators: tuple[np.ndarray, ...]
     basis: np.ndarray
 
     @property
@@ -158,32 +157,18 @@ def close(generators, n: int, rank_ratio: float = RANK_RATIO) -> GeneratedAlgebr
         basis = np.vstack([basis, fresh])
     # one final pass curbs drift accumulated across rounds
     basis = _orthonormal_rows(basis, floor)
-    return GeneratedAlgebra(n, tuple(gens), basis.reshape(-1, n, n))
+    return GeneratedAlgebra(n, basis.reshape(-1, n, n))
 
 
-def span_algebra(elements, n: int, generators=None) -> GeneratedAlgebra:
-    """Algebra whose span is already product/adjoint-closed (e.g. the image
-    of a full matrix algebra under a *-isomorphism).  Orthonormalizes the
-    given spanning set without running the closure iteration.
-
-    Wide stacks (few vectors of large dimension) are orthonormalized
-    through the Gram matrix, which costs two matrix products instead of a
-    large SVD; the spanning sets seen here are well conditioned, so the
-    reduced rank resolution of squared singular values does not matter."""
-    mats = _check_square(elements, n)
-    stack = np.stack([m.ravel() for m in mats])
-    k = stack.shape[0]
-    if stack.shape[1] > 64 * k:
-        gram = stack @ dagger(stack)
-        vals, vecs = np.linalg.eigh(gram)
-        scale = max(float(vals[-1]), 1.0)
-        keep = vals > (RANK_RATIO**2) * scale
-        basis = (vecs[:, keep] / np.sqrt(vals[keep])).T.conj() @ stack
-    else:
-        scale = max(float(np.max(np.abs(np.linalg.svd(stack, compute_uv=False)))), 1.0)
-        basis = _orthonormal_rows(stack, RANK_RATIO * scale)
-    gens = tuple(mats) if generators is None else tuple(generators)
-    return GeneratedAlgebra(n, gens, basis.reshape(-1, n, n))
+def span_algebra(elements, n: int) -> GeneratedAlgebra:
+    """Algebra whose span is already product/adjoint-closed, orthonormalized
+    by one SVD without the closure iteration.  In the decomposer the span is
+    the partial traces onto one cell of a *-isomorphic copy of M_d that
+    factors across two cells: that cell's tensor factor, an algebra."""
+    stack = np.stack([m.ravel() for m in _check_square(elements, n)])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    basis = vh[s > RANK_RATIO * max(float(s[0]), 1.0)]
+    return GeneratedAlgebra(n, basis.reshape(-1, n, n))
 
 
 def center(alg: GeneratedAlgebra) -> GeneratedAlgebra:
@@ -208,7 +193,7 @@ def center(alg: GeneratedAlgebra) -> GeneratedAlgebra:
         null_mask[: s.size] = s <= RANK_RATIO * max(smax, 1.0)
         coeffs = vh.conj()[null_mask]
     cbasis = np.einsum("ma,aij->mij", coeffs, b)
-    return GeneratedAlgebra(n, tuple(cbasis), cbasis)
+    return GeneratedAlgebra(n, cbasis)
 
 
 def _cluster_eigvals(vals: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -391,18 +376,28 @@ def commutation_defect(a: GeneratedAlgebra, b: GeneratedAlgebra) -> float:
 def factor_pair(a: GeneratedAlgebra, b: GeneratedAlgebra, seed: int = 0,
                 tol: float = 1e-8, comm_tol: float = 1e-8) -> Factorization:
     """Unitary W splitting two commuting, jointly generating algebras as
-    W a W† ⊆ M_p ⊗ I_q and W b W† ⊆ I_p ⊗ M_q."""
+    W a W† ⊆ M_p ⊗ I_q and W b W† ⊆ I_p ⊗ M_q.
+
+    Generation is decided without closing a ∪ b: commuting algebras that
+    generate M_n have scalar centers (a central element commutes with all
+    of M_n) and dimensions p², q² with pq = n; a factor a ≅ M_p ⊗ I_q and a
+    commuting b of dimension q² fill each other's commutants."""
     n = a.ambient_dim
     if b.ambient_dim != n:
         raise DimensionMismatch("algebras live in different ambient dimensions")
     defect = commutation_defect(a, b)
     if defect > comm_tol:
         raise NotCommuting(f"algebras do not commute (defect {defect:.2e})")
-    joint = close(list(a.basis) + list(b.basis), n)
-    if joint.dimension != n * n:
+    if a.dimension * b.dimension != n * n:
         raise NotGenerating(
-            f"joint closure has dimension {joint.dimension}, expected {n * n}")
-    fact = factor_one(a, seed=seed, tol=tol)
+            f"algebra dimensions {a.dimension} x {b.dimension} != {n * n}: "
+            "commuting algebras that generate M_n have dimensions multiplying to n²")
+    try:
+        fact = factor_one(a, seed=seed, tol=tol)
+    except NontrivialCenter as err:
+        raise NotGenerating(
+            f"commuting algebras cannot generate M_{n}: the first has a non-scalar "
+            f"center ({err})") from None
     # The commutant of M_p ⊗ I_q is I_p ⊗ M_q, so the second algebra lands
     # in the complementary factor automatically; verify rather than align.
     resid_b = factorization_residual(b, fact.u, fact.p, fact.q, region=(1,))

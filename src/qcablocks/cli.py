@@ -132,7 +132,7 @@ def cmd_decompose(args) -> int:
                 "extension is not a local automaton")
     else:
         op = _as_window(spec, args.window, "periodic")
-    qca, cert = decompose_certified(op, seed=args.seed)
+    qca, cert = decompose_certified(op, seed=args.seed, tol=args.tol)
     _emit(ser.decomposition_to_json(qca, cert), args.out)
     return 0
 

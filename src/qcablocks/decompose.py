@@ -1,22 +1,23 @@
 """Constructive two-layered block decomposition of a verified radius-1/2
-window operator.
+window operator, in matrix-unit coordinates.
 
-Pipeline: conjugate the matrix units of two adjacent cells through the
-evolution (their images are localized on two-cell patches), restrict both
-image algebras to the shared cell, split that cell with the two-factor
-theorem (giving the recombining unitary v), recover the cell-splitting
-unitary u as the conjugating unitary of the induced *-isomorphism onto the
-middle factors, fix the quiescent gauge, and certify the reconstruction
-against the input window up to a global shift and phase.
+Conjugation by the unitary evolution is a *-isomorphism, so the images T_kl
+of one cell's matrix units, compressed onto their two-cell patch, are again
+matrix units: T_kl T_lm = T_km and Tr T_kl = d·δ_kl (HS-orthogonal, norm²
+d).  Each image algebra is a tensor product of its parts on the two patch
+cells (Schumacher-Werner), so partial traces of the units onto the shared
+cell span that cell's factor, already an algebra.  The pipeline restricts
+both unit stacks to the shared cell, splits it with the two-factor theorem
+(the recombining unitary v), reads the cell-splitting unitary u off the
+induced *-isomorphism onto the middle factors, fixes the quiescent gauge,
+and certifies the reconstruction against the input window up to a global
+shift and phase.
 
-Cell-algebra images are held compressed on their two-cell patches, so all
-algebra work happens in ambient dimension d^2 regardless of the window
-dimension.  Conjugation and localization residuals come from the verifier's
-one primitive: dense windows conjugate rank-one cell operators as C_x C_y†
-(seeded random probes for localization, matrix units on the quiescent rows
-for the compressed images), and the backward direction is the forward one
-on the adjoint window; one-hot (generalized permutation) windows are
-conjugated by reindexing and never densified.
+Conjugation and localization residuals come from the verifier's one
+primitive: dense windows conjugate rank-one cell operators as C_x C_y†
+(seeded probes for localization, matrix units on the quiescent rows for
+the compressed images), backward is forward on the adjoint window, and
+one-hot windows are conjugated by reindexing and never densified.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .algebra import (
     Factorization,
     GeneratedAlgebra,
     factor_pair,
-    restrict,
     span_algebra,
 )
 from .errors import (
@@ -75,14 +75,13 @@ class Certification:
 
 @dataclass(frozen=True)
 class CellImages:
-    """Images of the cell-1 and cell-2 matrix-unit bases under conjugation
-    by the evolution, compressed onto their supporting two-cell patches
-    (cells (0,1) and (1,2) respectively)."""
+    """Compressed images T_kl of the cell-1 and cell-2 matrix units under
+    conjugation by the evolution, on their two-cell patches (0,1) and (1,2).
+    Each stack, indexed [k, l], is a system of matrix units of a copy of M_d:
+    T_kl T_lm = T_km, Tr T_kl = d·δ_kl, and its flattened Gram matrix is d·I."""
 
     a_units: np.ndarray  # (d, d, d^2, d^2)
     b_units: np.ndarray
-    a_algebra: GeneratedAlgebra
-    b_algebra: GeneratedAlgebra
 
 
 def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
@@ -174,35 +173,40 @@ def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
 
 
 def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
-    """Images of the full cell algebras of cells 1 and 2 under forward
-    conjugation G (E_kl ⊗ I) G†, localized on cells (0,1) and (1,2) and
-    compressed there by _unit_images.
-
-    Conjugation by a unitary is a *-isomorphism, so the images of the
-    matrix units already span a product/adjoint-closed set; the spans are
-    orthonormalized directly and closure is validated on sampled products
-    instead of re-running the growth loop.
-    """
+    """Compressed images of the cell-1 and cell-2 matrix units under
+    forward conjugation G (E_kl ⊗ I) G†, localized on cells (0,1) and (1,2)
+    by _unit_images.  Conjugation by a unitary is a *-isomorphism, so each
+    stack must be a system of matrix units; NotLocal unless Tr T_kl = d·δ_kl
+    on every unit (so the map is nonzero, hence injective on the simple M_d)
+    and four seeded identities T_kl T_lm = T_km hold."""
     if op.width < 4:
         raise WindowTooSmall("cell algebra images need a window of at least 4 cells")
     d = op.alphabet.d
-    a_units = _unit_images(op, 1, (0, 1), tol)
-    b_units = _unit_images(op, 2, (1, 2), tol)
-    a_alg = span_algebra(list(a_units.reshape(d * d, d * d, d * d)), d * d)
-    b_alg = span_algebra(list(b_units.reshape(d * d, d * d, d * d)), d * d)
-    for alg, name in ((a_alg, "cell 1"), (b_alg, "cell 2")):
-        if alg.dimension != d * d:
-            raise NotLocal(
-                f"{name} image spans dimension {alg.dimension}, expected {d * d}; "
-                "the evolution does not conjugate the cell algebra faithfully")
+    images = CellImages(_unit_images(op, 1, (0, 1), tol), _unit_images(op, 2, (1, 2), tol))
+    for units, name in ((images.a_units, "cell 1"), (images.b_units, "cell 2")):
+        dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
+        if dev > d * max(tol, 1e-7):
+            raise NotLocal(f"{name} unit traces miss d·δ_kl by {dev:.2e}; the "
+                           "evolution does not conjugate the cell algebra faithfully")
         rng = np.random.default_rng(0)
         for _ in range(4):
-            i, j = rng.integers(0, alg.dimension, size=2)
-            resid = alg.projection_residual(alg.basis[i] @ alg.basis[j])
+            k, l, m = rng.integers(0, d, size=3)
+            resid = la.max_norm(units[k, l] @ units[l, m] - units[k, m])
             if resid > max(tol, 1e-7):
-                raise NotLocal(
-                    f"{name} image span is not product-closed (residual {resid:.2e})")
-    return CellImages(a_units, b_units, a_alg, b_alg)
+                raise NotLocal(f"{name} units break T_kl T_lm = T_km (residual {resid:.2e})")
+    return images
+
+
+def shared_cell_algebras(images: CellImages) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
+    """The two image algebras restricted to the shared cell 1: one batched
+    partial trace per unit stack, then a d²-vector SVD in dimension d.  An
+    image algebra is the tensor product of its parts on the patch cells, so
+    these spans are already algebras."""
+    d = images.a_units.shape[0]
+    # trace out patch cell 0 of the cell-1 images, patch cell 1 of the cell-2 images
+    a1 = np.einsum("klxixj->klij", images.a_units.reshape((d,) * 6))
+    b1 = np.einsum("klixjx->klij", images.b_units.reshape((d,) * 6))
+    return span_algebra(a1.reshape(-1, d, d), d), span_algebra(b1.reshape(-1, d, d), d)
 
 
 def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
@@ -223,44 +227,42 @@ def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
 def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
     """Cell-splitting unitary from the induced *-isomorphism.
 
-    Conjugating the compressed cell-1 images by dagger(v) on both patch
-    cells turns them into I_p ⊗ (middle operator) ⊗ I_q; the middle
-    operators form a *-isomorphism of the cell algebra onto M_q ⊗ M_p,
-    whose conjugating unitary is recovered from a rank-one anchor.
-    """
+    Conjugating the cell-1 units by W = dagger(v) on both patch cells gives
+    I_p ⊗ phi(E_kl) ⊗ I_q, and phi is a *-isomorphism of M_d onto the middle
+    factors M_q ⊗ M_p: conjugation by a unitary u, read off the rank-one
+    anchor phi(E_00) and the columns phi(E_k0) u|0>.  W acts one patch leg
+    at a time (d^5 per unit, not d^6) on one unit row at a time, so the
+    conjugated stack never exists whole.  Each unit's middle-factor
+    residual and u's isomorphism residual are checked."""
     p, q = fact.p, fact.q
     d = p * q
-    w2 = la.kron(fact.u, fact.u)
+    w, wh = fact.u, la.dagger(fact.u)
     phi = np.zeros((d, d, d, d), dtype=np.complex128)
     for k in range(d):
+        # row k as (l, i0, i1, j0, j1): W on i0, then i1, then (W†) on j1, j0
+        t = w @ images.a_units[k].reshape(d, d, d ** 3)
+        t = w @ t.reshape(d * d, d, d * d)
+        t = t.reshape(d ** 3, d, d) @ wh
+        t = (w.conj() @ t).reshape(d, d * d, d * d)
         for l in range(d):
-            t = w2 @ images.a_units[k, l] @ la.dagger(w2)
-            resid = la.localization_residual(t, (p, q, p, q), {1, 2})
+            resid = la.localization_residual(t[l], (p, q, p, q), {1, 2})
             if resid > max(tol, 1e-7):
                 raise IsoSolveFailed(
                     f"conjugated image ({k},{l}) misses the middle factors "
                     f"(residual {resid:.2e})")
-            tt = t.reshape(p, q, p, q, p, q, p, q)
-            phi[k, l] = tt[0, :, :, 0, 0, :, :, 0].reshape(d, d)
+        tt = t.reshape(d, p, q, p, q, p, q, p, q)
+        phi[k] = tt[:, 0, :, :, 0, 0, :, :, 0].reshape(d, d, d)
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
     if abs(vals[-1] - 1.0) > 1e-6:
         raise IsoSolveFailed(
             f"anchor image is not a rank-one projector (top eigenvalue {vals[-1]:.6f})")
-    u0 = vecs[:, -1]
-    cols = [u0]
-    for k in range(1, d):
-        cols.append(phi[k, 0] @ u0)
-    u = np.stack(cols, axis=1)
-    # tiny polar correction absorbs accumulated floating-point drift
+    # columns phi(E_k0) u|0>; the polar factor removes their scale and drift
+    u = (phi[:, 0] @ vecs[:, -1]).T
     uu, _, vvh = np.linalg.svd(u)
     u = uu @ vvh
-    worst = 0.0
-    for k in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[k, l] = 1.0
-            worst = max(worst, la.max_norm(phi[k, l] - u @ e @ la.dagger(u)))
+    # u E_kl u† = |u_k><u_l|
+    worst = la.max_norm(phi - np.einsum("ik,jl->klij", u, u.conj()))
     if worst > max(tol, 1e-7):
         raise IsoSolveFailed(f"isomorphism residual {worst:.2e} exceeds tolerance")
     return u
@@ -391,16 +393,13 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
         raise WindowTooSmall("decomposition needs a window of at least 4 cells")
     if not check_unitary(op, max(tol, 1e-9)):
         raise PreconditionViolated("window operator is not unitary")
-    d = op.alphabet.d
     # align first: shift invariance is tested in the {0, 1} alignment, where
     # interior images stay clear of the window edge
     norm_op, comp_shift = _normalize_alignment(op, tol)
     if not check_shift_invariance(norm_op, max(tol, 1e-9)):
         raise PreconditionViolated("window operator is not shift invariant")
     images = cell_algebra_images(norm_op, tol)
-    dims = (d, d)
-    a1 = restrict(images.a_algebra, dims, {1})
-    b1 = restrict(images.b_algebra, dims, {0})
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=seed, tol=tol)
     u = derive_u(images, fact, tol=tol)
     v = la.dagger(fact.u)

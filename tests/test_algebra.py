@@ -15,7 +15,12 @@ from qcablocks.algebra import (
     restrict,
     span_algebra,
 )
-from qcablocks.errors import DimensionMismatch, NontrivialCenter, NotCommuting
+from qcablocks.errors import (
+    DimensionMismatch,
+    NontrivialCenter,
+    NotCommuting,
+    NotGenerating,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -278,6 +283,24 @@ def test_factor_pair_rejects_noncommuting():
     a = close([X, Z], 2)
     with pytest.raises(NotCommuting):
         factor_pair(a, a, seed=0)
+
+
+def test_factor_pair_rejects_dimension_count_mismatch():
+    # M_2 ⊗ I and I ⊗ diag commute, but 4 * 2 != 16
+    a = close([la.kron(X, np.eye(2)), la.kron(Z, np.eye(2))], 4)
+    b = close([la.kron(np.eye(2), Z)], 4)
+    assert a.dimension * b.dimension == 8
+    with pytest.raises(NotGenerating):
+        factor_pair(a, b, seed=0)
+
+
+def test_factor_pair_rejects_equal_count_non_factor_pair():
+    # diag with diag in n = 2: the counts multiply to n², but the commuting
+    # pair generates only the diagonal algebra (its center is not scalar)
+    diag = close([Z], 2)
+    assert diag.dimension ** 2 == 4
+    with pytest.raises(NotGenerating):
+        factor_pair(diag, diag, seed=0)
 
 
 # ---------------------------------------------------------------- restrict

@@ -207,6 +207,29 @@ def test_algebra_factor_nontrivial_center_exit_1(tmp_path, capsys):
     assert report["error"] == "NontrivialCenter"
 
 
+def test_decompose_honours_tol(tmp_path, capsys):
+    # scaling a non-quiescent column of u by 1 + 1e-9 keeps the gauge exact
+    # and leaves the w=4 window unitary only to ~8e-9: inside the library
+    # default 1e-8, outside the CLI default --tol 1e-9
+    from qcablocks.gallery import swap_qca
+    from qcablocks.model import BlockQCA, window_matrix
+    from qcablocks.verify import check_unitary
+    g = swap_qca()
+    u = g.u.copy()
+    u[:, 1] *= 1 + 1e-9
+    loose = BlockQCA(g.alphabet, g.p, g.q, u, g.v, g.q1, g.q2)
+    op = window_matrix(loose, 4)
+    assert check_unitary(op, 1e-8) and not check_unitary(op, 1e-9)
+    path = tmp_path / "loose.json"
+    ser.dump(ser.qca_to_json(loose), path)
+    code, report = run(capsys, "decompose", str(path), "--window", "4")
+    assert code == 1
+    assert report["error"] == "PreconditionViolated"
+    code, report = run(capsys, "decompose", str(path), "--window", "4", "--tol", "1e-8")
+    assert code == 0
+    assert report["certification"]["residual"] <= 1e-7
+
+
 def test_reports_are_deterministic_given_seed(capsys):
     code1, rep1 = run(capsys, "decompose", spec("swap.json"), "--window", "4",
                       "--seed", "5")

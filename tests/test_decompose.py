@@ -2,9 +2,11 @@
 gauge fixing, certification, and the error paths."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcablocks import linalg as la
-from qcablocks.algebra import close, restrict
+from qcablocks.algebra import close, restrict, span_algebra
 from qcablocks.decompose import (
     cell_algebra_images,
     certify,
@@ -13,16 +15,19 @@ from qcablocks.decompose import (
     derive_u,
     derive_v,
     fix_quiescent_gauge,
+    shared_cell_algebras,
 )
 from qcablocks.errors import (
     NotCommuting,
     NotLocal,
     NotSeparable,
+    QCAError,
     WindowTooSmall,
 )
 from qcablocks.gallery import shift_qca, swap_qca, toffoli_ca, xor_ca
 from qcablocks.model import (
     BlockQCA,
+    WindowOperator,
     group_cells,
     quantize,
     window_matrix,
@@ -37,14 +42,32 @@ def identity_qca(d):
     return BlockQCA(alpha, d, 1, np.eye(d, dtype=complex), np.eye(d, dtype=complex), q1, q2)
 
 
+def unit_span(units):
+    """The image algebra spanned by a (d, d, d^2, d^2) unit stack."""
+    d2 = units.shape[2]
+    return span_algebra(units.reshape(-1, d2, d2), d2)
+
+
+ORACLE_SPLITS = [(2, 2, 1), (4, 2, 2), (4, 1, 4), (6, 2, 3), (6, 3, 2)]
+
+
+def oracle_windows():
+    """Identity, shift and swap windows plus random blocks at ORACLE_SPLITS."""
+    yield window_matrix(identity_qca(2), 4)
+    yield window_matrix(shift_qca(), 4)
+    yield window_matrix(swap_qca(), 4)
+    for seed, (d, p, q) in enumerate(ORACLE_SPLITS):
+        yield window_matrix(random_block_qca(d, p, q, seed=seed + 240), 4)
+
+
 # -------------------------------------------------------- cell algebra images
 
 def test_images_identity_qca_are_cell_algebras():
     g = identity_qca(2)
     images = cell_algebra_images(window_matrix(g, 4))
     d = 2
-    assert images.a_algebra.dimension == d * d
-    assert images.b_algebra.dimension == d * d
+    assert unit_span(images.a_units).dimension == d * d
+    assert unit_span(images.b_units).dimension == d * d
     # the identity evolution leaves cell operators in place: image of the
     # cell-1 unit E_kl is E_kl at patch position 1
     for k in range(d):
@@ -85,12 +108,49 @@ def test_inclusion_property_of_image_algebra():
     for seed, (d, p, q) in enumerate([(4, 2, 2), (6, 2, 3)]):
         g = random_block_qca(d, p, q, seed=seed + 200)
         images = cell_algebra_images(window_matrix(g, 4))
-        b1 = restrict(images.b_algebra, (d, d), {0})
-        b2 = restrict(images.b_algebra, (d, d), {1})
+        b_alg = unit_span(images.b_units)
+        b1 = restrict(b_alg, (d, d), {0})
+        b2 = restrict(b_alg, (d, d), {1})
         assert b1.dimension * b2.dimension == d * d
         tensor_gens = [la.kron(x, y) for x in b1.basis for y in b2.basis]
         joint = close(tensor_gens, d * d)
-        assert joint.dimension == images.b_algebra.dimension == d * d
+        assert joint.dimension == b_alg.dimension == d * d
+
+
+def test_unit_stacks_are_matrix_units():
+    # conjugation is a *-isomorphism: Gram d·I, Tr T_kl = d·δ_kl, and the
+    # full multiplication table T_kl T_lm = T_km
+    for op in oracle_windows():
+        d = op.alphabet.d
+        images = cell_algebra_images(op)
+        for units in (images.a_units, images.b_units):
+            flat = units.reshape(d * d, -1)
+            assert la.max_norm(flat.conj() @ flat.T - d * np.eye(d * d)) <= 1e-9
+            assert la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d)) <= 1e-9
+            prods = np.einsum("klij,lmjn->klmin", units, units)
+            assert la.max_norm(prods - units[:, None]) <= 1e-9
+
+
+def test_shared_cell_algebras_match_restrict_oracle():
+    # the batched partial-trace spans equal the close-based restriction of
+    # the image algebras: same dimension, each contains the other
+    for op in oracle_windows():
+        d = op.alphabet.d
+        images = cell_algebra_images(op)
+        fast = shared_cell_algebras(images)
+        for units, keep, alg in zip((images.a_units, images.b_units), ({1}, {0}), fast):
+            oracle = restrict(unit_span(units), (d, d), keep)
+            assert alg.dimension == oracle.dimension
+            assert all(oracle.contains(m) for m in alg.basis)
+            assert all(alg.contains(m) for m in oracle.basis)
+
+
+def test_images_reject_unfaithful_conjugation():
+    # 2·I conjugates E_kl to 4 E_kl: localized, but not a *-homomorphism
+    g = identity_qca(2)
+    op = WindowOperator(g.alphabet, 4, 2 * np.eye(16, dtype=complex), "periodic")
+    with pytest.raises(NotLocal, match="traces"):
+        cell_algebra_images(op)
 
 
 # -------------------------------------------------------------- derive steps
@@ -98,8 +158,7 @@ def test_inclusion_property_of_image_algebra():
 def test_derive_v_identity_qca_dims():
     g = identity_qca(4)
     images = cell_algebra_images(window_matrix(g, 4))
-    a1 = restrict(images.a_algebra, (4, 4), {1})
-    b1 = restrict(images.b_algebra, (4, 4), {0})
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (4, 1)
     assert a1.dimension == 16 and b1.dimension == 1
@@ -108,8 +167,7 @@ def test_derive_v_identity_qca_dims():
 def test_derive_v_shift_qca_degenerate():
     g = shift_qca()
     images = cell_algebra_images(window_matrix(g, 4))
-    a1 = restrict(images.a_algebra, (2, 2), {1})
-    b1 = restrict(images.b_algebra, (2, 2), {0})
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (1, 2)
 
@@ -125,8 +183,7 @@ def test_derive_v_rejects_noncommuting():
 def test_derive_u_recovers_splitter_up_to_phase():
     g = random_block_qca(4, 2, 2, seed=210)
     images = cell_algebra_images(window_matrix(g, 4))
-    a1 = restrict(images.a_algebra, (4, 4), {1})
-    b1 = restrict(images.b_algebra, (4, 4), {0})
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=1)
     u = derive_u(images, fact)
     # conjugation action must match on every matrix unit regardless of the
@@ -223,3 +280,49 @@ def test_reconstruction_shift_reported_for_periodic_identity():
     qca, cert = decompose_certified(window_matrix(g, 4), seed=0)
     assert cert.shift == 0
     assert cert.residual <= 1e-12
+
+
+# ------------------------------------------------------ property: any window
+
+@st.composite
+def block_windows(draw):
+    """A random block window at one of ORACLE_SPLITS with its output rows
+    rotated by -1, 0 or +1 cells; returns ((p, q), steps, op)."""
+    from qcablocks.decompose import _rotate_rows
+    d, p, q = draw(st.sampled_from(ORACLE_SPLITS))
+    g = random_block_qca(d, p, q, seed=draw(st.integers(0, 2**16)))
+    steps = draw(st.sampled_from([-1, 0, 1]))
+    return (p, q), steps, _rotate_rows(window_matrix(g, 4), steps)
+
+
+@settings(max_examples=10, deadline=None)
+@given(block_windows(), st.integers(0, 2**16))
+def test_decompose_recovers_split_of_any_block_window(case, seed):
+    (p, q), steps, op = case
+    qca, cert = decompose_certified(op, seed=seed)
+    # a one-cell relabel turns an on-site automaton (q = 1) into a pure
+    # shift (p = 1) and back; the relabelled window is then a valid
+    # radius-1/2 automaton in its own right, with the split reversed
+    allowed = {(p, q)} if steps == 0 or min(p, q) > 1 else {(p, q), (q, p)}
+    assert (qca.p, qca.q) in allowed
+    assert cert.residual <= 1e-7
+
+
+@settings(max_examples=6, deadline=None)
+@given(block_windows(), st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1e-1]),
+       st.integers(0, 2**16))
+def test_decompose_perturbed_window_certifies_or_refuses(case, eps, seed):
+    # exp(i eps H) with H = V diag(±1) V† on the full window, V two
+    # Haar-random orthonormal columns: the result is either certified within
+    # the bound or a structured refusal, never anything else
+    _, _, op = case
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2)))
+    phases = np.exp(1j * eps * np.array([1.0, -1.0])) - 1.0
+    kick = np.eye(op.dim) + (v * phases) @ la.dagger(v)
+    bad = WindowOperator(op.alphabet, op.width, kick @ op.dense(), op.boundary)
+    try:
+        _, cert = decompose_certified(bad, seed=seed)
+    except QCAError:
+        return
+    assert cert.residual <= 1e-7
