@@ -143,8 +143,8 @@ def close(generators, n: int, rank_ratio: float = RANK_RATIO) -> GeneratedAlgebr
         # span from the previous round; only pairs touching a fresh
         # direction can leave it
         prods = np.concatenate([
-            np.einsum("aij,bjk->abik", b, f).reshape(-1, n * n),
-            np.einsum("aij,bjk->abik", f, b).reshape(-1, n * n),
+            np.matmul(b[:, None], f[None]).reshape(-1, n * n),
+            np.matmul(f[:, None], b[None]).reshape(-1, n * n),
         ])
         coeffs = basis.conj() @ prods.T
         resid = prods - coeffs.T @ basis
@@ -179,7 +179,7 @@ def center(alg: GeneratedAlgebra) -> GeneratedAlgebra:
     """
     b = alg.basis
     k, n = b.shape[0], alg.ambient_dim
-    comm = np.einsum("aij,bjk->abik", b, b) - np.einsum("bij,ajk->abik", b, b)
+    comm = np.matmul(b[:, None], b[None]) - np.matmul(b[None], b[:, None])
     m = comm.reshape(k, k * n * n).T  # column a = stacked commutators of b_a
     if m.shape[0] >= k:
         _, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -224,7 +224,7 @@ def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
 
 def _compression_residual(p: np.ndarray, basis: np.ndarray, rank: int) -> float:
     """Max over algebra basis b of the distance of P b P from C.P."""
-    pband = np.einsum("ij,ajk,kl->ail", p, basis, p)
+    pband = p @ basis @ p
     coeffs = np.einsum("aij,ji->a", pband, p) / rank
     return max_norm(pband - coeffs[:, None, None] * p)
 
@@ -329,7 +329,7 @@ def factor_one(alg: GeneratedAlgebra, seed: int = 0, tol: float = 1e-8) -> Facto
     n = alg.ambient_dim
     cols = np.hstack([_range_basis(fam.projectors[i], q) for i in range(p_count)])
     u_align = dagger(cols)
-    rotated = np.einsum("ij,ajk,kl->ail", u_align, alg.basis, dagger(u_align))
+    rotated = u_align @ alg.basis @ dagger(u_align)
 
     rng = np.random.default_rng((seed * 0x9E3779B1 + 0x7F4A7C15) % (2**63))
     v_blocks = None
@@ -368,8 +368,8 @@ def commutation_defect(a: GeneratedAlgebra, b: GeneratedAlgebra) -> float:
     """Largest max-norm commutator between basis elements of two algebras."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("algebras live in different ambient dimensions")
-    ab = np.einsum("aij,bjk->abik", a.basis, b.basis)
-    ba = np.einsum("bij,ajk->abik", b.basis, a.basis)
+    ab = np.matmul(a.basis[:, None], b.basis[None])
+    ba = np.matmul(b.basis[None], a.basis[:, None])
     return max_norm(ab - ba)
 
 

@@ -4,14 +4,15 @@ window operator, in matrix-unit coordinates.
 Conjugation by the unitary evolution is a *-isomorphism, so the images T_kl
 of one cell's matrix units, compressed onto their two-cell patch, are again
 matrix units: T_kl T_lm = T_km and Tr T_kl = d·δ_kl (HS-orthogonal, norm²
-d).  Each image algebra is a tensor product of its parts on the two patch
-cells (Schumacher-Werner), so partial traces of the units onto the shared
-cell span that cell's factor, already an algebra.  The pipeline restricts
-both unit stacks to the shared cell, splits it with the two-factor theorem
-(the recombining unitary v), reads the cell-splitting unitary u off the
-induced *-isomorphism onto the middle factors, fixes the quiescent gauge,
-and certifies the reconstruction against the input window up to a global
-shift and phase.
+d).  The image algebra is a tensor product of its parts on the two patch
+cells (Schumacher-Werner), and shift invariance makes every cell's image a
+translate of the cell-1 image, so partial traces of the one cell-1 stack
+onto either patch cell give the two algebras that meet on a shared cell.
+The pipeline splits that cell with the two-factor theorem (the recombining
+unitary v), reads the cell-splitting unitary u off the induced
+*-isomorphism onto the middle factors, fixes the quiescent gauge, and
+certifies the reconstruction against the whole input window up to a
+global shift and phase.
 
 Conjugation and localization residuals come from the verifier's one
 primitive: dense windows conjugate rank-one cell operators as C_x C_y†
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg as la
 from .algebra import (
@@ -73,15 +73,13 @@ class Certification:
     phase: complex
 
 
-@dataclass(frozen=True)
-class CellImages:
-    """Compressed images T_kl of the cell-1 and cell-2 matrix units under
-    conjugation by the evolution, on their two-cell patches (0,1) and (1,2).
-    Each stack, indexed [k, l], is a system of matrix units of a copy of M_d:
-    T_kl T_lm = T_km, Tr T_kl = d·δ_kl, and its flattened Gram matrix is d·I."""
-
-    a_units: np.ndarray  # (d, d, d^2, d^2)
-    b_units: np.ndarray
+def _row_rotation(d: int, w: int, steps: int) -> np.ndarray:
+    """Window index map of the cyclic shift by ``steps`` cells: row y of a
+    window moves to row rot[y] (content moves left for steps > 0)."""
+    rot = np.arange(d ** w, dtype=np.int64)
+    for _ in range(steps % w):
+        rot = (rot % d ** (w - 1)) * d + rot // d ** (w - 1)
+    return rot
 
 
 def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
@@ -89,20 +87,9 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     ``steps`` (content moves left for steps > 0)."""
     if steps == 0:
         return op
-    d, w = op.alphabet.d, op.width
-    n = op.dim
-    idx = np.arange(n, dtype=np.int64)
-    rot = idx
-    for _ in range(steps % w):
-        rot = (rot % d ** (w - 1)) * d + rot // d ** (w - 1)
     # new matrix rows: h[rot(y), :] = g[y, :]
-    if op.is_sparse:
-        perm = sp.csc_matrix((np.ones(n), (rot, idx)), shape=(n, n), dtype=np.complex128)
-        mat = perm @ op.matrix
-    else:
-        mat = np.empty_like(op.dense())
-        mat[rot, :] = op.dense()
-    return WindowOperator(op.alphabet, w, mat, op.boundary, op.out_shift)
+    back = np.argsort(_row_rotation(op.alphabet.d, op.width, steps))
+    return WindowOperator(op.alphabet, op.width, op.matrix[back], op.boundary, op.out_shift)
 
 
 def _random_cell_vector(rng, d: int) -> np.ndarray:
@@ -111,12 +98,11 @@ def _random_cell_vector(rng, d: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
-                 tol: float, probes: int = 2) -> np.ndarray:
-    """Conjugated matrix units G (E_kl ⊗ I) G† at ``cell``, compressed onto
-    their two-cell patch.
+def _unit_images(op: WindowOperator, tol: float) -> np.ndarray:
+    """Conjugated cell-1 matrix units G (E_kl ⊗ I) G†, compressed onto
+    their two-cell patch (0, 1).
 
-    Localization on the patch is established through seeded random
+    Localization on the patch is established through two seeded random
     rank-one probes G (|x><y| ⊗ I) G† (dense path: a generic element of the
     image algebra is localized only if the whole algebra is) or per-unit
     sparse checks (one-hot path); the end-to-end reconstruction certificate
@@ -126,27 +112,20 @@ def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
     are quiescent, never full conjugations.
     """
     d, w = op.alphabet.d, op.width
-    n = op.dim
-    patch = tuple(sorted(rest_cells))
-    pw = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
-    comp = [i for i in range(w) if i not in patch]
+    patch = (0, 1)
     out = np.zeros((d, d, d * d, d * d), dtype=np.complex128)
-
-    idx = np.arange(n, dtype=np.int64)
-    kept_of = ((idx // pw[patch[0]]) % d) * d + (idx // pw[patch[1]]) % d
-    rest_of = np.zeros(n, dtype=np.int64)
-    for pos in comp:
-        rest_of = rest_of * d + (idx // pw[pos]) % d
+    # patch cells (0, 1) are the leading digits, the complement the rest
+    kept_of, rest_of = np.divmod(np.arange(op.dim, dtype=np.int64), d ** (w - 2))
 
     if _one_hot_columns(op) is not None:
-        unit = _unit_conjugation(op, cell, forward=True)
+        unit = _unit_conjugation(op, 1, forward=True)
         for k in range(d):
             for l in range(d):
                 t = unit(k, l)
                 resid = fast_localization_residual(t, d, w, patch)
                 if resid > tol:
                     raise NotLocal(
-                        f"image of cell-{cell} unit ({k},{l}) is not localized on "
+                        f"image of cell-1 unit ({k},{l}) is not localized on "
                         f"cells {patch} (residual {resid:.2e})")
                 rows, cols, vals = t
                 sel = (rest_of[rows] == 0) & (rest_of[cols] == 0)
@@ -154,17 +133,17 @@ def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
         return out
 
     mat = op.dense()
-    slices = _cell_slices(mat, d, w, cell)
-    rng = np.random.default_rng(0xC0FFEE + cell)
-    for _ in range(probes):
+    slices = _cell_slices(mat, d, w, 1)
+    rng = np.random.default_rng(0xC0FFEF)
+    for _ in range(2):
         x, y = _random_cell_vector(rng, d), _random_cell_vector(rng, d)
         resid = fast_localization_residual(_dense_conjugation(slices, x, y), d, w, patch)
         if resid > tol:
             raise NotLocal(
-                f"image of the cell-{cell} algebra is not localized on cells "
+                f"image of the cell-1 algebra is not localized on cells "
                 f"{patch} (probe residual {resid:.2e})")
-    sub = np.flatnonzero(rest_of == 0)[np.argsort(kept_of[rest_of == 0], kind="stable")]
-    patch_slices = _cell_slices(mat[sub, :], d, w, cell)
+    # rows with a quiescent complement, already in patch order
+    patch_slices = _cell_slices(mat[rest_of == 0, :], d, w, 1)
     eye = np.eye(d)
     for k in range(d):
         for l in range(d):
@@ -172,40 +151,43 @@ def _unit_images(op: WindowOperator, cell: int, rest_cells: tuple[int, int],
     return out
 
 
-def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
-    """Compressed images of the cell-1 and cell-2 matrix units under
-    forward conjugation G (E_kl ⊗ I) G†, localized on cells (0,1) and (1,2)
-    by _unit_images.  Conjugation by a unitary is a *-isomorphism, so each
-    stack must be a system of matrix units; NotLocal unless Tr T_kl = d·δ_kl
-    on every unit (so the map is nonzero, hence injective on the simple M_d)
-    and four seeded identities T_kl T_lm = T_km hold."""
+def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> np.ndarray:
+    """The (d, d, d², d²) stack of compressed images T_kl of the cell-1
+    matrix units under forward conjugation G (E_kl ⊗ I) G†, localized on
+    patch (0, 1) by _unit_images.
+
+    Conjugation by a unitary is a *-isomorphism, so the stack must be a
+    system of matrix units; NotLocal unless Tr T_kl = d·δ_kl on every unit
+    (so the map is nonzero, hence injective on the simple M_d) and four
+    seeded identities T_kl T_lm = T_km hold."""
     if op.width < 4:
         raise WindowTooSmall("cell algebra images need a window of at least 4 cells")
     d = op.alphabet.d
-    images = CellImages(_unit_images(op, 1, (0, 1), tol), _unit_images(op, 2, (1, 2), tol))
-    for units, name in ((images.a_units, "cell 1"), (images.b_units, "cell 2")):
-        dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
-        if dev > d * max(tol, 1e-7):
-            raise NotLocal(f"{name} unit traces miss d·δ_kl by {dev:.2e}; the "
-                           "evolution does not conjugate the cell algebra faithfully")
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            k, l, m = rng.integers(0, d, size=3)
-            resid = la.max_norm(units[k, l] @ units[l, m] - units[k, m])
-            if resid > max(tol, 1e-7):
-                raise NotLocal(f"{name} units break T_kl T_lm = T_km (residual {resid:.2e})")
-    return images
+    units = _unit_images(op, tol)
+    dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
+    if dev > d * max(tol, 1e-7):
+        raise NotLocal(f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the "
+                       "evolution does not conjugate the cell algebra faithfully")
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        k, l, m = rng.integers(0, d, size=3)
+        resid = la.max_norm(units[k, l] @ units[l, m] - units[k, m])
+        if resid > max(tol, 1e-7):
+            raise NotLocal(f"cell-1 units break T_kl T_lm = T_km (residual {resid:.2e})")
+    return units
 
 
-def shared_cell_algebras(images: CellImages) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
-    """The two image algebras restricted to the shared cell 1: one batched
-    partial trace per unit stack, then a d²-vector SVD in dimension d.  An
-    image algebra is the tensor product of its parts on the patch cells, so
-    these spans are already algebras."""
-    d = images.a_units.shape[0]
-    # trace out patch cell 0 of the cell-1 images, patch cell 1 of the cell-2 images
-    a1 = np.einsum("klxixj->klij", images.a_units.reshape((d,) * 6))
-    b1 = np.einsum("klixjx->klij", images.b_units.reshape((d,) * 6))
+def shared_cell_algebras(units: np.ndarray) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
+    """The two commuting algebras on the shared cell 1, read off the cell-1
+    unit stack: tracing out patch leg 0 leaves the cell-1 image's part on
+    cell 1; tracing out leg 1 leaves its part on cell 0, which by shift
+    invariance is the cell-2 image's part on cell 1.  An image algebra is
+    the tensor product of its parts, so each span (one d²-vector SVD in
+    dimension d) is already an algebra."""
+    d = units.shape[0]
+    t = units.reshape((d,) * 6)
+    a1 = np.einsum("klxixj->klij", t)
+    b1 = np.einsum("klixjx->klij", t)
     return span_algebra(a1.reshape(-1, d, d), d), span_algebra(b1.reshape(-1, d, d), d)
 
 
@@ -224,7 +206,7 @@ def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
             f"{err} -- the input evolution is not a valid radius-1/2 automaton")
 
 
-def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
+def derive_u(units: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
     """Cell-splitting unitary from the induced *-isomorphism.
 
     Conjugating the cell-1 units by W = dagger(v) on both patch cells gives
@@ -240,7 +222,7 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     phi = np.zeros((d, d, d, d), dtype=np.complex128)
     for k in range(d):
         # row k as (l, i0, i1, j0, j1): W on i0, then i1, then (W†) on j1, j0
-        t = w @ images.a_units[k].reshape(d, d, d ** 3)
+        t = w @ units[k].reshape(d, d, d ** 3)
         t = w @ t.reshape(d * d, d, d * d)
         t = t.reshape(d ** 3, d, d) @ wh
         t = (w.conj() @ t).reshape(d, d * d, d * d)
@@ -319,12 +301,16 @@ def certify(qca: BlockQCA, op: WindowOperator,
         w = op.width
         rec = window_matrix(qca, w, max_dim=max(n, 4096)).dense()
         g = op.dense()
+        # one buffer holds the rotated input, then the difference
+        diff = np.empty_like(rec)
         best = None
         for k in offsets:
-            shifted = _rotate_rows(WindowOperator(op.alphabet, w, g, op.boundary), k).dense()
-            overlap = complex(np.vdot(shifted, rec))
+            diff[_row_rotation(op.alphabet.d, w, k)] = g
+            overlap = complex(np.vdot(diff, rec))
             phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-            resid = la.max_norm(rec - phase * shifted)
+            diff *= -phase
+            diff += rec
+            resid = la.max_norm(diff)
             if best is None or resid < best.residual:
                 best = Certification(float(resid), k, complex(phase))
         return best
@@ -361,16 +347,20 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, hot,
     idx = np.arange(n, dtype=np.int64)
     pws = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
     col_digits = (idx[:, None] // pws[None, :]) % d
-    nrm = doubled[col_digits[:, 0]]
-    for i in range(1, w):
-        nrm = np.matmul(nrm, doubled[col_digits[:, i]])
-    col_norm2 = np.trace(nrm, axis1=1, axis2=2).real
-    del nrm
+    # split each ring at its middle: Tr(L R) = sum_ij L_ij R_ji, with L over
+    # all left half-words and R over all right half-words, so the column
+    # norms take d^h + d^(w-h) half-ring products and one contraction
+    # instead of n full rings
+    halves = []
+    for length in (w // 2, w - w // 2):
+        prod = doubled
+        for _ in range(length - 1):
+            prod = np.matmul(prod[:, None], doubled[None]).reshape(-1, q * q, q * q)
+        halves.append(prod)
+    col_norm2 = np.einsum("xij,yji->xy", *halves).real.ravel()
     best = None
     for k in offsets:
-        rot = rows.copy()
-        for _ in range(k % w):
-            rot = (rot % d ** (w - 1)) * d + rot // d ** (w - 1)
+        rot = _row_rotation(d, w, k)[rows]
         row_digits = (rot[:, None] // pws[None, :]) % d
         t = lookup[col_digits[:, 0], row_digits[:, 0]]
         for i in range(1, w):
@@ -398,10 +388,10 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     norm_op, comp_shift = _normalize_alignment(op, tol)
     if not check_shift_invariance(norm_op, max(tol, 1e-9)):
         raise PreconditionViolated("window operator is not shift invariant")
-    images = cell_algebra_images(norm_op, tol)
-    a1, b1 = shared_cell_algebras(images)
+    units = cell_algebra_images(norm_op, tol)
+    a1, b1 = shared_cell_algebras(units)
     fact = derive_v(a1, b1, seed=seed, tol=tol)
-    u = derive_u(images, fact, tol=tol)
+    u = derive_u(units, fact, tol=tol)
     v = la.dagger(fact.u)
     qca = fix_quiescent_gauge(u, v, op.alphabet, fact.p, fact.q, tol=tol)
     cert = certify(qca, op)

@@ -572,9 +572,11 @@ def window_matrix(g: BlockQCA, w: int, max_dim: int = DENSE_WINDOW_CAP) -> Windo
     # Row axes after the u-layer: (a_0, b_0, ..., a_{w-1}, b_{w-1}); the
     # v-layer pairs (b_i, a_{i+1 mod w}), a cyclic left shift of the axes.
     t = lu.reshape([q, p] * w + [n])
-    t = np.transpose(t, list(range(1, 2 * w)) + [0, 2 * w]).reshape(n, n)
-    lv = reduce(np.kron, [g.v] * w)
-    return WindowOperator(g.alphabet, w, lv @ t, boundary="periodic")
+    t = np.transpose(t, list(range(1, 2 * w)) + [0, 2 * w]).reshape([d] * w + [n])
+    # the v-layer one cell at a time: w·d·n² rather than one n³ product
+    for i in range(w):
+        t = np.moveaxis(np.tensordot(g.v, t, axes=([1], [i])), 0, i)
+    return WindowOperator(g.alphabet, w, t.reshape(n, n), boundary="periodic")
 
 
 def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,

@@ -1,5 +1,7 @@
 """Decomposer checks: cell-algebra images, the separation/recovery steps,
 gauge fixing, certification, and the error paths."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,17 +24,24 @@ from qcablocks.errors import (
     NotLocal,
     NotSeparable,
     QCAError,
+    ReconstructionMismatch,
     WindowTooSmall,
 )
 from qcablocks.gallery import shift_qca, swap_qca, toffoli_ca, xor_ca
 from qcablocks.model import (
     BlockQCA,
+    ClassicalRule,
+    Configuration,
+    SparseState,
     WindowOperator,
+    apply_block,
     group_cells,
     quantize,
+    shift,
     window_matrix,
 )
 from qcablocks.rand import default_alphabet, random_block_qca
+from qcablocks.verify import check_shift_invariance
 
 
 def identity_qca(d):
@@ -60,14 +69,35 @@ def oracle_windows():
         yield window_matrix(random_block_qca(d, p, q, seed=seed + 240), 4)
 
 
+def partitioned_rule(p, q, seed):
+    """A random reversible classical rule in partitioned form on d = p·q
+    symbols, under a random relabelling that fixes the quiescent symbol.
+
+    A bijection splits each symbol into a left part a < q and a right part
+    b < p; a second bijection joins the right part of cell i with the left
+    part of cell i+1 into output cell i, so the left parts move one cell
+    left.  The join maps the split of symbol 0 back to 0, so delta(0, 0) = 0."""
+    d = p * q
+    rng = np.random.default_rng(seed)
+    split = rng.permutation(d)
+    a, b = split // p, split % p
+    join = rng.permutation(d)
+    z = b[0] * q + a[0]
+    j0 = int(np.flatnonzero(join == 0)[0])
+    join[[z, j0]] = join[[j0, z]]
+    table = join[b[:, None] * q + a[None, :]]
+    relabel = np.concatenate([[0], 1 + rng.permutation(d - 1)])
+    inv = np.argsort(relabel)
+    return ClassicalRule(default_alphabet(d), relabel[table[inv[:, None], inv[None, :]]])
+
+
 # -------------------------------------------------------- cell algebra images
 
 def test_images_identity_qca_are_cell_algebras():
     g = identity_qca(2)
-    images = cell_algebra_images(window_matrix(g, 4))
+    units = cell_algebra_images(window_matrix(g, 4))
     d = 2
-    assert unit_span(images.a_units).dimension == d * d
-    assert unit_span(images.b_units).dimension == d * d
+    assert unit_span(units).dimension == d * d
     # the identity evolution leaves cell operators in place: image of the
     # cell-1 unit E_kl is E_kl at patch position 1
     for k in range(d):
@@ -75,12 +105,12 @@ def test_images_identity_qca_are_cell_algebras():
             e = np.zeros((d, d), dtype=complex)
             e[k, l] = 1
             expected = la.kron(np.eye(d), e)
-            assert la.max_norm(images.a_units[k, l] - expected) <= 1e-10
+            assert la.max_norm(units[k, l] - expected) <= 1e-10
 
 
 def test_images_shift_qca_land_on_left_cell():
     g = shift_qca()
-    images = cell_algebra_images(window_matrix(g, 4))
+    units = cell_algebra_images(window_matrix(g, 4))
     d = 2
     for k in range(d):
         for l in range(d):
@@ -88,7 +118,7 @@ def test_images_shift_qca_land_on_left_cell():
             e[k, l] = 1
             # shift moves cell-1 operators onto cell 0 of the (0,1) patch
             expected = la.kron(e, np.eye(d))
-            assert la.max_norm(images.a_units[k, l] - expected) <= 1e-10
+            assert la.max_norm(units[k, l] - expected) <= 1e-10
 
 
 def test_images_reject_xor():
@@ -103,18 +133,19 @@ def test_images_window_too_small():
 
 
 def test_inclusion_property_of_image_algebra():
-    # B factorizes as (restriction to cell 1) ⊗ (restriction to cell 2):
-    # the tensor closure of the restrictions has the same dimension d^2.
+    # the image algebra factorizes as (restriction to patch cell 0) ⊗
+    # (restriction to patch cell 1): the tensor closure of the restrictions
+    # has the same dimension d^2.
     for seed, (d, p, q) in enumerate([(4, 2, 2), (6, 2, 3)]):
         g = random_block_qca(d, p, q, seed=seed + 200)
-        images = cell_algebra_images(window_matrix(g, 4))
-        b_alg = unit_span(images.b_units)
-        b1 = restrict(b_alg, (d, d), {0})
-        b2 = restrict(b_alg, (d, d), {1})
-        assert b1.dimension * b2.dimension == d * d
-        tensor_gens = [la.kron(x, y) for x in b1.basis for y in b2.basis]
+        units = cell_algebra_images(window_matrix(g, 4))
+        alg = unit_span(units)
+        left = restrict(alg, (d, d), {0})
+        right = restrict(alg, (d, d), {1})
+        assert left.dimension * right.dimension == d * d
+        tensor_gens = [la.kron(x, y) for x in left.basis for y in right.basis]
         joint = close(tensor_gens, d * d)
-        assert joint.dimension == b_alg.dimension == d * d
+        assert joint.dimension == alg.dimension == d * d
 
 
 def test_unit_stacks_are_matrix_units():
@@ -122,23 +153,23 @@ def test_unit_stacks_are_matrix_units():
     # full multiplication table T_kl T_lm = T_km
     for op in oracle_windows():
         d = op.alphabet.d
-        images = cell_algebra_images(op)
-        for units in (images.a_units, images.b_units):
-            flat = units.reshape(d * d, -1)
-            assert la.max_norm(flat.conj() @ flat.T - d * np.eye(d * d)) <= 1e-9
-            assert la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d)) <= 1e-9
-            prods = np.einsum("klij,lmjn->klmin", units, units)
-            assert la.max_norm(prods - units[:, None]) <= 1e-9
+        units = cell_algebra_images(op)
+        flat = units.reshape(d * d, -1)
+        assert la.max_norm(flat.conj() @ flat.T - d * np.eye(d * d)) <= 1e-9
+        assert la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d)) <= 1e-9
+        prods = np.einsum("klij,lmjn->klmin", units, units)
+        assert la.max_norm(prods - units[:, None]) <= 1e-9
 
 
 def test_shared_cell_algebras_match_restrict_oracle():
     # the batched partial-trace spans equal the close-based restriction of
-    # the image algebras: same dimension, each contains the other
+    # the image algebra to either patch cell: same dimension, each contains
+    # the other
     for op in oracle_windows():
         d = op.alphabet.d
-        images = cell_algebra_images(op)
-        fast = shared_cell_algebras(images)
-        for units, keep, alg in zip((images.a_units, images.b_units), ({1}, {0}), fast):
+        units = cell_algebra_images(op)
+        fast = shared_cell_algebras(units)
+        for keep, alg in zip(({1}, {0}), fast):
             oracle = restrict(unit_span(units), (d, d), keep)
             assert alg.dimension == oracle.dimension
             assert all(oracle.contains(m) for m in alg.basis)
@@ -153,12 +184,56 @@ def test_images_reject_unfaithful_conjugation():
         cell_algebra_images(op)
 
 
+def dense_compressed_image(op, cell, k, l):
+    """G (E_kl ⊗ I) G† with E_kl at ``cell``, built densely and compressed
+    onto the patch (cell - 1, cell) with the other cells quiescent."""
+    d, w = op.alphabet.d, op.width
+    e = np.zeros((d, d), dtype=complex)
+    e[k, l] = 1
+    g = op.dense()
+    patch_rows = [i for i in range(op.dim)
+                  if all((i // d ** (w - 1 - c)) % d == 0
+                         for c in range(w) if c not in (cell - 1, cell))]
+    g_patch = g[patch_rows, :]
+    return g_patch @ la.embed_on_factors(e, (d,) * w, {cell}) @ la.dagger(g_patch)
+
+
+def test_unit_stack_is_every_cells_image():
+    # the one cell-1 stack equals the dense conjugation at cell 1 and, by
+    # shift invariance, at cell 2: the translation the shared-cell algebras
+    # rely on; the rule window is checked densified and one-hot
+    rule_op = quantize(partitioned_rule(2, 2, seed=7), 4, "periodic")
+    dense_rule = WindowOperator(rule_op.alphabet, 4, rule_op.dense(), "periodic")
+    for op in [*oracle_windows(), dense_rule, rule_op]:
+        d = op.alphabet.d
+        units = cell_algebra_images(op)
+        for cell in (1, 2):
+            for k in range(d):
+                for l in range(d):
+                    oracle = dense_compressed_image(op, cell, k, l)
+                    assert la.max_norm(units[k, l] - oracle) <= 1e-12
+
+
+def test_cell_algebra_images_peak_memory():
+    # one (d, d, d², d²) stack is d⁶·16 bytes (256 MiB at d = 16); the
+    # bound leaves room for the working set, not for a second stack
+    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
+    d = op.alphabet.d
+    tracemalloc.start()
+    try:
+        cell_algebra_images(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * d ** 6 * 16
+
+
 # -------------------------------------------------------------- derive steps
 
 def test_derive_v_identity_qca_dims():
     g = identity_qca(4)
-    images = cell_algebra_images(window_matrix(g, 4))
-    a1, b1 = shared_cell_algebras(images)
+    units = cell_algebra_images(window_matrix(g, 4))
+    a1, b1 = shared_cell_algebras(units)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (4, 1)
     assert a1.dimension == 16 and b1.dimension == 1
@@ -166,8 +241,8 @@ def test_derive_v_identity_qca_dims():
 
 def test_derive_v_shift_qca_degenerate():
     g = shift_qca()
-    images = cell_algebra_images(window_matrix(g, 4))
-    a1, b1 = shared_cell_algebras(images)
+    units = cell_algebra_images(window_matrix(g, 4))
+    a1, b1 = shared_cell_algebras(units)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (1, 2)
 
@@ -182,10 +257,10 @@ def test_derive_v_rejects_noncommuting():
 
 def test_derive_u_recovers_splitter_up_to_phase():
     g = random_block_qca(4, 2, 2, seed=210)
-    images = cell_algebra_images(window_matrix(g, 4))
-    a1, b1 = shared_cell_algebras(images)
+    units = cell_algebra_images(window_matrix(g, 4))
+    a1, b1 = shared_cell_algebras(units)
     fact = derive_v(a1, b1, seed=1)
-    u = derive_u(images, fact)
+    u = derive_u(units, fact)
     # conjugation action must match on every matrix unit regardless of the
     # gauge of the recovered pair
     qca = fix_quiescent_gauge(u, la.dagger(fact.u), g.alphabet, fact.p, fact.q)
@@ -275,6 +350,20 @@ def test_decompose_normalizes_shifted_alignment():
     assert cert.shift != 0  # reconstruction matches up to the global relabel
 
 
+def test_certificate_refuses_what_the_unit_stack_cannot_see():
+    # a phase of -1 on inputs whose cells 3 and 0 are both non-quiescent:
+    # it commutes with every unit at cells 1 and 2, so no unit stack sees
+    # it, and the window passes the shift-invariance check; it is no block
+    # automaton, and the certificate against the whole window refuses it
+    op = window_matrix(random_block_qca(4, 2, 2, seed=5), 4)
+    digits = op.column_digits()
+    phase = np.where((digits[:, 3] != 0) & (digits[:, 0] != 0), -1.0, 1.0)
+    bad = WindowOperator(op.alphabet, 4, op.dense() * phase[None, :], op.boundary)
+    assert check_shift_invariance(bad, 1e-9)
+    with pytest.raises(ReconstructionMismatch, match=r"residual 2\.00e\+00"):
+        decompose_certified(bad)
+
+
 def test_reconstruction_shift_reported_for_periodic_identity():
     g = identity_qca(3)
     qca, cert = decompose_certified(window_matrix(g, 4), seed=0)
@@ -326,3 +415,36 @@ def test_decompose_perturbed_window_certifies_or_refuses(case, eps, seed):
     except QCAError:
         return
     assert cert.residual <= 1e-7
+
+
+@st.composite
+def partitioned_rules(draw):
+    """A random partitioned rule (see partitioned_rule) grouped by s ∈ {1, 2}
+    into d^s ≤ 9 symbols; returns (q, grouped rule)."""
+    s = draw(st.sampled_from([1, 2]))
+    p, q = draw(st.sampled_from([(p, q) for p in range(1, 10) for q in range(1, 10)
+                                 if 2 <= (p * q) ** s <= 9]))
+    rule = partitioned_rule(p, q, seed=draw(st.integers(0, 2**16)))
+    return q, (group_cells(rule, s) if s > 1 else rule)
+
+
+@settings(max_examples=12, deadline=None)
+@given(partitioned_rules(), st.integers(0, 2**16))
+def test_decompose_recovers_grouped_partitioned_rules(case, seed):
+    # one-hot ring windows of dimension up to 9^4: the dense certificate
+    # below 4096, the transfer certificate above; grouping keeps the q-part
+    # that moves left, so the split is (d^s / q, q)
+    q, rule = case
+    dg = rule.alphabet.d
+    qca, cert = decompose_certified(quantize(rule, 4, "periodic"), seed=seed)
+    assert qca.p * qca.q == dg
+    assert (qca.p, qca.q) == (dg // q, q)
+    assert cert.residual <= 1e-7
+    rng = np.random.default_rng(seed)
+    words = [[x] for x in range(1, dg)] + [list(rng.integers(1, dg, size=2)) for _ in range(3)]
+    for word in words:
+        state = SparseState(rule.alphabet, {Configuration.make(0, word): 1.0})
+        expected = shift(rule.apply(state), cert.shift)
+        expected = SparseState(rule.alphabet,
+                               {c: cert.phase * a for c, a in expected.terms.items()})
+        assert apply_block(state, qca).distance(expected) <= 1e-7
