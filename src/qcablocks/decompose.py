@@ -53,7 +53,6 @@ from .model import (
 from .verify import (
     _cell_slices,
     _dense_conjugation,
-    _one_hot_columns,
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
@@ -88,8 +87,12 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     if steps == 0:
         return op
     # new matrix rows: h[rot(y), :] = g[y, :]
-    back = np.argsort(_row_rotation(op.alphabet.d, op.width, steps))
-    return WindowOperator(op.alphabet, op.width, op.matrix[back], op.boundary, op.out_shift)
+    rot = _row_rotation(op.alphabet.d, op.width, steps)
+    if op.is_one_hot:
+        mat = (rot[op.matrix[0]], op.matrix[1])
+    else:
+        mat = op.matrix[np.argsort(rot)]
+    return WindowOperator(op.alphabet, op.width, mat, op.boundary, op.out_shift)
 
 
 def _random_cell_vector(rng, d: int) -> np.ndarray:
@@ -117,7 +120,7 @@ def _unit_images(op: WindowOperator, tol: float) -> np.ndarray:
     # patch cells (0, 1) are the leading digits, the complement the rest
     kept_of, rest_of = np.divmod(np.arange(op.dim, dtype=np.int64), d ** (w - 2))
 
-    if _one_hot_columns(op) is not None:
+    if op.is_one_hot:
         unit = _unit_conjugation(op, 1, forward=True)
         for k in range(d):
             for l in range(d):
@@ -290,34 +293,30 @@ def certify(qca: BlockQCA, op: WindowOperator,
     minimized over a global cell shift and a global phase.
 
     Dense windows are compared entry by entry (exact).  One-hot windows
-    beyond the dense cap are certified through per-column overlaps: the
-    matrix element of the reconstruction at each target entry is a trace
-    of a ring of q x q transfer matrices, evaluated in extended precision,
-    and column unitarity turns the overlap defect into a rigorous upper
-    bound on the true max-norm residual (see _transfer_certify)."""
-    n = op.dim
-    hot = _one_hot_columns(op)
-    if hot is None or n <= 4096:
-        w = op.width
-        rec = window_matrix(qca, w, max_dim=max(n, 4096)).dense()
-        g = op.dense()
-        # one buffer holds the rotated input, then the difference
-        diff = np.empty_like(rec)
-        best = None
-        for k in offsets:
-            diff[_row_rotation(op.alphabet.d, w, k)] = g
-            overlap = complex(np.vdot(diff, rec))
-            phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-            diff *= -phase
-            diff += rec
-            resid = la.max_norm(diff)
-            if best is None or resid < best.residual:
-                best = Certification(float(resid), k, complex(phase))
-        return best
-    return _transfer_certify(qca, op, hot, offsets)
+    are never densified: _transfer_certify bounds their residual through
+    per-column overlaps, traces of rings of q x q transfer matrices in
+    extended precision."""
+    if op.is_one_hot:
+        return _transfer_certify(qca, op, offsets)
+    w = op.width
+    rec = window_matrix(qca, w).dense()
+    g = op.dense()
+    # one buffer holds the rotated input, then the difference
+    diff = np.empty_like(rec)
+    best = None
+    for k in offsets:
+        diff[_row_rotation(op.alphabet.d, w, k)] = g
+        overlap = complex(np.vdot(diff, rec))
+        phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
+        diff *= -phase
+        diff += rec
+        resid = la.max_norm(diff)
+        if best is None or resid < best.residual:
+            best = Certification(float(resid), k, complex(phase))
+    return best
 
 
-def _transfer_certify(qca: BlockQCA, op: WindowOperator, hot,
+def _transfer_certify(qca: BlockQCA, op: WindowOperator,
                       offsets: tuple[int, ...]) -> Certification:
     """Certify a one-hot window without expanding reconstruction columns.
 
@@ -337,7 +336,7 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, hot,
     residual, slightly conservative compared to the dense path."""
     d, w, n = op.alphabet.d, op.width, op.dim
     p, q = qca.p, qca.q
-    rows, phases = hot
+    rows, phases = op.matrix
     u3 = np.ascontiguousarray(qca.u.reshape(q, p, d).astype(np.clongdouble))
     v3 = np.ascontiguousarray(qca.v.reshape(d, p, q).astype(np.clongdouble))
     # transfer lookup: M[x, r, a, a'] = sum_b u[(a,b), x] v[r, (b, a')]
@@ -416,8 +415,7 @@ def _normalize_alignment(op: WindowOperator, tol: float) -> tuple[WindowOperator
     d, w = op.alphabet.d, op.width
     cc = (w - 1) // 2
 
-    hot = _one_hot_columns(op)
-    if hot is not None:
+    if op.is_one_hot:
         unit = _unit_conjugation(op, cc, forward=False)
     else:
         slices = _cell_slices(la.dagger(op.dense()), d, w, cc)
@@ -426,7 +424,7 @@ def _normalize_alignment(op: WindowOperator, tol: float) -> tuple[WindowOperator
         region = tuple(cc + o for o in offsets)
         if min(region) < 0 or max(region) > w - 1:
             return False
-        if hot is not None:
+        if op.is_one_hot:
             # the unit (l, k) is the adjoint of (k, l), with the same residual
             return all(fast_localization_residual(unit(k, l), d, w, region) <= tol
                        for k, l in combinations_with_replacement(range(d), 2))

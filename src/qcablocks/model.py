@@ -1,6 +1,7 @@
 """Cells, finite configurations, sparse superpositions, and the concrete
 evolutions acting on them: classical radius-1/2 rules, two-layered block
-automata, and dense/sparse finite-window presentations.
+automata, and finite-window presentations, stored either as a dense matrix
+or, for quantized classical rules, as a one-hot column map.
 
 Conventions frozen here and used everywhere else:
 
@@ -11,9 +12,9 @@ Conventions frozen here and used everywhere else:
 * A block automaton splits each cell into a left part of dimension q and a
   right part of dimension p: after the u-layer site i holds (a_i, b_i) in
   C^q ⊗ C^p, and the v-layer forms output cell i from (b_i, a_{i+1}).
-  Outside any finite processing window the split of a quiescent cell is
-  taken to be exactly (q2, q1), which makes the everywhere-quiescent state
-  an exact fixed point.
+  Every quiescent cell outside a configuration's support is taken to split
+  exactly as (q2, q1), which makes the everywhere-quiescent state an exact
+  fixed point; apply_block computes on the support cells only.
 * A classical rule writes delta(c_i, c_{i+1}) into output cell i.
 """
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatch,
@@ -34,8 +34,9 @@ from .errors import (
 from .linalg import is_unitary, max_norm
 
 PRUNE_THRESHOLD = 1e-14
-# Dense window matrices are refused above this dimension; large windows
-# stay sparse (quantized rules) or are compared column-streamed.
+# Dense window matrices are refused above this dimension, and apply_block
+# refuses amplitude vectors with more entries than such a matrix.  Quantized
+# rules are one-hot column maps and are never densified by the library.
 DENSE_WINDOW_CAP = 8192
 
 
@@ -394,36 +395,40 @@ class BlockQCA:
 def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
     """One step of the two-layered evolution on a sparse superposition.
 
-    Each configuration is processed on its support extended by one
-    quiescent cell per side; outside that window the quiescent gauge
-    vectors are used exactly, so the vacuum is an exact fixed point and
-    support grows by at most one cell per side.
+    A configuration on cells [start, end] (s cells) is computed on them
+    only: their u-layer images, flanked by the exact gauge parts q1 of cell
+    start - 1 and q2 of cell end + 1, are d^(s+1) amplitudes that the
+    v-layer turns into output cells start - 1 .. end.  So the vacuum is an
+    exact fixed point and the support grows by at most one cell.  Raises
+    DimensionMismatch before allocating when d^(s+1) exceeds
+    DENSE_WINDOW_CAP², the entry count of the largest dense window.
     """
     if state.alphabet.d != g.d:
         raise DimensionMismatch("state and automaton alphabets disagree")
     d, p, q = g.d, g.p, g.q
+    widest = max((len(c.word) for c in state.terms), default=0)
+    if d ** (widest + 1) > DENSE_WINDOW_CAP ** 2:
+        raise DimensionMismatch(
+            f"a support of {widest} cells needs {d}^{widest + 1} amplitudes, "
+            f"more than the {DENSE_WINDOW_CAP}² entries of the largest dense window")
     v2 = g.v.reshape(d, p * q)
     out: dict[Configuration, complex] = {}
     for config, amp in state.terms.items():
         if config.is_vacuum:
             out[config] = out.get(config, 0.0) + amp
             continue
-        lo, hi = config.start - 1, config.end + 1
-        m = hi - lo + 1
-        vecs = [g.u[:, config.cell(i)] for i in range(lo, hi + 1)]
-        psi = reduce(np.kron, vecs)
-        # Axes after padding: b_{lo-1} | (a_i, b_i) for i in [lo, hi] | a_{hi+1},
-        # which regroups as (b_{i-1}, a_i) pairs for output cells lo-1 .. hi.
-        full = np.kron(g.q1, np.kron(psi, g.q2))
-        t = full.reshape([p * q] * (m + 1))
-        for ax in range(m + 1):
+        width = len(config.word) + 1
+        psi = reduce(np.kron, [g.u[:, c] for c in config.word])
+        # Axes: b_{start-1} | (a_i, b_i) for the support cells | a_{end+1},
+        # which regroups as (b_{i-1}, a_i) pairs for output cells start-1 .. end.
+        t = np.kron(g.q1, np.kron(psi, g.q2)).reshape([p * q] * width)
+        for ax in range(width):
             t = np.moveaxis(np.tensordot(t, v2.T, axes=([ax], [0])), -1, ax)
         t = t.ravel()
         nz = np.flatnonzero(np.abs(t) > PRUNE_THRESHOLD)
-        width = m + 1
         for flat in nz:
             word = _digits(int(flat), d, width)
-            cfg = Configuration.make(lo - 1, word)
+            cfg = Configuration.make(config.start - 1, word)
             out[cfg] = out.get(cfg, 0.0) + amp * t[flat]
     result = SparseState(state.alphabet, out)
     n = result.norm()
@@ -436,8 +441,13 @@ def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
 
 @dataclass(frozen=True)
 class WindowOperator:
-    """Dense or sparse unitary acting on w consecutive cells with quiescent
-    padding; the finite presentation of a global evolution.
+    """Unitary acting on w consecutive cells with quiescent padding; the
+    finite presentation of a global evolution.
+
+    ``matrix`` is a dense (n, n) array, n = d^w, or the one-hot column map
+    ``(rows, phases)`` of G|x> = phases[x] |rows[x]>: int rows in [0, n)
+    and complex phases, 1-D of length n.  Quantized classical rules use
+    the map, so windows far beyond the dense cap stay cheap.
 
     ``boundary`` records how the window was closed off: ``"periodic"``
     windows (built from block automata) wrap the last half-cell onto the
@@ -455,7 +465,7 @@ class WindowOperator:
 
     alphabet: Alphabet
     width: int
-    matrix: object  # np.ndarray or scipy.sparse matrix
+    matrix: object  # dense (n, n) array or one-hot (rows, phases)
     boundary: str = "truncated"
     out_shift: int = 0
 
@@ -464,25 +474,37 @@ class WindowOperator:
             raise WindowTooSmall("window width must be at least 2")
         if self.boundary not in ("periodic", "truncated"):
             raise PreconditionViolated(f"unknown boundary kind {self.boundary!r}")
-        n = self.alphabet.d ** self.width
-        shape = self.matrix.shape
-        if shape != (n, n):
-            raise DimensionMismatch(f"window matrix shape {shape}, expected ({n}, {n})")
+        n = self.dim
+        if self.is_one_hot:
+            rows, phases = (np.asarray(a) for a in self.matrix)
+            if (rows.shape != (n,) or phases.shape != (n,) or rows.dtype.kind not in "iu"
+                    or rows.min() < 0 or rows.max() >= n):
+                raise DimensionMismatch(
+                    f"a one-hot column map needs integer rows in [0, {n}) and phases, "
+                    f"both of shape ({n},); got {rows.shape} and {phases.shape}")
+            object.__setattr__(self, "matrix", (rows.astype(np.int64, copy=False),
+                                                phases.astype(np.complex128, copy=False)))
+        elif self.matrix.shape != (n, n):
+            raise DimensionMismatch(
+                f"window matrix shape {self.matrix.shape}, expected ({n}, {n})")
 
     @property
     def dim(self) -> int:
         return self.alphabet.d ** self.width
 
     @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+    def is_one_hot(self) -> bool:
+        return isinstance(self.matrix, tuple)
 
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
+        if self.is_one_hot:
             if self.dim > DENSE_WINDOW_CAP:
                 raise DimensionMismatch(
                     f"refusing to densify a {self.dim}-dimensional window")
-            return np.asarray(self.matrix.todense(), dtype=np.complex128)
+            rows, phases = self.matrix
+            out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            out[rows, np.arange(self.dim)] = phases
+            return out
         return np.asarray(self.matrix, dtype=np.complex128)
 
     def grouped(self, s: int) -> "WindowOperator":
@@ -528,8 +550,8 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
     the decomposer wants; rules that are bijective only through unbounded
     borders (the non-locally-quantizable class) lose unitarity here.
 
-    Either way the matrix has one-hot columns and unitarity is *not*
-    guaranteed; checking it is the verifier's job."""
+    Either way the matrix is the one-hot column map (rows, ones) and
+    unitarity is *not* guaranteed; checking it is the verifier's job."""
     if w < 2:
         raise WindowTooSmall("quantize needs a window of at least 2 cells")
     d = rule.alphabet.d
@@ -547,13 +569,11 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
         out_shift = 0
     else:
         raise PreconditionViolated(f"unknown boundary kind {boundary!r}")
-    rows = out_digits @ powers
-    mat = sp.csc_matrix(
-        (np.ones(n), (rows, idx)), shape=(n, n), dtype=np.complex128)
-    return WindowOperator(rule.alphabet, w, mat, boundary=boundary, out_shift=out_shift)
+    return WindowOperator(rule.alphabet, w, (out_digits @ powers, np.ones(n)),
+                          boundary=boundary, out_shift=out_shift)
 
 
-def window_matrix(g: BlockQCA, w: int, max_dim: int = DENSE_WINDOW_CAP) -> WindowOperator:
+def window_matrix(g: BlockQCA, w: int) -> WindowOperator:
     """Dense window presentation of a block automaton.
 
     The u-layer acts at each of the w cells and the v-layer recombines the
@@ -565,9 +585,9 @@ def window_matrix(g: BlockQCA, w: int, max_dim: int = DENSE_WINDOW_CAP) -> Windo
         raise WindowTooSmall("window width must be at least 2")
     d, p, q = g.d, g.p, g.q
     n = d**w
-    if n > max_dim:
+    if n > DENSE_WINDOW_CAP:
         raise DimensionMismatch(
-            f"dense window would have dimension {n} > cap {max_dim}")
+            f"dense window would have dimension {n} > cap {DENSE_WINDOW_CAP}")
     lu = reduce(np.kron, [g.u] * w)
     # Row axes after the u-layer: (a_0, b_0, ..., a_{w-1}, b_{w-1}); the
     # v-layer pairs (b_i, a_{i+1 mod w}), a cyclic left shift of the axes.
@@ -599,7 +619,6 @@ def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,
         if lo < 0 or hi > w - 1:
             raise WindowTooSmall(
                 f"support [{span[0]}, {span[1]}] lies outside the window")
-    powers = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
     vec_entries: dict[int, complex] = {}
     for config, amp in state.terms.items():
         idx = 0
@@ -608,11 +627,9 @@ def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,
         vec_entries[idx] = vec_entries.get(idx, 0.0) + amp
     cols = np.fromiter(vec_entries.keys(), dtype=np.int64)
     vals = np.fromiter((vec_entries[c] for c in cols), dtype=np.complex128)
-    if op.is_sparse:
-        vec = sp.csc_matrix((vals, (cols, np.zeros_like(cols))), shape=(op.dim, 1))
-        image = op.matrix @ vec
-        image = image.tocoo()
-        rows, data = image.row, image.data
+    if op.is_one_hot:
+        rows, phases = op.matrix
+        rows, data = rows[cols], phases[cols] * vals
     else:
         vec = np.zeros(op.dim, dtype=np.complex128)
         vec[cols] = vals

@@ -87,9 +87,9 @@ def block_to_json(g: BlockQCA) -> dict:
 
 
 def window_to_json(op: WindowOperator) -> dict:
-    if op.is_sparse:
+    if op.is_one_hot:
         raise PreconditionViolated(
-            "window spec files carry dense matrices; this operator is sparse")
+            "window spec files carry dense matrices; this operator is a one-hot column map")
     return {
         "alphabet": alphabet_to_json(op.alphabet),
         "kind": "window",

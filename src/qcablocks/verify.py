@@ -10,14 +10,15 @@ requested radius cannot be tested soundly.
 
 Every locality verdict asks one question: is the conjugated cell operator
 G† (E_kl ⊗ I) G (backward) or G (E_kl ⊗ I) G† (forward) supported on a
-region R?  Each storage format has one forward conjugation routine, and the
+region R?  A window is a dense matrix or a one-hot column map (see
+WindowOperator); each format has one forward conjugation routine, and the
 backward direction is the forward one on the adjoint window.  Dense windows
 conjugate a rank-one cell operator |x><y| as C_x C_y†, with C_x the
-x-weighted sum of the column slices of G by the cell's digit; windows whose
-columns are one-hot (quantized classical rules) only reindex entries, so
-windows far beyond the dense cap stay cheap, and their adjoint is the
-inverse column map with conjugated phases.  fast_localization_residual is
-the one residual entry point for both formats.
+x-weighted sum of the column slices of G by the cell's digit; one-hot
+windows (quantized classical rules) only reindex entries, so windows far
+beyond the dense cap stay cheap, and their adjoint is the inverse column
+map with conjugated phases.  fast_localization_residual is the one residual
+entry point for both formats.
 
 The residual is adjoint-invariant (the projection onto M_R ⊗ I commutes
 with † and so does the max-norm), and G† E_lk G is the adjoint of
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg as la
 from .errors import (
@@ -83,17 +83,6 @@ class NeighborhoodReport:
 
 # ------------------------------------------------------------------ helpers
 
-def _one_hot_columns(op: WindowOperator):
-    """(rows, phases) if every column has exactly one nonzero, else None."""
-    if not op.is_sparse:
-        return None
-    mat = op.matrix.tocsc()
-    counts = np.diff(mat.indptr)
-    if not np.all(counts == 1):
-        return None
-    return mat.indices.astype(np.int64), mat.data.astype(np.complex128)
-
-
 def _cell_powers(d: int, w: int) -> np.ndarray:
     return (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
 
@@ -102,15 +91,11 @@ def _cell_powers(d: int, w: int) -> np.ndarray:
 
 def check_unitary(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
     """Whether the window matrix is unitary within tol."""
-    hot = _one_hot_columns(op)
-    if hot is not None:
-        rows, phases = hot
+    if op.is_one_hot:
+        rows, phases = op.matrix
         if np.max(np.abs(np.abs(phases) - 1.0)) > tol:
             return False
         return len(np.unique(rows)) == op.dim
-    if op.is_sparse:
-        delta = (op.matrix.getH() @ op.matrix - sp.identity(op.dim)).tocoo()
-        return len(delta.data) == 0 or float(np.max(np.abs(delta.data))) <= tol
     return la.is_unitary(op.dense(), tol)
 
 
@@ -130,9 +115,8 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> b
     last_digit = rows % d
     movable = last_digit == 0
 
-    hot = _one_hot_columns(op)
-    if hot is not None:
-        f, phases = hot
+    if op.is_one_hot:
+        f, phases = op.matrix
         img = f[interior]
         img_shift = f[shifted_cols]
         ok_support = np.all(img % d == 0)
@@ -142,10 +126,9 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> b
             return False
         return float(np.max(np.abs(phases[interior] - phases[shifted_cols]))) <= tol
 
-    mat = op.matrix.tocsc() if op.is_sparse else op.dense()
-    cols = np.asarray(mat[:, interior].todense()) if op.is_sparse else mat[:, interior]
-    cols_shift = (np.asarray(mat[:, shifted_cols].todense())
-                  if op.is_sparse else mat[:, shifted_cols])
+    mat = op.dense()
+    cols = mat[:, interior]
+    cols_shift = mat[:, shifted_cols]
     leak = float(np.max(np.abs(cols[~movable, :]))) if np.any(~movable) else 0.0
     if leak > tol:
         return False
@@ -206,9 +189,8 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     G (E_kl ⊗ I) G†, backward G† (E_kl ⊗ I) G.  One-hot windows give COO
     triples, others dense arrays."""
     d, w = op.alphabet.d, op.width
-    hot = _one_hot_columns(op)
-    if hot is not None:
-        rows, phases = hot if forward else _one_hot_adjoint(*hot)
+    if op.is_one_hot:
+        rows, phases = op.matrix if forward else _one_hot_adjoint(*op.matrix)
         return lambda k, l: _one_hot_conjugation(rows, phases, d, w, cell, k, l)
     mat = op.dense()
     slices = _cell_slices(mat if forward else la.dagger(mat), d, w, cell)

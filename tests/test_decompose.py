@@ -364,6 +364,49 @@ def test_certificate_refuses_what_the_unit_stack_cannot_see():
         decompose_certified(bad)
 
 
+CERT_CROSS_CHECK = [(2, 1, 1), (1, 2, 1), (3, 1, 1), (1, 3, 1), (2, 2, 1), (2, 3, 1),
+                    (3, 2, 1), (2, 1, 2), (1, 2, 2), (2, 4, 1)]
+
+
+def test_transfer_certificate_bounds_the_dense_one():
+    # partitioned rules (p, q), grouped by s: one-hot ring windows up to
+    # n = 4096 certified by the transfer bound, and their densified copies by
+    # the exact comparison; for d <= 6 also composed with the window cyclic
+    # shift, so the certified shift is nonzero and both _rotate_rows
+    # branches are compared
+    from qcablocks.decompose import _rotate_rows
+    for p, q, s in CERT_CROSS_CHECK:
+        rule = partitioned_rule(p, q, seed=10 * p + q)
+        op = quantize(group_cells(rule, s) if s > 1 else rule, 4, "periodic")
+        qca = decompose(op)
+        for steps in ((0, -1, 1) if op.alphabet.d <= 6 else (0,)):
+            hot = _rotate_rows(op, steps)
+            densified = WindowOperator(op.alphabet, 4, hot.dense(), "periodic")
+            if steps:
+                rotated = WindowOperator(op.alphabet, 4, op.dense(), "periodic")
+                rotated = _rotate_rows(rotated, steps)
+                assert np.array_equal(densified.matrix, rotated.matrix)
+            transfer, dense = certify(qca, hot), certify(qca, densified)
+            assert transfer.shift == dense.shift
+            assert transfer.residual <= 1e-7 and dense.residual <= 1e-7
+            assert transfer.residual >= dense.residual - 1e-15
+
+
+def test_certify_one_hot_peak_memory():
+    # the pure shift on d = 8 (q = 8) is the costliest transfer case at
+    # n = 4096; densified, the comparison held three n x n complex arrays
+    op = quantize(partitioned_rule(1, 8, seed=18), 4, "periodic")
+    qca = decompose(op)
+    tracemalloc.start()
+    try:
+        cert = certify(qca, op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.residual <= 1e-7
+    assert peak <= op.dim ** 2 * 16 / 4
+
+
 def test_reconstruction_shift_reported_for_periodic_identity():
     g = identity_qca(3)
     qca, cert = decompose_certified(window_matrix(g, 4), seed=0)
@@ -431,9 +474,9 @@ def partitioned_rules(draw):
 @settings(max_examples=12, deadline=None)
 @given(partitioned_rules(), st.integers(0, 2**16))
 def test_decompose_recovers_grouped_partitioned_rules(case, seed):
-    # one-hot ring windows of dimension up to 9^4: the dense certificate
-    # below 4096, the transfer certificate above; grouping keeps the q-part
-    # that moves left, so the split is (d^s / q, q)
+    # one-hot ring windows of dimension up to 9^4, all certified by the
+    # transfer bound; grouping keeps the q-part that moves left, so the
+    # split is (d^s / q, q)
     q, rule = case
     dg = rule.alphabet.d
     qca, cert = decompose_certified(quantize(rule, 4, "periodic"), seed=seed)

@@ -1,10 +1,13 @@
 """Model layer checks: configurations, sparse states, block application,
 window matrices, quantization, grouping, and state restriction."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qcablocks import linalg as la
 from qcablocks.errors import (
+    DimensionMismatch,
     IndivisibleWidth,
     PreconditionViolated,
     WindowTooSmall,
@@ -15,6 +18,7 @@ from qcablocks.model import (
     ClassicalRule,
     Configuration,
     SparseState,
+    WindowOperator,
     apply_block,
     apply_window,
     config_from_cells,
@@ -157,6 +161,42 @@ def test_apply_block_commutes_with_shift():
     assert a.distance(b) <= 1e-12
 
 
+def test_apply_block_peak_memory_is_support_sized():
+    # d = 6, support 7: the amplitude vector has d^(s+1) = 6^8 entries
+    # (27 MB), and the bound allows four of them, far below one vector of
+    # the padded support d^(s+3) (967 MB).  With u = v = I the output is one
+    # configuration, so the peak is the dense amplitude arrays alone.
+    d, p, q = 6, 2, 3
+    g = identity_qca(d, p, q)
+    word = [1, 2, 3, 4, 5, 1, 2]
+    state = SparseState(g.alphabet, {Configuration.make(0, word): 1.0})
+    tracemalloc.start()
+    try:
+        out = apply_block(state, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * d ** 8 * 16
+    # output cell i is (b_i, a_{i+1}) = (c_i mod p, c_{i+1} div p)
+    cells = [0] + word + [0]
+    image = [(cells[i] % p) * q + cells[i + 1] // p for i in range(len(word) + 1)]
+    assert out.terms == {Configuration.make(-1, image): 1.0}
+
+
+def test_apply_block_refuses_oversized_support_before_allocating():
+    # 6^(10+1) amplitudes exceed DENSE_WINDOW_CAP² = 2^26 entries
+    g = random_block_qca(6, 2, 3, seed=7)
+    state = SparseState(g.alphabet, {Configuration.make(0, [1] * 10): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="amplitudes"):
+            apply_block(state, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 # ---------------------------------------------------------- window matrix
 
 def test_window_matrix_identity_blocks():
@@ -242,9 +282,22 @@ def test_quantize_xor_window_example():
 def test_quantize_xor_injective_w6():
     # Exhaustive enumeration over all 3^6 window words.
     op = quantize(xor_rule(), 6)
-    mat = op.matrix.tocsc()
-    rows = mat.indices
+    rows, _ = op.matrix
     assert len(set(rows.tolist())) == 3**6
+
+
+def test_window_operator_rejects_malformed_column_maps():
+    n = BITS.d ** 2
+    rows, phases = np.arange(n)[::-1], np.ones(n, dtype=complex)
+    assert WindowOperator(BITS, 2, (rows, phases)).is_one_hot
+    for bad in [(rows[:-1], phases[:-1]),                 # wrong length
+                (rows, phases[:-1]),                      # lengths disagree
+                (rows + 1, phases),                       # row n out of range
+                (rows - 1, phases),                       # row -1 out of range
+                (rows.reshape(3, 3), phases.reshape(3, 3)),  # not 1-D
+                (rows.astype(float), phases)]:            # rows not integers
+        with pytest.raises(DimensionMismatch):
+            WindowOperator(BITS, 2, bad)
 
 
 def test_quantize_rejects_nonquiescent_rule():
@@ -316,6 +369,21 @@ def test_apply_window_requires_slack():
     s = SparseState.from_cells(g.alphabet, {0: "1"})
     with pytest.raises(WindowTooSmall):
         apply_window(op, s)
+
+
+def test_apply_window_one_hot_matches_densified():
+    # random phases, and a column map that is a permutation or merges
+    # columns: the reindexed image equals the dense product, with the
+    # amplitudes of merged rows summed
+    rng = np.random.default_rng(31)
+    n = BITS.d ** 4
+    phases = np.exp(2j * np.pi * rng.random(n))
+    for rows in (rng.permutation(n), rng.integers(0, 9, size=n)):
+        op = WindowOperator(BITS, 4, (rows, phases))
+        dense = WindowOperator(BITS, 4, op.dense())
+        s = random_sparse_state(BITS, range(0, 4), 6, seed=32)
+        got = apply_window(op, s, strict=False)
+        assert got.distance(apply_window(dense, s, strict=False)) <= 1e-12
 
 
 def test_fit_offset_places_support():
