@@ -38,15 +38,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(a))
@@ -137,9 +128,18 @@ def embed_on_factors(op: np.ndarray, dims: Sequence[int], region: Iterable[int])
 def localization_residual(a: np.ndarray, dims: Sequence[int], region: Iterable[int]) -> float:
     """Max-norm distance of ``a`` from the set of operators supported on
     ``region`` (identity elsewhere): ``max_norm(a - embed(partial_trace(a) /
-    dc))``, computed on the region/complement reshape without building the
+    dc))``."""
+    return localization_defect(a, dims, region)[0]
+
+
+def localization_defect(a: np.ndarray, dims: Sequence[int],
+                        region: Iterable[int]) -> tuple[float, float]:
+    """Max-norm and Hilbert-Schmidt norm of ``a - P(a)``, P the conditional
+    expectation onto operators supported on ``region`` (the diagonal-block
+    mean), computed on the region/complement reshape without building the
     embedded comparison operator.  Entries off the complement diagonal count
-    in full; diagonal blocks count by their deviation from their mean."""
+    in full; diagonal blocks count by their deviation from their mean.  The
+    HS norm bounds the operator norm of the defect from above."""
     a = as_matrix(a)
     dims = validate_shape(dims, a.shape[0])
     region = list(_normalize_region(dims, region))
@@ -154,14 +154,7 @@ def localization_residual(a: np.ndarray, dims: Sequence[int], region: Iterable[i
     diag = x[:, ii, :, ii]  # (dc, dk, dk): the diagonal blocks
     dev = np.abs(x)
     dev[:, ii, :, ii] = np.abs(diag - diag.sum(axis=0) / dc)
-    return float(np.max(dev))
-
-
-def is_localized(a: np.ndarray, dims: Sequence[int], region: Iterable[int],
-                 tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``a`` is, within tol, of the form M_region ⊗ I_complement
-    (factors reordered back to their original positions)."""
-    return localization_residual(a, dims, region) <= tol
+    return float(np.max(dev)), float(np.linalg.norm(dev))
 
 
 def matrix_units(n: int):

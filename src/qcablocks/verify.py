@@ -20,17 +20,24 @@ beyond the dense cap stay cheap, and their adjoint is the inverse column
 map with conjugated phases.  fast_localization_residual is the one residual
 entry point for both formats.
 
-The residual is adjoint-invariant (the projection onto M_R ⊗ I commutes
-with † and so does the max-norm), and G† E_lk G is the adjoint of
-G† E_kl G, so only the units with k <= l are tested.  The neighborhood
-search streams them, dropping each candidate region at its first failing
-unit; the verdict stays exhaustive and exact.
+Locality on R needs every unit T_kl = S_k S_l† (S_k the column slices by
+the cell's digit) within tol of P(T_kl) in the max-norm, P the
+diagonal-block mean (a contraction and an M_R-bimodule map), yet only the
+d generators T_0l are conjugated.  With ε_l the HS norm of T_0l - P(T_0l),
+s_k = ||S_k|| and η = ||S_0† S_0 - I||, the identity T_kl = T_k0 T_0l +
+S_k (I - S_0† S_0) S_l† gives, without assuming unitarity,
+
+    ||T_kl - P(T_kl)|| <= s_0 (s_k ε_l + s_l ε_k) + 2 ε_k ε_l + 2 s_k s_l η,
+
+which bounds the max-norm.  A generator above tol refutes R, a bound
+within tol proves it, and otherwise the units with k <= l decide (T_lk =
+T_kl† has the same residual), so every verdict is the exhaustive one.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cache
 
 import numpy as np
 
@@ -83,8 +90,18 @@ class NeighborhoodReport:
 
 # ------------------------------------------------------------------ helpers
 
-def _cell_powers(d: int, w: int) -> np.ndarray:
-    return (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
+def _split_index(ix: np.ndarray, d: int, w: int, region) -> tuple[np.ndarray, np.ndarray]:
+    """Window indices as (region digits, complement digits), each read as a
+    base-d number in cell order."""
+    pw = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
+    kept = np.zeros(len(ix), dtype=np.int64)
+    rest = np.zeros(len(ix), dtype=np.int64)
+    for pos in range(w):
+        if pos in region:
+            kept = kept * d + (ix // pw[pos]) % d
+        else:
+            rest = rest * d + (ix // pw[pos]) % d
+    return kept, rest
 
 
 # ------------------------------------------------------------ unitarity
@@ -184,18 +201,44 @@ def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
     return inv, np.conj(phases[inv])
 
 
+def _dense_units(slices: np.ndarray):
+    """Unit conjugation T_kl = S_k S_l† from stacked column slices, and the
+    bound's norms: η = ||S_0† S_0 - I|| and s_0 = ||S_0|| from the one Gram
+    S_0† S_0, and for k > 0 the Frobenius norm of S_k, which bounds ||S_k||."""
+
+    @cache
+    def norms():
+        gram = np.linalg.eigvalsh(la.dagger(slices[0]) @ slices[0])
+        s = np.linalg.norm(slices.reshape(len(slices), -1), axis=1)
+        s[0] = np.sqrt(max(gram[-1], 0.0))
+        return s, float(np.max(np.abs(gram - 1.0)))
+
+    return (lambda k, l: slices[k] @ la.dagger(slices[l])), norms
+
+
 def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
-    """Function (k, l) -> conjugated matrix unit E_kl at ``cell``: forward
-    G (E_kl ⊗ I) G†, backward G† (E_kl ⊗ I) G.  One-hot windows give COO
-    triples, others dense arrays."""
+    """Conjugated matrix units at ``cell`` as a function (k, l) -> T_kl,
+    forward G (E_kl ⊗ I) G† or backward G† (E_kl ⊗ I) G, and the norms of
+    the generator bound.  One-hot windows give COO triples, others dense
+    arrays."""
     d, w = op.alphabet.d, op.width
-    if op.is_one_hot:
-        rows, phases = op.matrix if forward else _one_hot_adjoint(*op.matrix)
-        return lambda k, l: _one_hot_conjugation(rows, phases, d, w, cell, k, l)
-    mat = op.dense()
-    slices = _cell_slices(mat if forward else la.dagger(mat), d, w, cell)
-    eye = np.eye(d)
-    return lambda k, l: _dense_conjugation(slices, eye[k], eye[l])
+    if not op.is_one_hot:
+        mat = op.dense()
+        return _dense_units(_cell_slices(mat if forward else la.dagger(mat), d, w, cell))
+    rows, phases = op.matrix if forward else _one_hot_adjoint(*op.matrix)
+
+    @cache
+    def norms():
+        # an injective map has S_k† S_k = diag |phases|² over the inputs
+        # with cell digit k, so the norms are exact; others get no bound
+        if len(np.unique(rows)) != len(rows):
+            return None
+        digit = (np.arange(d**w, dtype=np.int64) // d ** (w - 1 - cell)) % d
+        s = np.zeros(d)
+        np.maximum.at(s, digit, np.abs(phases))
+        return s, float(np.max(np.abs(np.abs(phases[digit == 0]) ** 2 - 1.0)))
+
+    return (lambda k, l: _one_hot_conjugation(rows, phases, d, w, cell, k, l)), norms
 
 
 def _adjoint(entry):
@@ -206,64 +249,83 @@ def _adjoint(entry):
     return la.dagger(entry)
 
 
-def fast_localization_residual(t, d: int, w: int, region) -> float:
-    """Max-norm localization residual of an operator on the d^w window,
-    given dense (``linalg.localization_residual``) or as a COO triple
-    (rows, cols, vals) (sparse kernel).  It is adjoint-invariant: the
-    projection onto M_region ⊗ I commutes with † and so does the max-norm."""
+def fast_localization_residual(t, d: int, w: int, region) -> tuple[float, float]:
+    """Localization defect of an operator on the d^w window, given dense
+    (``linalg.localization_defect``) or as a COO triple (rows, cols, vals)
+    (sparse kernel): the max-norm of t - P(t), which verdicts compare with
+    tol, and its HS norm, which bounds the operator norm.  Both are
+    adjoint-invariant: the projection P onto M_region ⊗ I commutes with †."""
     if isinstance(t, tuple):
         return _coo_localization_residual(*t, d, w, tuple(region))
-    return la.localization_residual(t, (d,) * w, region)
+    return la.localization_defect(t, (d,) * w, region)
 
 
 def _coo_localization_residual(rows, cols, vals, d: int, w: int,
-                               region: tuple[int, ...]) -> float:
-    """Max-norm distance from M_region ⊗ I for a sparse operator given in
-    COO form over the d^w window space."""
-    region = tuple(sorted(region))
-    pw = _cell_powers(d, w)
-    comp = [i for i in range(w) if i not in region]
-    dc = d ** len(comp)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+                               region: tuple[int, ...]) -> tuple[float, float]:
+    """Max-norm and HS norm of t - P(t) for a sparse operator t given in COO
+    form, without duplicate entries, over the d^w window space."""
+    dk = d ** len(set(region))
+    dc = d**w // dk
     vals = np.asarray(vals, dtype=np.complex128)
     if len(vals) == 0:
-        return 0.0
-
-    def split(ix):
-        kept = np.zeros(len(ix), dtype=np.int64)
-        rest = np.zeros(len(ix), dtype=np.int64)
-        for pos in region:
-            kept = kept * d + (ix // pw[pos]) % d
-        for pos in comp:
-            rest = rest * d + (ix // pw[pos]) % d
-        return kept, rest
-
-    rk, rc = split(rows)
-    ck, cc = split(cols)
+        return 0.0, 0.0
+    rk, rc = _split_index(np.asarray(rows, dtype=np.int64), d, w, region)
+    ck, cc = _split_index(np.asarray(cols, dtype=np.int64), d, w, region)
     diag = rc == cc
-    dk = d ** len(region)
-    keys = rk * dk + ck
-    dkeys = keys[diag]
-    uniq, inverse = np.unique(dkeys, return_inverse=True)
+    # the entries on the complement diagonal, grouped by region pattern
+    uniq, inverse = np.unique(rk[diag] * dk + ck[diag], return_inverse=True)
     sums = (np.bincount(inverse, weights=vals[diag].real)
             + 1j * np.bincount(inverse, weights=vals[diag].imag))
     counts = np.bincount(inverse)
     b_vals = sums / dc
     # deviation of present entries from the M ⊗ I pattern
     expected = np.zeros(len(vals), dtype=np.complex128)
-    pos = np.searchsorted(uniq, keys)
-    pos_ok = (pos < len(uniq))
-    match = np.zeros(len(vals), dtype=bool)
-    match[pos_ok] = uniq[pos[pos_ok]] == keys[pos_ok]
-    sel = diag & match
-    expected[sel] = b_vals[pos[sel]]
-    resid = float(np.max(np.abs(vals - expected)))
-    # pattern entries of M ⊗ I with no data present
-    missing = counts < dc
-    if np.any(missing):
-        resid = max(resid, float(np.max(np.abs(b_vals[missing]))))
-    return resid
+    expected[diag] = b_vals[inverse]
+    dev = np.abs(vals - expected)
+    # pattern entries of M ⊗ I with no data present: dc - count per block
+    missing = dc - counts
+    absent = np.abs(b_vals[missing > 0])
+    resid = max(float(np.max(dev)), float(np.max(absent, initial=0.0)))
+    return resid, float(np.sqrt(np.sum(dev**2) + np.sum(missing * np.abs(b_vals) ** 2)))
+
+
+def _first_localized(units, d: int, w: int, regions, tol: float) -> int | None:
+    """Index of the first region on which every conjugated unit is
+    localized within tol, or None; ``units`` is a (unit, norms) pair from
+    _unit_conjugation.  T_00 is tested on every region, then each survivor
+    in turn on T_01 ... T_0(d-1), one generator alive at a time; the bound
+    or, where it exceeds tol, the units with 1 <= k <= l decide the rest."""
+    unit, norms = units
+    t = unit(0, 0)
+    eps0 = {}
+    for i, region in enumerate(regions):
+        resid, hs = fast_localization_residual(t, d, w, region)
+        if resid <= tol:
+            eps0[i] = hs
+    del t
+    for i, e0 in eps0.items():
+        eps = [e0]
+        for l in range(1, d):
+            resid, hs = fast_localization_residual(unit(0, l), d, w, regions[i])
+            if resid > tol:
+                break  # a generator is itself a unit: the region fails
+            eps.append(hs)
+        if len(eps) == d and (_unit_bound(norms(), np.array(eps)) <= tol or all(
+                fast_localization_residual(unit(k, l), d, w, regions[i])[0] <= tol
+                for k in range(1, d) for l in range(k, d))):
+            return i
+    return None
+
+
+def _unit_bound(norms, eps: np.ndarray) -> float:
+    """The bound of the module docstring, maximized over all units, from the
+    norms (s, η) and the generator defects ε; infinite without norms."""
+    if norms is None:
+        return np.inf
+    s, eta = norms
+    se = np.outer(s, eps)
+    return float(np.max(s[0] * (se + se.T) + 2 * np.outer(eps, eps)
+                        + 2 * eta * np.outer(s, s)))
 
 
 # ------------------------------------------------------------ neighborhood
@@ -301,7 +363,9 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
     Offsets are relative to the probed output cell in true coordinates
     (the operator's out_shift relabel is compensated).  Only proper
     subintervals of the window count: localization on the whole window is
-    vacuous and can never support a locality claim.
+    vacuous and can never support a locality claim.  _first_localized
+    decides, with d + (number of candidates) residuals when the bound
+    holds; only the witness of a non-local verdict needs every unit.
     """
     cc = default_center(op) if cell is None else cell
     if max_radius < 0:
@@ -312,36 +376,31 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
             f"{max_testable_radius(op, cc)} for a width-{op.width} "
             f"{op.boundary} window probed at cell {cc}")
     d, w = op.alphabet.d, op.width
-    unit = _unit_conjugation(op, cc, forward=False)
+    units = _unit_conjugation(op, cc, forward=False)
     # a candidate covering the whole window is vacuous: every operator is
     # "localized" there, so it can never support a locality claim
     candidates = sorted((c for c in _candidate_intervals(max_radius)
                          if cc + c[0] >= 0 and cc + c[1] <= w - 1
                          and c[1] - c[0] + 1 < w),
                         key=lambda c: (c[1] - c[0], c[0]))
-    alive = candidates
-    # units stream outer, each dropping the candidates it fails on; the
-    # unit (l, k) is the adjoint of (k, l) and has the same residuals
-    for k, l in combinations_with_replacement(range(d), 2):
-        if not alive:
-            break
-        t = unit(k, l)
-        alive = [c for c in alive
-                 if fast_localization_residual(t, d, w, range(cc + c[0], cc + c[1] + 1))
-                 <= tol]
+    # localization is monotone in the region, so the first candidate in
+    # (width, lo) order that passes is the smallest
+    found = _first_localized(units, d, w, [range(cc + lo, cc + hi + 1)
+                                           for lo, hi in candidates], tol)
     probe_cell = cc + op.out_shift
-    if alive:
-        lo, hi = alive[0]
+    if found is not None:
+        lo, hi = candidates[found]
         return NeighborhoodReport(
             True, (lo - op.out_shift, hi - op.out_shift), None, max_radius, probe_cell)
     witness = None
     if make_witness:
-        units = {kl: unit(*kl) for kl in combinations_with_replacement(range(d), 2)}
+        unit = units[0]
+        images = {(k, l): unit(k, l) for k in range(d) for l in range(k, d)}
         # demonstrate the failure on a tested region: widest first, so the
         # witness states agree on as much of the window as possible
         for lo, hi in sorted(candidates, key=lambda c: c[0] - c[1]):
             region = range(cc + lo, cc + hi + 1)
-            witness = _nonlocality_witness(op, cc, units, region, tol)
+            witness = _nonlocality_witness(op, cc, images, region, tol)
             if witness is not None:
                 break
     return NeighborhoodReport(False, None, witness, max_radius, probe_cell)
@@ -350,7 +409,8 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
 def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
                            tol: float = la.DEFAULT_TOL, cell: int | None = None) -> bool:
     """Mirror property: if backward conjugation lands in N, forward
-    conjugation of every unit must land in -N (true-cell offsets)."""
+    conjugation of every unit must land in -N (true-cell offsets); d
+    residuals and the bound of _first_localized when it holds."""
     cc = default_center(op) if cell is None else cell
     d, w = op.alphabet.d, op.width
     lo, hi = interval
@@ -362,18 +422,15 @@ def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
         raise WindowTooSmall(
             f"mirrored region [{wlo}, {whi}] does not fit the window at cell {cc}")
     region = range(cc + wlo, cc + whi + 1)
-    unit = _unit_conjugation(op, cc, forward=True)
-    return all(fast_localization_residual(unit(k, l), d, w, region) <= tol
-               for k, l in combinations_with_replacement(range(d), 2))
+    return _first_localized(_unit_conjugation(op, cc, forward=True),
+                            d, w, [region], tol) is not None
 
 
 # ------------------------------------------------------- witness machinery
 
-def _window_basis_state(alphabet: Alphabet, d: int, w: int, index: int,
-                        amps: dict[int, complex] | None = None) -> SparseState:
+def _window_state(alphabet: Alphabet, d: int, w: int, amps: dict[int, complex]) -> SparseState:
     terms = {}
-    items = amps.items() if amps is not None else [(index, 1.0)]
-    for ix, amp in items:
+    for ix, amp in amps.items():
         word = [(ix // d ** (w - 1 - i)) % d for i in range(w)]
         terms[Configuration.make(0, word)] = amp
     return SparseState(alphabet, terms)
@@ -382,53 +439,26 @@ def _window_basis_state(alphabet: Alphabet, d: int, w: int, index: int,
 def _entries_to_blocks(entry, d, w, region):
     """Group operator entries by their region (row, col) pattern; values are
     dicts over the complement indices."""
-    region = tuple(sorted(region))
-    comp = [i for i in range(w) if i not in region]
-    pw = _cell_powers(d, w)
     if isinstance(entry, tuple):
         rows, cols, vals = entry
     else:
         rows, cols = np.nonzero(np.abs(entry) > 1e-14)
         vals = entry[rows, cols]
-
-    def split(ix):
-        kept = 0
-        rest = 0
-        for pos in region:
-            kept = kept * d + (ix // pw[pos]) % d
-        for pos in comp:
-            rest = rest * d + (ix // pw[pos]) % d
-        return kept, rest
-
+    rk, rc = _split_index(np.asarray(rows, dtype=np.int64), d, w, region)
+    ck, cc = _split_index(np.asarray(cols, dtype=np.int64), d, w, region)
     blocks: dict[tuple[int, int], dict[tuple[int, int], complex]] = defaultdict(dict)
-    for r, c, v in zip(rows, cols, vals):
-        (rk, rc), (ck, cc2) = split(int(r)), split(int(c))
-        blocks[(rk, ck)][(rc, cc2)] = blocks[(rk, ck)].get((rc, cc2), 0.0) + v
-    return blocks, comp
+    for a, b, c, e, v in zip(rk.tolist(), rc.tolist(), ck.tolist(), cc.tolist(), vals):
+        blocks[(a, c)][(b, e)] = blocks[(a, c)].get((b, e), 0.0) + v
+    return blocks
 
 
 def _comp_index_to_window(index: int, comp: list[int], region, d: int, w: int,
                           kept_index: int) -> int:
     """Window basis index with the given complement and region digit values."""
-    digits = [0] * w
-    rdigits = []
-    ki = kept_index
-    for _ in region:
-        rdigits.append(ki % d)
-        ki //= d
-    for pos, dig in zip(sorted(region), reversed(rdigits)):
-        digits[pos] = dig
-    ci = index
-    cdigits = []
-    for _ in comp:
-        cdigits.append(ci % d)
-        ci //= d
-    for pos, dig in zip(comp, reversed(cdigits)):
-        digits[pos] = dig
-    out = 0
-    for dig in digits:
-        out = out * d + dig
-    return out
+    digits = np.zeros(w, dtype=np.int64)
+    digits[list(region)] = np.unravel_index(kept_index, (d,) * len(region))
+    digits[comp] = np.unravel_index(index, (d,) * len(comp))
+    return int(np.ravel_multi_index(digits, (d,) * w))
 
 
 def _nonlocality_witness(op: WindowOperator, cc: int, units, region,
@@ -439,7 +469,8 @@ def _nonlocality_witness(op: WindowOperator, cc: int, units, region,
     (k, l) with k <= l to the backward-conjugated matrix unit."""
     d, w = op.alphabet.d, op.width
     region = tuple(sorted(region))
-    dc = d ** (w - len(region))
+    comp = [i for i in range(w) if i not in region]
+    dc = d ** len(comp)
     # Hermitian probes: diagonal units and Hermitian/anti-Hermitian
     # combinations of off-diagonal ones; the unit (l, k) is the adjoint of
     # (k, l).
@@ -460,29 +491,21 @@ def _nonlocality_witness(op: WindowOperator, cc: int, units, region,
 
     for parts in combos:
         t = merge(parts)
-        blocks, comp = _entries_to_blocks(t, d, w, region)
-        for (rk, ck), block in blocks.items():
+        for (rk, ck), block in _entries_to_blocks(t, d, w, region).items():
             cand = _block_witness_vectors(block, dc)
             if cand is None:
                 continue
-            x_vec, y_vec = cand
-            amps_a = {}
-            amps_b = {}
-            for (m_idx, amp) in x_vec.items():
-                wa = _comp_index_to_window(m_idx, comp, region, d, w, rk)
-                amps_a[wa] = amps_a.get(wa, 0.0) + amp / np.sqrt(2)
-                wb = _comp_index_to_window(m_idx, comp, region, d, w, ck)
-                amps_a[wb] = amps_a.get(wb, 0.0) + amp / np.sqrt(2)
-            for (m_idx, amp) in y_vec.items():
-                wa = _comp_index_to_window(m_idx, comp, region, d, w, rk)
-                amps_b[wa] = amps_b.get(wa, 0.0) + amp / np.sqrt(2)
-                wb = _comp_index_to_window(m_idx, comp, region, d, w, ck)
-                amps_b[wb] = amps_b.get(wb, 0.0) + amp / np.sqrt(2)
-            if rk == ck:
-                amps_a = {k2: v * np.sqrt(2) / 2 for k2, v in amps_a.items()}
-                amps_b = {k2: v * np.sqrt(2) / 2 for k2, v in amps_b.items()}
-            state_a = _window_basis_state(op.alphabet, d, w, 0, amps_a).normalized()
-            state_b = _window_basis_state(op.alphabet, d, w, 0, amps_b).normalized()
+            states = []
+            for vec in cand:
+                amps = {}
+                for m_idx, amp in vec.items():
+                    for kept in (rk, ck):
+                        ix = _comp_index_to_window(m_idx, comp, region, d, w, kept)
+                        amps[ix] = amps.get(ix, 0.0) + amp / np.sqrt(2)
+                if rk == ck:
+                    amps = {k2: v * np.sqrt(2) / 2 for k2, v in amps.items()}
+                states.append(_window_state(op.alphabet, d, w, amps).normalized())
+            state_a, state_b = states
             context = tuple(region)
             ra = restrict_state(state_a, context)
             rb = restrict_state(state_b, context)
@@ -564,60 +587,23 @@ def detect_signalling(evolution, state_a: SparseState, state_b: SparseState,
 
 # ------------------------------------------------------- block-native path
 
-def block_conjugated_unit(g: BlockQCA, e: np.ndarray, forward: bool) -> np.ndarray:
-    """Conjugation of a single-cell operator through one step of a block
-    automaton, computed on the minimal two-cell patch.
-
-    Backward (G† e G): result acts on input cells (c, c+1).
-    Forward (G e G†): result acts on output cells (c-1, c).
-    """
-    u, v, p, q = g.u, g.v, g.p, g.q
-    if forward:
-        y = u @ e @ la.dagger(u)  # on (a_c, b_c), dims (q, p)
-        emb = la.embed_on_factors(y, (p, q, p, q), {1, 2})
-        vv = la.kron(v, v)
-        return vv @ emb @ la.dagger(vv)
-    x = la.dagger(v) @ e @ v  # on (b_c, a_{c+1}), dims (p, q)
-    emb = la.embed_on_factors(x, (q, p, q, p), {1, 2})
-    uu = la.kron(u, u)
-    return la.dagger(uu) @ emb @ uu
+def _block_patch_slices(g: BlockQCA) -> np.ndarray:
+    """Column slices of one step of a block automaton on its minimal patch:
+    with X = (I_q ⊗ v ⊗ I_p)(u ⊗ u) from input cells (c, c+1) to
+    (a_c, output cell c, b_{c+1}) and X_k its rows whose output digit is k,
+    S_k = X_k† gives the backward conjugation G† E_kl G = S_k S_l† on the
+    input patch, stacked (d, d², qp)."""
+    d, p, q = g.d, g.p, g.q
+    x = la.kron(np.eye(q), g.v, np.eye(p)) @ la.kron(g.u, g.u)
+    xk = x.reshape(q, d, p, d * d).transpose(1, 0, 2, 3).reshape(d, q * p, d * d)
+    return np.ascontiguousarray(xk.conj().transpose(0, 2, 1))
 
 
 def block_neighborhood(g: BlockQCA, tol: float = la.DEFAULT_TOL) -> NeighborhoodReport:
-    """Neighborhood of a block automaton from the analytic two-cell
-    conjugation: always a subset of {0, 1}."""
-    d = g.d
-    best = None
-    for cand in [(0, 0), (1, 1), (0, 1)]:
-        ok = True
-        for _, _, e in la.matrix_units(d):
-            t = block_conjugated_unit(g, e, forward=False)
-            region = set(range(cand[0], cand[1] + 1))
-            if la.localization_residual(t, (d, d), region) > tol:
-                ok = False
-                break
-        if ok:
-            best = cand
-            break
-    if best is None:
-        # cannot happen for a well-formed block automaton
-        return NeighborhoodReport(False, None, None, 1, 0)
-    return NeighborhoodReport(True, best, None, 1, 0)
-
-
-def block_inverse_locality(g: BlockQCA, interval: tuple[int, int],
-                           tol: float = la.DEFAULT_TOL) -> bool:
-    """Forward conjugations land in -N; computed on the two-cell patch
-    covering output cells (c-1, c)."""
-    d = g.d
-    lo, hi = interval
-    # target region -N intersected with the patch cells {-1, 0}
-    region = set()
-    for off in range(-hi, -lo + 1):
-        if off in (-1, 0):
-            region.add(off + 1)  # patch coordinates: cell c-1 -> 0, cell c -> 1
-    for _, _, e in la.matrix_units(d):
-        t = block_conjugated_unit(g, e, forward=True)
-        if la.localization_residual(t, (d, d), region) > tol:
-            return False
-    return True
+    """Neighborhood of a block automaton from the two-cell patch
+    conjugation: the first of {0}, {1}, {0, 1} (always localized) on which
+    every unit is, by the generator check of _first_localized."""
+    cands = [(0, 0), (1, 1), (0, 1)]
+    found = _first_localized(_dense_units(_block_patch_slices(g)), g.d, 2,
+                             [range(lo, hi + 1) for lo, hi in cands], tol)
+    return NeighborhoodReport(True, cands[found], None, 1, 0)

@@ -39,7 +39,6 @@ from qcablocks.rand import (
     random_block_qca,
 )
 from qcablocks.verify import (
-    block_inverse_locality,
     check_inverse_locality,
     detect_signalling,
     max_testable_radius,
@@ -257,8 +256,8 @@ def test_criterion_10_localization_duality():
         assert rep.is_local
         lo, hi = rep.neighborhood
         assert 0 <= lo <= hi <= 1
-        # analytic two-cell patch check on the decomposed pair
-        assert block_inverse_locality(qca, rep.neighborhood)
+        # window mirror of the decomposed pair, at every cell dimension
+        assert check_inverse_locality(window_matrix(qca, 4), rep.neighborhood)
         # window-level mirror for the smaller cell dimensions
         if d <= 4:
             assert check_inverse_locality(op, rep.neighborhood)

@@ -210,7 +210,7 @@ def test_factor_one_conjugated_instance():
     fact = factor_one(alg, seed=3)
     assert (fact.p, fact.q) == (2, 3)
     for b in alg.basis:
-        assert la.is_localized(fact.u @ b @ la.dagger(fact.u), (2, 3), {0}, tol=1e-8)
+        assert la.localization_residual(fact.u @ b @ la.dagger(fact.u), (2, 3), {0}) <= 1e-8
 
 
 def test_factor_one_full_matrix_algebra():
@@ -274,9 +274,9 @@ def test_factor_pair_conjugated():
         fact = factor_pair(a, b, seed=2)
         assert (fact.p, fact.q) == (p, q)
         for m in a.basis:
-            assert la.is_localized(fact.u @ m @ la.dagger(fact.u), (p, q), {0}, tol=1e-8)
+            assert la.localization_residual(fact.u @ m @ la.dagger(fact.u), (p, q), {0}) <= 1e-8
         for m in b.basis:
-            assert la.is_localized(fact.u @ m @ la.dagger(fact.u), (p, q), {1}, tol=1e-8)
+            assert la.localization_residual(fact.u @ m @ la.dagger(fact.u), (p, q), {1}) <= 1e-8
 
 
 def test_factor_pair_rejects_noncommuting():

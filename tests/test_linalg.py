@@ -91,14 +91,14 @@ def test_partial_trace_shape_mismatch():
 
 
 def test_is_localized_product_operator():
-    assert la.is_localized(la.kron(X, np.eye(2)), (2, 2), {0})
-    assert la.is_localized(la.kron(np.eye(2), Z), (2, 2), {1})
+    assert la.localization_residual(la.kron(X, np.eye(2)), (2, 2), {0}) <= la.DEFAULT_TOL
+    assert la.localization_residual(la.kron(np.eye(2), Z), (2, 2), {1}) <= la.DEFAULT_TOL
 
 
 def test_is_localized_cnot_is_not():
-    assert not la.is_localized(CNOT, (2, 2), {0})
-    assert not la.is_localized(CNOT, (2, 2), {1})
-    assert la.is_localized(CNOT, (2, 2), {0, 1})
+    assert not la.localization_residual(CNOT, (2, 2), {0}) <= la.DEFAULT_TOL
+    assert not la.localization_residual(CNOT, (2, 2), {1}) <= la.DEFAULT_TOL
+    assert la.localization_residual(CNOT, (2, 2), {0, 1}) <= la.DEFAULT_TOL
 
 
 def test_is_localized_full_region_always_true():
@@ -120,14 +120,16 @@ def test_is_localized_agrees_with_commutant_oracle():
         return True
 
     local = la.kron(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)), np.eye(q))
-    assert commutant_test(local) and la.is_localized(local, (p, q), {0})
+    assert commutant_test(local) and \
+        la.localization_residual(local, (p, q), {0}) <= la.DEFAULT_TOL
 
     # A Haar-ish conjugation of a local operator is almost surely non-local.
     g = rng.standard_normal((p * q, p * q)) + 1j * rng.standard_normal((p * q, p * q))
     w, _ = np.linalg.qr(g)
     moved = w @ local @ la.dagger(w)
-    assert commutant_test(moved) == la.is_localized(moved, (p, q), {0})
-    assert not la.is_localized(moved, (p, q), {0})
+    assert commutant_test(moved) == \
+        (la.localization_residual(moved, (p, q), {0}) <= la.DEFAULT_TOL)
+    assert not la.localization_residual(moved, (p, q), {0}) <= la.DEFAULT_TOL
 
 
 def test_localized_operators_on_disjoint_regions_commute():
@@ -176,7 +178,7 @@ def test_embed_on_factors_positions():
 
 
 def test_dagger_and_hs_inner():
-    assert la.hs_inner(X, X) == pytest.approx(2.0)
+    assert np.vdot(X, X) == pytest.approx(2.0)
     assert np.allclose(la.dagger(np.array([[1, 1j], [0, 1]])),
                        np.array([[1, 0], [-1j, 1]]))
 
@@ -246,6 +248,17 @@ def test_localization_residual_matches_definition(case):
 
 @settings(max_examples=150, deadline=None)
 @given(operators_on_factors())
+def test_localization_defect_norms_match_definition(case):
+    # the max-norm decides verdicts; the HS norm feeds the generator bound
+    a, dims, region = case
+    dc = int(np.prod([dims[i] for i in range(len(dims)) if i not in region]))
+    defect = a - la.embed_on_factors(la.partial_trace(a, dims, region) / dc, dims, region)
+    assert la.localization_defect(a, dims, region) == pytest.approx(
+        (la.max_norm(defect), la.hs_norm(defect)), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators_on_factors())
 def test_localization_residual_is_adjoint_invariant(case):
     a, dims, region = case
     assert la.localization_residual(a, dims, region) == \
@@ -285,8 +298,9 @@ def test_coo_kernel_matches_dense_kernel_on_one_hot_conjugations(case):
         dense = np.zeros((n, n), dtype=complex)
         np.add.at(dense, (coo[0], coo[1]), coo[2])
         assert la.max_norm(dense - expected) <= 1e-12
+        # both norms of the defect: the max-norm verdict and the HS bound
         assert fast_localization_residual(coo, d, w, region) == pytest.approx(
-            la.localization_residual(dense, (d,) * w, region), rel=1e-12, abs=1e-12)
+            la.localization_defect(dense, (d,) * w, region), rel=1e-12, abs=1e-12)
         adjoint = (coo[1], coo[0], np.conj(coo[2]))
         assert fast_localization_residual(adjoint, d, w, region) == pytest.approx(
             fast_localization_residual(coo, d, w, region), rel=1e-12, abs=1e-12)

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcablocks import linalg as la
+from qcablocks import verify
 from qcablocks.errors import PreconditionViolated, WindowTooSmall
 from qcablocks.gallery import (
     phase_qca,
@@ -17,18 +20,20 @@ from qcablocks.gallery import (
 )
 from qcablocks.model import (
     Alphabet,
+    ClassicalRule,
     SparseState,
     WindowOperator,
     config_from_cells,
+    group_cells,
     quantize,
     restrict_state,
     window_matrix,
 )
-from qcablocks.rand import random_block_qca, random_sparse_state
+from qcablocks.rand import default_alphabet, random_block_qca, random_sparse_state
 from qcablocks.verify import (
+    _block_patch_slices,
+    _dense_conjugation,
     _unit_conjugation,
-    block_conjugated_unit,
-    block_inverse_locality,
     block_neighborhood,
     check_inverse_locality,
     check_shift_invariance,
@@ -174,7 +179,7 @@ def test_neighborhood_monotone_under_superset():
     rep = neighborhood(op, max_radius=1)
     lo, hi = rep.neighborhood
     cc = 2
-    unit = _unit_conjugation(op, cc, forward=False)
+    unit, _ = _unit_conjugation(op, cc, forward=False)
     for k in range(4):
         for l in range(4):
             entry = unit(k, l)
@@ -182,7 +187,7 @@ def test_neighborhood_monotone_under_superset():
                 region = range(cc + grow[0], cc + grow[1] + 1)
                 if min(region) < 0 or max(region) > op.width - 1:
                     continue
-                assert fast_localization_residual(entry, 4, 5, region) <= 1e-9
+                assert fast_localization_residual(entry, 4, 5, region)[0] <= 1e-9
 
 
 # -------------------------------------------------------- inverse locality
@@ -245,14 +250,14 @@ def _oracle_neighborhood(op, max_radius):
     return None
 
 
-def _assert_matches_oracle(op, max_radius):
+def _assert_matches_oracle(op, max_radius, make_witness=True):
     d, w = op.alphabet.d, op.width
     cc = (w - 1) // 2
-    rep = neighborhood(op, max_radius=max_radius)
+    rep = neighborhood(op, max_radius=max_radius, make_witness=make_witness)
     expected = _oracle_neighborhood(op, max_radius)
     assert rep.neighborhood == expected
     assert rep.is_local == (expected is not None)
-    if expected is None:
+    if expected is None and make_witness:
         assert rep.witness is not None and rep.witness.trace_distance > 1e-9
     forward = _oracle_units(op, cc, forward=True)
     for lo in range(-max_radius, max_radius + 2):
@@ -311,6 +316,145 @@ def test_neighborhood_matches_oracle_on_perturbed_windows():
         assert not rep.is_local and rep.witness is not None
 
 
+# ------------------------------------------- generator check vs the oracle
+#
+# Verdicts come from the d generators T_0l and a norm bound, with the
+# exhaustive stream as fallback; they must equal the oracle's everywhere,
+# including near tol and on windows that are not unitary.
+
+BLOCK_CASES = [((2, 1, 2), 5, 1), ((2, 2, 1), 5, 1), ((4, 2, 2), 4, 1),
+               ((6, 2, 3), 3, 0), ((6, 3, 2), 3, 0)]
+
+
+def _relabelled(rule, seed):
+    """The rule under a random symbol permutation fixing the quiescent one."""
+    d = rule.alphabet.d
+    rng = np.random.default_rng(seed)
+    relabel = np.concatenate([[0], 1 + rng.permutation(d - 1)])
+    inv = np.argsort(relabel)
+    return ClassicalRule(rule.alphabet, relabel[rule.table[inv[:, None], inv[None, :]]])
+
+
+def _rank_two_kick(op, eps, seed, left):
+    """op composed with exp(i eps H), H = V diag(1, -1) V† for two
+    orthonormal columns V on a few basis states, on the left or right."""
+    rng = np.random.default_rng(seed)
+    v = np.zeros((op.dim, 2), dtype=complex)
+    for j in range(2):
+        rows = rng.choice(op.dim, size=2, replace=False)
+        v[rows, j] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v, _ = np.linalg.qr(v)
+    kick = np.eye(op.dim) + (v * (np.exp(1j * eps * np.array([1.0, -1.0])) - 1.0)) @ la.dagger(v)
+    mat = kick @ op.dense() if left else op.dense() @ kick
+    return WindowOperator(op.alphabet, op.width, mat, op.boundary)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(window, radius, witness wanted): a gallery window, a random block at
+    one of the five splits, a relabelled one-hot ring rule, or a random
+    block window under a rank-2 kick with eps from 0.3 to 30 times tol."""
+    kind = draw(st.sampled_from(["gallery", "block", "ring", "kick"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "gallery":
+        return draw(st.sampled_from([
+            (window_matrix(shift_qca(), 4), 1, True), (window_matrix(phase_qca(), 4), 1, True),
+            (window_matrix(swap_qca(), 4), 1, True),
+            (quantize(toffoli_ca(), 4, "periodic"), 1, True), (quantize(xor_ca(), 6), 1, True)]))
+    if kind == "ring":
+        rule = draw(st.sampled_from([toffoli_ca(), xor_ca()]))
+        op = quantize(_relabelled(rule, seed), 4 if rule.alphabet.d == 4 else 6,
+                      "periodic" if rule.alphabet.d == 4 else "truncated")
+        return op, 1, True
+    (d, p, q), w, radius = draw(st.sampled_from(BLOCK_CASES[:3] if kind == "kick"
+                                                else BLOCK_CASES))
+    op = window_matrix(random_block_qca(d, p, q, seed=seed), w)
+    if kind == "block":
+        return op, radius, True
+    eps = la.DEFAULT_TOL * 10 ** draw(st.floats(-0.5, 1.5))
+    return _rank_two_kick(op, eps, seed, draw(st.booleans())), radius, False
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_cases())
+def test_generator_check_matches_oracle(case):
+    op, radius, make_witness = case
+    _assert_matches_oracle(op, radius, make_witness)
+
+
+def _diagonal_window(f, d, w):
+    """The window G = diag(f(word)) over the d^w words (cell 0 first)."""
+    words = np.array(np.unravel_index(np.arange(d**w), (d,) * w)).T
+    return WindowOperator(default_alphabet(d), w,
+                          np.diag([complex(f(word)) for word in words]), "truncated")
+
+
+def test_one_non_generator_unit_above_tol_is_refused():
+    # G = exp(i θ diag(0, 1, -1) at the probed cell 2 ⊗ diag(1, -1, 0) at
+    # cell 0): T_kl = E_kl ⊗ exp(i θ (a_l - a_k) A), so the generators sit
+    # at θ and the unit (1, 2) at 2θ; no candidate holds cell 0
+    a, z = np.array([0.0, 1.0, -1.0]), np.array([1.0, -1.0, 0.0])
+    cc, tol = 2, la.DEFAULT_TOL
+    for theta, local in ((0.6 * tol, False), (0.45 * tol, True)):
+        op = _diagonal_window(lambda x: np.exp(1j * theta * a[x[cc]] * z[x[0]]), 3, 5)
+        unit, _ = _unit_conjugation(op, cc, forward=False)
+        # generators within tol, the non-generator unit (1, 2) on either side
+        assert max(fast_localization_residual(unit(0, l), 3, 5, [cc])[0]
+                   for l in range(3)) <= tol
+        assert (fast_localization_residual(unit(1, 2), 3, 5, [cc])[0] <= tol) == local
+        rep = _assert_matches_oracle(op, 0, make_witness=False)
+        assert rep.neighborhood == ((0, 0) if local else None)
+
+
+def test_non_unitary_window_with_vanishing_generators_is_nonlocal():
+    # G = diag(f), f = 0 on digit 0 at the probed cell 2 and 1 + (cell 4)
+    # elsewhere: every generator T_0l conjugates to 0, but T_11 =
+    # diag(|f|²) on digit 1 reads cell 4, outside every candidate.  Only
+    # the η = ||S_0† S_0 - I|| = 1 term of the bound sees it.
+    op = _diagonal_window(lambda x: 0.0 if x[2] == 0 else 1.0 + x[4], 2, 5)
+    unit, _ = _unit_conjugation(op, 2, forward=False)
+    assert all(la.max_norm(unit(0, l)) == 0.0 for l in range(2))
+    rep = _assert_matches_oracle(op, 0, make_witness=False)
+    assert not rep.is_local and rep.neighborhood is None
+
+
+def test_one_hot_bound_norms_are_exact():
+    # a bijective map with unimodular phases: S_k† S_k = I exactly
+    op = quantize(toffoli_ca(), 4, "periodic")
+    for forward in (False, True):
+        _, norms = _unit_conjugation(op, 1, forward)
+        s, eta = norms()
+        assert eta == 0.0 and np.all(s == 1.0)
+    # a merging map has no bound: its units take the exhaustive path
+    rule = ClassicalRule(Alphabet(("0", "1"), "q"), np.zeros((3, 3), dtype=np.int64))
+    _, norms = _unit_conjugation(quantize(rule, 4), 1, forward=True)
+    assert norms() is None
+
+
+def test_locality_checks_make_generator_many_residual_calls(monkeypatch):
+    # d + (number of candidates) residuals per neighborhood, d per inverse
+    # check: 9 candidate intervals in [-1, 2] are narrower than w = 4
+    calls = []
+    real = verify.fast_localization_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "fast_localization_residual", counted)
+    windows = [quantize(group_cells(toffoli_ca(), 2), 4, "periodic"),
+               window_matrix(random_block_qca(6, 2, 3, seed=6001), 4)]
+    for op in windows:
+        d = op.alphabet.d
+        calls.clear()
+        rep = neighborhood(op, max_radius=1)
+        assert rep.neighborhood == (0, 1)
+        assert len(calls) <= d + 9
+        calls.clear()
+        assert check_inverse_locality(op, rep.neighborhood)
+        assert len(calls) <= d
+
+
 def _inverse_verdict(op, interval):
     try:
         return check_inverse_locality(op, interval)
@@ -346,18 +490,18 @@ def test_block_native_matches_window_verifier():
         native = block_neighborhood(g)
         windowed = neighborhood(window_matrix(g, 4), max_radius=1)
         assert native.neighborhood == windowed.neighborhood
-        assert block_inverse_locality(g, native.neighborhood)
+        assert check_inverse_locality(window_matrix(g, 4), native.neighborhood)
 
 
 def test_block_conjugated_unit_matches_window_conjugation():
     g = random_block_qca(4, 2, 2, seed=70)
     op = window_matrix(g, 4)
     d, w, cc = 4, 4, 1
-    unit = _unit_conjugation(op, cc, forward=False)
+    unit, _ = _unit_conjugation(op, cc, forward=False)
+    patch = _block_patch_slices(g)
+    eye = np.eye(d)
     for k, l in [(0, 0), (1, 2), (3, 1)]:
-        e = np.zeros((d, d), dtype=complex)
-        e[k, l] = 1.0
-        t_native = block_conjugated_unit(g, e, forward=False)
+        t_native = _dense_conjugation(patch, eye[k], eye[l])
         t_window = unit(k, l)
         embedded = la.embed_on_factors(t_native, (d,) * w, {cc, cc + 1})
         assert la.max_norm(t_window - embedded) <= 1e-10
