@@ -6,22 +6,29 @@ of one cell's matrix units, compressed onto their two-cell patch, are again
 matrix units: T_kl T_lm = T_km and Tr T_kl = d·δ_kl (HS-orthogonal, norm²
 d).  The image algebra is a tensor product of its parts on the two patch
 cells (Schumacher-Werner), and shift invariance makes every cell's image a
-translate of the cell-1 image, so partial traces of the one cell-1 stack
-onto either patch cell give the two algebras that meet on a shared cell.
-The pipeline splits that cell with the two-factor theorem (the recombining
+translate of the cell-1 image, so partial traces of the cell-1 images onto
+either patch cell give the two algebras that meet on a shared cell.  The
+pipeline splits that cell with the two-factor theorem (the recombining
 unitary v), reads the cell-splitting unitary u off the induced
 *-isomorphism onto the middle factors, fixes the quiescent gauge, and
 certifies the reconstruction against the whole input window up to a
 global shift and phase.
 
+No step needs all d² images at once, so they are streamed one row
+T_k0 ... T_k(d-1) at a time in two passes: the first takes the partial
+traces and the matrix-unit checks, the second (after the split) rebuilds
+each row for u.
+
 Conjugation and localization residuals come from the verifier's one
 primitive: dense windows conjugate rank-one cell operators as C_x C_y†
 (seeded probes for localization, matrix units on the quiescent rows for
 the compressed images), backward is forward on the adjoint window, and
-one-hot windows are conjugated by reindexing and never densified.
+one-hot windows are conjugated by reindexing and never densified; their
+compressed images are read off the preimages of the patch rows alone.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +108,39 @@ def _random_cell_vector(rng, d: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _unit_images(op: WindowOperator, tol: float) -> np.ndarray:
-    """Conjugated cell-1 matrix units G (E_kl ⊗ I) G†, compressed onto
-    their two-cell patch (0, 1).
+def _one_hot_unit_rows(rows: np.ndarray, phases: np.ndarray, d: int,
+                       w: int) -> Callable[[int], np.ndarray]:
+    """Row builder k -> (T_k0, ..., T_k(d-1)) of the compressed cell-1 unit
+    images of the one-hot window G|x> = phases[x] |rows[x]>.
+
+    An entry of T_kl on the patch comes from an input x with cell-1 digit l
+    whose image has a quiescent complement, and its partner x_k = x + (k-l)
+    digit places, if that image's complement is quiescent too: the value
+    phases[x_k] conj(phases[x]) at (patch of rows[x_k], patch of rows[x]).
+    Only those inputs are touched (d² for a bijective map), never the whole
+    window; a merging map sums its colliding entries."""
+    # cell 1's digit place is also the size of the output complement (cells
+    # 2 ... w-1), so one divmod splits a row into patch and complement
+    pw = d ** (w - 2)
+    kept, rest = np.divmod(rows, pw)
+    xs = np.flatnonzero(rest == 0)
+    digit = (xs // pw) % d
+
+    def row(k: int) -> np.ndarray:
+        xk = xs + (k - digit) * pw
+        sel = rest[xk] == 0
+        x, xk = xs[sel], xk[sel]
+        out = np.zeros((d, d * d, d * d), dtype=np.complex128)
+        np.add.at(out, (digit[sel], kept[xk], kept[x]), phases[xk] * np.conj(phases[x]))
+        return out
+
+    return row
+
+
+def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray]:
+    """Row builder k -> (d, d², d²) of the conjugated cell-1 matrix units
+    G (E_kl ⊗ I) G†, compressed onto their two-cell patch (0, 1); each call
+    rebuilds the row, so the whole stack never exists.
 
     Localization on the patch is established through two seeded random
     rank-one probes G (|x><y| ⊗ I) G† (dense path: a generic element of the
@@ -111,27 +148,18 @@ def _unit_images(op: WindowOperator, tol: float) -> np.ndarray:
     generator check of the verifier (one-hot path: d residuals, the norm
     bound and, only where it fails, every unit); the end-to-end
     reconstruction certificate independently covers anything a probe could
-    miss.  Both come from the one conjugation routine of their storage
-    format.  The compressed blocks are the dense routine applied to the rows
-    of G whose complement cells are quiescent, never full conjugations.
+    miss.  Dense rows are the dense conjugation routine applied to the rows
+    of G whose complement cells are quiescent; one-hot rows are read off
+    the preimages of those rows (_one_hot_unit_rows).
     """
     d, w = op.alphabet.d, op.width
     patch = (0, 1)
-    out = np.zeros((d, d, d * d, d * d), dtype=np.complex128)
-    # patch cells (0, 1) are the leading digits, the complement the rest
-    kept_of, rest_of = np.divmod(np.arange(op.dim, dtype=np.int64), d ** (w - 2))
 
     if op.is_one_hot:
-        unit, norms = _unit_conjugation(op, 1, forward=True)
-        if _first_localized((unit, norms), d, w, [patch], tol) is None:
+        if _first_localized(_unit_conjugation(op, 1, forward=True), d, w, [patch], tol) is None:
             raise NotLocal(f"image of the cell-1 algebra is not localized on "
                            f"cells {patch}")
-        for k in range(d):
-            for l in range(d):
-                rows, cols, vals = unit(k, l)
-                sel = (rest_of[rows] == 0) & (rest_of[cols] == 0)
-                np.add.at(out[k, l], (kept_of[rows[sel]], kept_of[cols[sel]]), vals[sel])
-        return out
+        return _one_hot_unit_rows(*op.matrix, d, w)
 
     mat = op.dense()
     slices = _cell_slices(mat, d, w, 1)
@@ -143,53 +171,80 @@ def _unit_images(op: WindowOperator, tol: float) -> np.ndarray:
             raise NotLocal(
                 f"image of the cell-1 algebra is not localized on cells "
                 f"{patch} (probe residual {resid:.2e})")
-    # rows with a quiescent complement, already in patch order
-    patch_slices = _cell_slices(mat[rest_of == 0, :], d, w, 1)
+    # rows with a quiescent complement (cells 2 ... w-1 all 0), already in
+    # patch order
+    patch_slices = _cell_slices(mat[::d ** (w - 2)], d, w, 1)
     eye = np.eye(d)
-    for k in range(d):
+
+    def row(k: int) -> np.ndarray:
+        out = np.empty((d, d * d, d * d), dtype=np.complex128)
         for l in range(d):
-            out[k, l] = _dense_conjugation(patch_slices, eye[k], eye[l])
-    return out
+            out[l] = _dense_conjugation(patch_slices, eye[k], eye[l])
+        return out
+
+    return row
 
 
-def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> np.ndarray:
-    """The (d, d, d², d²) stack of compressed images T_kl of the cell-1
+@dataclass(frozen=True)
+class CellImages:
+    """The compressed images T_kl of the cell-1 matrix units, streamed.
+
+    ``row(k)`` rebuilds the (d, d², d²) row T_k0 ... T_k(d-1); ``a1`` and
+    ``b1`` are the (d, d, d, d) partial traces of every T_kl over patch leg
+    0 and over patch leg 1, taken while the rows went by."""
+
+    row: Callable[[int], np.ndarray]
+    a1: np.ndarray
+    b1: np.ndarray
+
+
+def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
+    """First pass over the rows of compressed images T_kl of the cell-1
     matrix units under forward conjugation G (E_kl ⊗ I) G†, localized on
-    patch (0, 1) by _unit_images.
+    patch (0, 1) by _unit_images.  One row is held at a time; the pass keeps
+    the two partial traces and the units the checks below need.
 
-    Conjugation by a unitary is a *-isomorphism, so the stack must be a
+    Conjugation by a unitary is a *-isomorphism, so the images must be a
     system of matrix units; NotLocal unless Tr T_kl = d·δ_kl on every unit
     (so the map is nonzero, hence injective on the simple M_d) and four
     seeded identities T_kl T_lm = T_km hold."""
     if op.width < 4:
         raise WindowTooSmall("cell algebra images need a window of at least 4 cells")
     d = op.alphabet.d
-    units = _unit_images(op, tol)
-    dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
+    row = _unit_images(op, tol)
+    rng = np.random.default_rng(0)
+    triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
+    sampled = {key: None for k, l, m in triples for key in ((k, l), (l, m), (k, m))}
+    a1 = np.empty((d, d, d, d), dtype=np.complex128)
+    b1 = np.empty((d, d, d, d), dtype=np.complex128)
+    for k in range(d):
+        r = row(k)
+        a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
+        b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
+        sampled.update({key: r[key[1]].copy() for key in sampled if key[0] == k})
+        del r  # before the next row is built
+    # Tr T_kl is the trace of either partial trace
+    dev = la.max_norm(np.einsum("klii->kl", a1) - d * np.eye(d))
     if dev > d * max(tol, 1e-7):
         raise NotLocal(f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the "
                        "evolution does not conjugate the cell algebra faithfully")
-    rng = np.random.default_rng(0)
-    for _ in range(4):
-        k, l, m = rng.integers(0, d, size=3)
-        resid = la.max_norm(units[k, l] @ units[l, m] - units[k, m])
+    for k, l, m in triples:
+        resid = la.max_norm(sampled[k, l] @ sampled[l, m] - sampled[k, m])
         if resid > max(tol, 1e-7):
             raise NotLocal(f"cell-1 units break T_kl T_lm = T_km (residual {resid:.2e})")
-    return units
+    return CellImages(row, a1, b1)
 
 
-def shared_cell_algebras(units: np.ndarray) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
+def shared_cell_algebras(images: CellImages) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
     """The two commuting algebras on the shared cell 1, read off the cell-1
-    unit stack: tracing out patch leg 0 leaves the cell-1 image's part on
+    unit images: tracing out patch leg 0 leaves the cell-1 image's part on
     cell 1; tracing out leg 1 leaves its part on cell 0, which by shift
     invariance is the cell-2 image's part on cell 1.  An image algebra is
     the tensor product of its parts, so each span (one d²-vector SVD in
     dimension d) is already an algebra."""
-    d = units.shape[0]
-    t = units.reshape((d,) * 6)
-    a1 = np.einsum("klxixj->klij", t)
-    b1 = np.einsum("klixjx->klij", t)
-    return span_algebra(a1.reshape(-1, d, d), d), span_algebra(b1.reshape(-1, d, d), d)
+    d = images.a1.shape[0]
+    return (span_algebra(images.a1.reshape(-1, d, d), d),
+            span_algebra(images.b1.reshape(-1, d, d), d))
 
 
 def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
@@ -207,15 +262,16 @@ def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
             f"{err} -- the input evolution is not a valid radius-1/2 automaton")
 
 
-def derive_u(units: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
-    """Cell-splitting unitary from the induced *-isomorphism.
+def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
+    """Cell-splitting unitary from the induced *-isomorphism: the second
+    pass over the unit rows, each rebuilt by ``images.row``.
 
     Conjugating the cell-1 units by W = dagger(v) on both patch cells gives
     I_p ⊗ phi(E_kl) ⊗ I_q, and phi is a *-isomorphism of M_d onto the middle
     factors M_q ⊗ M_p: conjugation by a unitary u, read off the rank-one
     anchor phi(E_00) and the columns phi(E_k0) u|0>.  W acts one patch leg
-    at a time (d^5 per unit, not d^6) on one unit row at a time, so the
-    conjugated stack never exists whole.  Each unit's middle-factor
+    at a time (d^5 per unit, not d^6) on one unit row at a time, so neither
+    the stack nor its conjugate exists whole.  Each unit's middle-factor
     residual and u's isomorphism residual are checked."""
     p, q = fact.p, fact.q
     d = p * q
@@ -223,7 +279,7 @@ def derive_u(units: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.nd
     phi = np.zeros((d, d, d, d), dtype=np.complex128)
     for k in range(d):
         # row k as (l, i0, i1, j0, j1): W on i0, then i1, then (W†) on j1, j0
-        t = w @ units[k].reshape(d, d, d ** 3)
+        t = w @ images.row(k).reshape(d, d, d ** 3)
         t = w @ t.reshape(d * d, d, d * d)
         t = t.reshape(d ** 3, d, d) @ wh
         t = (w.conj() @ t).reshape(d, d * d, d * d)
@@ -235,6 +291,7 @@ def derive_u(units: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.nd
                     f"(residual {resid:.2e})")
         tt = t.reshape(d, p, q, p, q, p, q, p, q)
         phi[k] = tt[:, 0, :, :, 0, 0, :, :, 0].reshape(d, d, d)
+        del t, tt  # before the next row is built
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
     if abs(vals[-1] - 1.0) > 1e-6:
@@ -385,10 +442,10 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     norm_op, comp_shift = _normalize_alignment(op, tol)
     if not check_shift_invariance(norm_op, max(tol, 1e-9)):
         raise PreconditionViolated("window operator is not shift invariant")
-    units = cell_algebra_images(norm_op, tol)
-    a1, b1 = shared_cell_algebras(units)
+    images = cell_algebra_images(norm_op, tol)
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=seed, tol=tol)
-    u = derive_u(units, fact, tol=tol)
+    u = derive_u(images, fact, tol=tol)
     v = la.dagger(fact.u)
     qca = fix_quiescent_gauge(u, v, op.alphabet, fact.p, fact.q, tol=tol)
     cert = certify(qca, op)

@@ -588,15 +588,18 @@ def window_matrix(g: BlockQCA, w: int) -> WindowOperator:
     if n > DENSE_WINDOW_CAP:
         raise DimensionMismatch(
             f"dense window would have dimension {n} > cap {DENSE_WINDOW_CAP}")
-    lu = reduce(np.kron, [g.u] * w)
     # Row axes after the u-layer: (a_0, b_0, ..., a_{w-1}, b_{w-1}); the
     # v-layer pairs (b_i, a_{i+1 mod w}), a cyclic left shift of the axes.
-    t = lu.reshape([q, p] * w + [n])
-    t = np.transpose(t, list(range(1, 2 * w)) + [0, 2 * w]).reshape([d] * w + [n])
-    # the v-layer one cell at a time: w·d·n² rather than one n³ product
+    # The Kronecker power is dropped once its transposed copy exists.
+    src = np.transpose(reduce(np.kron, [g.u] * w).reshape([q, p] * w + [n]),
+                       list(range(1, 2 * w)) + [0, 2 * w]).reshape(n, n)
+    dst = np.empty_like(src)
+    # the v-layer one cell at a time (w·d·n² rather than one n³ product),
+    # between two n x n buffers
     for i in range(w):
-        t = np.moveaxis(np.tensordot(g.v, t, axes=([1], [i])), 0, i)
-    return WindowOperator(g.alphabet, w, t.reshape(n, n), boundary="periodic")
+        np.matmul(g.v, src.reshape(d**i, d, -1), out=dst.reshape(d**i, d, -1))
+        src, dst = dst, src
+    return WindowOperator(g.alphabet, w, src, boundary="periodic")
 
 
 def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,

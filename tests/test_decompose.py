@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcablocks import linalg as la
 from qcablocks.algebra import close, restrict, span_algebra
 from qcablocks.decompose import (
+    _one_hot_unit_rows,
     cell_algebra_images,
     certify,
     decompose,
@@ -41,7 +42,7 @@ from qcablocks.model import (
     window_matrix,
 )
 from qcablocks.rand import default_alphabet, random_block_qca
-from qcablocks.verify import check_shift_invariance
+from qcablocks.verify import _one_hot_conjugation, check_shift_invariance
 
 
 def identity_qca(d):
@@ -49,6 +50,11 @@ def identity_qca(d):
     q1 = np.zeros(d, dtype=complex); q1[0] = 1
     q2 = np.array([1.0], dtype=complex)
     return BlockQCA(alpha, d, 1, np.eye(d, dtype=complex), np.eye(d, dtype=complex), q1, q2)
+
+
+def unit_stack(images):
+    """The whole (d, d, d^2, d^2) stack of streamed cell-1 unit images."""
+    return np.stack([images.row(k) for k in range(images.a1.shape[0])])
 
 
 def unit_span(units):
@@ -86,16 +92,23 @@ def partitioned_rule(p, q, seed):
     j0 = int(np.flatnonzero(join == 0)[0])
     join[[z, j0]] = join[[j0, z]]
     table = join[b[:, None] * q + a[None, :]]
+    return relabelled(ClassicalRule(default_alphabet(d), table), rng)
+
+
+def relabelled(rule, rng):
+    """The rule under a random relabelling of its symbols that fixes the
+    quiescent symbol."""
+    d = rule.alphabet.d
     relabel = np.concatenate([[0], 1 + rng.permutation(d - 1)])
     inv = np.argsort(relabel)
-    return ClassicalRule(default_alphabet(d), relabel[table[inv[:, None], inv[None, :]]])
+    return ClassicalRule(rule.alphabet, relabel[rule.table[inv[:, None], inv[None, :]]])
 
 
 # -------------------------------------------------------- cell algebra images
 
 def test_images_identity_qca_are_cell_algebras():
     g = identity_qca(2)
-    units = cell_algebra_images(window_matrix(g, 4))
+    units = unit_stack(cell_algebra_images(window_matrix(g, 4)))
     d = 2
     assert unit_span(units).dimension == d * d
     # the identity evolution leaves cell operators in place: image of the
@@ -110,7 +123,7 @@ def test_images_identity_qca_are_cell_algebras():
 
 def test_images_shift_qca_land_on_left_cell():
     g = shift_qca()
-    units = cell_algebra_images(window_matrix(g, 4))
+    units = unit_stack(cell_algebra_images(window_matrix(g, 4)))
     d = 2
     for k in range(d):
         for l in range(d):
@@ -138,7 +151,7 @@ def test_inclusion_property_of_image_algebra():
     # has the same dimension d^2.
     for seed, (d, p, q) in enumerate([(4, 2, 2), (6, 2, 3)]):
         g = random_block_qca(d, p, q, seed=seed + 200)
-        units = cell_algebra_images(window_matrix(g, 4))
+        units = unit_stack(cell_algebra_images(window_matrix(g, 4)))
         alg = unit_span(units)
         left = restrict(alg, (d, d), {0})
         right = restrict(alg, (d, d), {1})
@@ -153,7 +166,7 @@ def test_unit_stacks_are_matrix_units():
     # full multiplication table T_kl T_lm = T_km
     for op in oracle_windows():
         d = op.alphabet.d
-        units = cell_algebra_images(op)
+        units = unit_stack(cell_algebra_images(op))
         flat = units.reshape(d * d, -1)
         assert la.max_norm(flat.conj() @ flat.T - d * np.eye(d * d)) <= 1e-9
         assert la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d)) <= 1e-9
@@ -167,10 +180,10 @@ def test_shared_cell_algebras_match_restrict_oracle():
     # the other
     for op in oracle_windows():
         d = op.alphabet.d
-        units = cell_algebra_images(op)
-        fast = shared_cell_algebras(units)
+        images = cell_algebra_images(op)
+        fast = shared_cell_algebras(images)
         for keep, alg in zip(({1}, {0}), fast):
-            oracle = restrict(unit_span(units), (d, d), keep)
+            oracle = restrict(unit_span(unit_stack(images)), (d, d), keep)
             assert alg.dimension == oracle.dimension
             assert all(oracle.contains(m) for m in alg.basis)
             assert all(alg.contains(m) for m in oracle.basis)
@@ -199,14 +212,14 @@ def dense_compressed_image(op, cell, k, l):
 
 
 def test_unit_stack_is_every_cells_image():
-    # the one cell-1 stack equals the dense conjugation at cell 1 and, by
+    # the streamed cell-1 rows equal the dense conjugation at cell 1 and, by
     # shift invariance, at cell 2: the translation the shared-cell algebras
     # rely on; the rule window is checked densified and one-hot
     rule_op = quantize(partitioned_rule(2, 2, seed=7), 4, "periodic")
     dense_rule = WindowOperator(rule_op.alphabet, 4, rule_op.dense(), "periodic")
     for op in [*oracle_windows(), dense_rule, rule_op]:
         d = op.alphabet.d
-        units = cell_algebra_images(op)
+        units = unit_stack(cell_algebra_images(op))
         for cell in (1, 2):
             for k in range(d):
                 for l in range(d):
@@ -214,9 +227,55 @@ def test_unit_stack_is_every_cells_image():
                     assert la.max_norm(units[k, l] - oracle) <= 1e-12
 
 
+def full_window_unit_stack(rows, phases, d, w):
+    """Reference for the one-hot row builder: conjugate every cell-1 unit
+    over the whole window and keep the entries whose row and column have a
+    quiescent complement."""
+    kept_of, rest_of = np.divmod(np.arange(d ** w, dtype=np.int64), d ** (w - 2))
+    out = np.zeros((d, d, d * d, d * d), dtype=np.complex128)
+    for k in range(d):
+        for l in range(d):
+            r, c, v = _one_hot_conjugation(rows, phases, d, w, 1, k, l)
+            sel = (rest_of[r] == 0) & (rest_of[c] == 0)
+            np.add.at(out[k, l], (kept_of[r[sel]], kept_of[c[sel]]), v[sel])
+    return out
+
+
+def one_hot_row_cases():
+    """(rows, phases, d, w): relabelled grouped Toffoli, partitioned rules
+    grouped by s ∈ {1, 2}, the same maps with exp(iθ) phases, and a merging
+    (non-injective) map."""
+    rng = np.random.default_rng(17)
+    rules = [relabelled(group_cells(toffoli_ca(), 2), rng)]
+    for p, q, s in [(2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 2, 2)]:
+        rule = partitioned_rule(p, q, seed=30 + 3 * p + q)
+        rules.append(group_cells(rule, s) if s > 1 else rule)
+    for rule in rules:
+        rows, phases = quantize(rule, 4, "periodic").matrix
+        d = rule.alphabet.d
+        yield rows, phases, d, 4
+        yield rows, np.exp(1j * rng.uniform(0, 2 * np.pi, len(rows))), d, 4
+    rows, _ = quantize(partitioned_rule(2, 2, seed=50), 5, "periodic").matrix
+    n = len(rows)
+    merged = rows.copy()
+    merged[rng.choice(n, size=n // 2)] = rows[rng.choice(n, size=n // 2)]
+    assert len(np.unique(merged)) < n
+    yield merged, np.exp(1j * rng.uniform(0, 2 * np.pi, n)), 4, 5
+
+
+def test_one_hot_rows_match_full_window_route():
+    # the rows read off the preimages of the patch rows equal, entry for
+    # entry, the compressed conjugations over the whole window
+    for rows, phases, d, w in one_hot_row_cases():
+        row = _one_hot_unit_rows(rows, phases, d, w)
+        stack = np.stack([row(k) for k in range(d)])
+        assert np.array_equal(stack, full_window_unit_stack(rows, phases, d, w))
+
+
 def test_cell_algebra_images_peak_memory():
-    # one (d, d, d², d²) stack is d⁶·16 bytes (256 MiB at d = 16); the
-    # bound leaves room for the working set, not for a second stack
+    # one (d, d, d², d²) stack is d⁶·16 bytes (256 MiB at d = 16) and one
+    # row d⁵·16; the bound leaves room for one row, the units the sampled
+    # products need and the working set, not for the stack
     op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
     d = op.alphabet.d
     tracemalloc.start()
@@ -225,15 +284,30 @@ def test_cell_algebra_images_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * d ** 6 * 16
+    assert peak <= 3 * d ** 5 * 16
+
+
+def test_decompose_certified_peak_memory():
+    # the whole pipeline on the same window: both passes over the rows,
+    # the split and the transfer certificate stay within a few rows
+    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
+    d = op.alphabet.d
+    tracemalloc.start()
+    try:
+        qca, cert = decompose_certified(op, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (qca.p, qca.q) == (8, 2) and cert.residual <= 1e-7
+    assert peak <= 5 * d ** 5 * 16
 
 
 # -------------------------------------------------------------- derive steps
 
 def test_derive_v_identity_qca_dims():
     g = identity_qca(4)
-    units = cell_algebra_images(window_matrix(g, 4))
-    a1, b1 = shared_cell_algebras(units)
+    images = cell_algebra_images(window_matrix(g, 4))
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (4, 1)
     assert a1.dimension == 16 and b1.dimension == 1
@@ -241,8 +315,8 @@ def test_derive_v_identity_qca_dims():
 
 def test_derive_v_shift_qca_degenerate():
     g = shift_qca()
-    units = cell_algebra_images(window_matrix(g, 4))
-    a1, b1 = shared_cell_algebras(units)
+    images = cell_algebra_images(window_matrix(g, 4))
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (1, 2)
 
@@ -257,10 +331,10 @@ def test_derive_v_rejects_noncommuting():
 
 def test_derive_u_recovers_splitter_up_to_phase():
     g = random_block_qca(4, 2, 2, seed=210)
-    units = cell_algebra_images(window_matrix(g, 4))
-    a1, b1 = shared_cell_algebras(units)
+    images = cell_algebra_images(window_matrix(g, 4))
+    a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=1)
-    u = derive_u(units, fact)
+    u = derive_u(images, fact)
     # conjugation action must match on every matrix unit regardless of the
     # gauge of the recovered pair
     qca = fix_quiescent_gauge(u, la.dagger(fact.u), g.alphabet, fact.p, fact.q)

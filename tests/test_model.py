@@ -1,6 +1,7 @@
 """Model layer checks: configurations, sparse states, block application,
 window matrices, quantization, grouping, and state restriction."""
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -215,6 +216,37 @@ def test_window_matrix_unitary_and_quiescent_column():
             expected = np.zeros(d**w)
             expected[0] = 1
             assert np.linalg.norm(col - expected) <= 1e-9
+
+
+def test_window_matrix_matches_kron_product_oracle():
+    # (⊗v) P (⊗u), with P the permutation that takes the u-layer's half-cell
+    # digits (a_0, b_0, ..., a_{w-1}, b_{w-1}) to cells (b_i, a_{i+1 mod w})
+    for seed, (d, p, q) in enumerate([(2, 2, 1), (2, 1, 2), (4, 2, 2), (6, 2, 3), (6, 3, 2)]):
+        g = random_block_qca(d, p, q, seed=seed + 60)
+        for w in ((2, 3, 4) if d <= 4 else (2, 3)):
+            n = d**w
+            perm = np.zeros((n, n))
+            for x in range(n):
+                digits = np.unravel_index(x, [q, p] * w)
+                a, b = digits[0::2], digits[1::2]
+                cells = [b[i] * q + a[(i + 1) % w] for i in range(w)]
+                perm[np.ravel_multi_index(cells, [d] * w), x] = 1
+            oracle = reduce(np.kron, [g.v] * w) @ perm @ reduce(np.kron, [g.u] * w)
+            assert la.max_norm(window_matrix(g, w).dense() - oracle) <= 1e-12
+
+
+def test_window_matrix_peak_memory():
+    # d = 6, w = 4: the n x n window is 25.6 MiB; the bound allows the
+    # output and one working buffer of the same size, not a third array
+    g = random_block_qca(6, 2, 3, seed=61)
+    n = 6**4
+    tracemalloc.start()
+    try:
+        window_matrix(g, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n**2 * 16
 
 
 def test_window_matrix_agrees_with_apply_block():
