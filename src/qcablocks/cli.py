@@ -126,6 +126,15 @@ def cmd_decompose(args) -> int:
     if isinstance(spec, ClassicalRule):
         op = quantize(spec, args.window, "periodic")
         if not check_unitary(op, args.tol):
+            # the configurations supported on the window are the columns of
+            # a one-cell-wider truncated window with a quiescent last cell;
+            # their rows hold every cell of the image, both spills included
+            rows = quantize(spec, args.window + 1).matrix[0][::spec.alphabet.d]
+            if len(np.unique(rows)) < len(rows):
+                raise NotLocal(
+                    "the rule is not injective on finite configurations of a "
+                    f"{args.window}-cell window, so its linear extension is "
+                    "not unitary")
             raise NotLocal(
                 "the rule's ring quantization is not unitary: the rule is "
                 "bijective only through unbounded borders, so its linear "

@@ -23,8 +23,11 @@ Conjugation and localization residuals come from the verifier's one
 primitive: dense windows conjugate rank-one cell operators as C_x C_y†
 (seeded probes for localization, matrix units on the quiescent rows for
 the compressed images), backward is forward on the adjoint window, and
-one-hot windows are conjugated by reindexing and never densified; their
-compressed images are read off the preimages of the patch rows alone.
+one-hot windows are conjugated by reindexing and never densified.  A
+one-hot row is not a dense array but its entries (l, patch_row,
+patch_col, value), read off the preimages of the patch rows alone (about
+d per unit): both passes work on the entries, the partial traces by
+scatter-adds and u's conjugations as products of d columns of W ⊗ W.
 """
 from __future__ import annotations
 
@@ -109,16 +112,19 @@ def _random_cell_vector(rng, d: int) -> np.ndarray:
 
 
 def _one_hot_unit_rows(rows: np.ndarray, phases: np.ndarray, d: int,
-                       w: int) -> Callable[[int], np.ndarray]:
-    """Row builder k -> (T_k0, ..., T_k(d-1)) of the compressed cell-1 unit
-    images of the one-hot window G|x> = phases[x] |rows[x]>.
+                       w: int) -> Callable[[int], tuple[np.ndarray, ...]]:
+    """Row builder k -> entries (l, patch_row, patch_col, value) of the
+    compressed cell-1 unit images T_k0, ..., T_k(d-1) of the one-hot window
+    G|x> = phases[x] |rows[x]>, in coordinate form: T_kl is the sum of
+    value·|patch_row><patch_col| over the entries with that l.
 
     An entry of T_kl on the patch comes from an input x with cell-1 digit l
     whose image has a quiescent complement, and its partner x_k = x + (k-l)
     digit places, if that image's complement is quiescent too: the value
     phases[x_k] conj(phases[x]) at (patch of rows[x_k], patch of rows[x]).
-    Only those inputs are touched (d² for a bijective map), never the whole
-    window; a merging map sums its colliding entries."""
+    Only those inputs are touched (d² for a bijective map, so about d
+    entries per unit), never the whole window; a merging map repeats a
+    position, and every consumer sums repeated entries."""
     # cell 1's digit place is also the size of the output complement (cells
     # 2 ... w-1), so one divmod splits a row into patch and complement
     pw = d ** (w - 2)
@@ -126,21 +132,31 @@ def _one_hot_unit_rows(rows: np.ndarray, phases: np.ndarray, d: int,
     xs = np.flatnonzero(rest == 0)
     digit = (xs // pw) % d
 
-    def row(k: int) -> np.ndarray:
+    def row(k: int) -> tuple[np.ndarray, ...]:
         xk = xs + (k - digit) * pw
         sel = rest[xk] == 0
         x, xk = xs[sel], xk[sel]
-        out = np.zeros((d, d * d, d * d), dtype=np.complex128)
-        np.add.at(out, (digit[sel], kept[xk], kept[x]), phases[xk] * np.conj(phases[x]))
-        return out
+        return digit[sel], kept[xk], kept[x], phases[xk] * np.conj(phases[x])
 
     return row
 
 
-def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray]:
-    """Row builder k -> (d, d², d²) of the conjugated cell-1 matrix units
-    G (E_kl ⊗ I) G†, compressed onto their two-cell patch (0, 1); each call
-    rebuilds the row, so the whole stack never exists.
+def _entry_unit(entries: tuple[np.ndarray, ...], l: int, d: int) -> np.ndarray:
+    """Dense d² x d² unit T_kl from the entries of its row."""
+    ls, i, j, c = entries
+    sel = ls == l
+    out = np.zeros((d * d, d * d), dtype=np.complex128)
+    np.add.at(out, (i[sel], j[sel]), c[sel])
+    return out
+
+
+def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray | tuple]:
+    """Row builder k -> row T_k0 ... T_k(d-1) of the conjugated cell-1
+    matrix units G (E_kl ⊗ I) G†, compressed onto their two-cell patch
+    (0, 1); each call rebuilds the row, so the whole stack never exists.
+    A dense window gives a dense (d, d², d²) row, a one-hot window the
+    row's entries (_one_hot_unit_rows), the same split as the window's own
+    storage.
 
     Localization on the patch is established through two seeded random
     rank-one probes G (|x><y| ⊗ I) G† (dense path: a generic element of the
@@ -149,8 +165,8 @@ def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray]:
     bound and, only where it fails, every unit); the end-to-end
     reconstruction certificate independently covers anything a probe could
     miss.  Dense rows are the dense conjugation routine applied to the rows
-    of G whose complement cells are quiescent; one-hot rows are read off
-    the preimages of those rows (_one_hot_unit_rows).
+    of G whose complement cells are quiescent; one-hot entries are read off
+    the preimages of those rows.
     """
     d, w = op.alphabet.d, op.width
     patch = (0, 1)
@@ -189,11 +205,13 @@ def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray]:
 class CellImages:
     """The compressed images T_kl of the cell-1 matrix units, streamed.
 
-    ``row(k)`` rebuilds the (d, d², d²) row T_k0 ... T_k(d-1); ``a1`` and
-    ``b1`` are the (d, d, d, d) partial traces of every T_kl over patch leg
-    0 and over patch leg 1, taken while the rows went by."""
+    ``row(k)`` rebuilds row k, T_k0 ... T_k(d-1): a dense (d, d², d²)
+    array, or for a one-hot window the tuple of entries (l, patch_row,
+    patch_col, value).  ``a1`` and ``b1`` are the (d, d, d, d) partial
+    traces of every T_kl over patch leg 0 and over patch leg 1, taken while
+    the rows went by."""
 
-    row: Callable[[int], np.ndarray]
+    row: Callable[[int], np.ndarray | tuple]
     a1: np.ndarray
     b1: np.ndarray
 
@@ -202,7 +220,9 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
     """First pass over the rows of compressed images T_kl of the cell-1
     matrix units under forward conjugation G (E_kl ⊗ I) G†, localized on
     patch (0, 1) by _unit_images.  One row is held at a time; the pass keeps
-    the two partial traces and the units the checks below need.
+    the two partial traces and the units the checks below need.  Dense rows
+    are traced by einsum; entry rows add each entry whose two leg-0 (or
+    leg-1) indices agree, and only the sampled units are densified.
 
     Conjugation by a unitary is a *-isomorphism, so the images must be a
     system of matrix units; NotLocal unless Tr T_kl = d·δ_kl on every unit
@@ -215,13 +235,21 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
     rng = np.random.default_rng(0)
     triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
     sampled = {key: None for k, l, m in triples for key in ((k, l), (l, m), (k, m))}
-    a1 = np.empty((d, d, d, d), dtype=np.complex128)
-    b1 = np.empty((d, d, d, d), dtype=np.complex128)
+    a1 = np.zeros((d, d, d, d), dtype=np.complex128)
+    b1 = np.zeros((d, d, d, d), dtype=np.complex128)
     for k in range(d):
         r = row(k)
-        a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
-        b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
-        sampled.update({key: r[key[1]].copy() for key in sampled if key[0] == k})
+        if isinstance(r, tuple):
+            ls, i, j, c = r
+            (i0, i1), (j0, j1) = np.divmod(i, d), np.divmod(j, d)
+            on0, on1 = i0 == j0, i1 == j1
+            np.add.at(a1[k], (ls[on0], i1[on0], j1[on0]), c[on0])
+            np.add.at(b1[k], (ls[on1], i0[on1], j0[on1]), c[on1])
+            sampled.update({key: _entry_unit(r, key[1], d) for key in sampled if key[0] == k})
+        else:
+            a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
+            b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
+            sampled.update({key: r[key[1]].copy() for key in sampled if key[0] == k})
         del r  # before the next row is built
     # Tr T_kl is the trace of either partial trace
     dev = la.max_norm(np.einsum("klii->kl", a1) - d * np.eye(d))
@@ -269,29 +297,36 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     Conjugating the cell-1 units by W = dagger(v) on both patch cells gives
     I_p ⊗ phi(E_kl) ⊗ I_q, and phi is a *-isomorphism of M_d onto the middle
     factors M_q ⊗ M_p: conjugation by a unitary u, read off the rank-one
-    anchor phi(E_00) and the columns phi(E_k0) u|0>.  W acts one patch leg
-    at a time (d^5 per unit, not d^6) on one unit row at a time, so neither
-    the stack nor its conjugate exists whole.  Each unit's middle-factor
-    residual and u's isomorphism residual are checked."""
+    anchor phi(E_00) and the columns phi(E_k0) u|0>.  W ⊗ W is formed once
+    with its rows in (middle q p, outer p q) order of the (p, q, p, q)
+    patch, so each conjugated unit is already split into region and
+    complement, and phi(E_kl) is its outer-(0, 0) block.  A dense row takes
+    two matmuls; a unit of m entries takes one (d², m)(m, d²) product of
+    columns of W ⊗ W, never a dense d² x d² operand.  One row is held at a
+    time.  Each unit's middle-factor residual and u's isomorphism residual
+    are checked."""
     p, q = fact.p, fact.q
     d = p * q
-    w, wh = fact.u, la.dagger(fact.u)
+    ww = la.kron(fact.u, fact.u).reshape(p, q, p, q, d * d)
+    ww = ww.transpose(1, 2, 0, 3, 4).reshape(d * d, d * d)
+    ww_h = la.dagger(ww)
     phi = np.zeros((d, d, d, d), dtype=np.complex128)
     for k in range(d):
-        # row k as (l, i0, i1, j0, j1): W on i0, then i1, then (W†) on j1, j0
-        t = w @ images.row(k).reshape(d, d, d ** 3)
-        t = w @ t.reshape(d * d, d, d * d)
-        t = t.reshape(d ** 3, d, d) @ wh
-        t = (w.conj() @ t).reshape(d, d * d, d * d)
+        r = images.row(k)
         for l in range(d):
-            resid = la.localization_residual(t[l], (p, q, p, q), {1, 2})
+            if isinstance(r, tuple):
+                ls, i, j, c = r
+                sel = ls == l
+                x = (ww[:, i[sel]] * c[sel]) @ ww_h[j[sel]]
+            else:
+                x = ww @ r[l] @ ww_h
+            resid, _ = la.localization_defect(x, (d, d), {0})
             if resid > max(tol, 1e-7):
                 raise IsoSolveFailed(
                     f"conjugated image ({k},{l}) misses the middle factors "
                     f"(residual {resid:.2e})")
-        tt = t.reshape(d, p, q, p, q, p, q, p, q)
-        phi[k] = tt[:, 0, :, :, 0, 0, :, :, 0].reshape(d, d, d)
-        del t, tt  # before the next row is built
+            phi[k, l] = x.reshape(d, d, d, d)[:, 0, :, 0]
+        del r  # before the next row is built
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
     if abs(vals[-1] - 1.0) > 1e-6:

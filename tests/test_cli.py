@@ -108,6 +108,42 @@ def test_decompose_xor_not_local(capsys):
     assert report["error"] == "NotLocal"
 
 
+def test_decompose_xor_names_unbounded_borders(capsys):
+    # XOR is injective on finite configurations: its truncated window is a
+    # permutation, and only the ring loses unitarity
+    code, report = run(capsys, "decompose", spec("xor.json"), "--window", "4")
+    assert code == 1
+    assert "bijective only through unbounded borders" in report["message"]
+
+
+def test_decompose_mirrored_xor_names_unbounded_borders(tmp_path, capsys):
+    # the XOR mirrored left to right, δ(q, x) = q: injective on finite
+    # configurations through the image cell that spills over the right
+    # edge of the window, which the truncated window does not keep
+    from qcablocks.model import ClassicalRule
+    from qcablocks.rand import default_alphabet
+    rule = ClassicalRule(default_alphabet(3), np.array([[0, 0, 0], [1, 1, 2], [2, 2, 1]]))
+    path = tmp_path / "mirrored_xor.json"
+    ser.dump(ser.qca_to_json(rule), path)
+    code, report = run(capsys, "decompose", str(path), "--window", "4")
+    assert code == 1
+    assert "bijective only through unbounded borders" in report["message"]
+
+
+def test_decompose_constant_rule_is_not_injective(tmp_path, capsys):
+    # delta = q sends every configuration to the quiescent one
+    from qcablocks.model import ClassicalRule
+    from qcablocks.rand import default_alphabet
+    rule = ClassicalRule(default_alphabet(3), np.zeros((3, 3), dtype=np.int64))
+    path = tmp_path / "constant.json"
+    ser.dump(ser.qca_to_json(rule), path)
+    code, report = run(capsys, "decompose", str(path), "--window", "4")
+    assert code == 1
+    assert report["error"] == "NotLocal"
+    assert "not injective on finite configurations of a 4-cell window" in report["message"]
+    assert "unbounded borders" not in report["message"]
+
+
 def test_simulate_shift_displaces_support(capsys):
     code, report = run(capsys, "simulate", spec("shift.json"),
                        "--state", spec("states/excitation.json"), "--steps", "3")

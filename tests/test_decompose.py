@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcablocks import linalg as la
 from qcablocks.algebra import close, restrict, span_algebra
 from qcablocks.decompose import (
+    CellImages,
     _one_hot_unit_rows,
     cell_algebra_images,
     certify,
@@ -21,6 +22,7 @@ from qcablocks.decompose import (
     shared_cell_algebras,
 )
 from qcablocks.errors import (
+    IsoSolveFailed,
     NotCommuting,
     NotLocal,
     NotSeparable,
@@ -52,9 +54,22 @@ def identity_qca(d):
     return BlockQCA(alpha, d, 1, np.eye(d, dtype=complex), np.eye(d, dtype=complex), q1, q2)
 
 
+def dense_row(r, d):
+    """A streamed row T_k0 ... T_k(d-1) as a dense (d, d^2, d^2) array; a
+    one-hot window streams its rows as entries (l, patch_row, patch_col,
+    value), summed where they repeat."""
+    if not isinstance(r, tuple):
+        return r
+    ls, i, j, c = r
+    out = np.zeros((d, d * d, d * d), dtype=np.complex128)
+    np.add.at(out, (ls, i, j), c)
+    return out
+
+
 def unit_stack(images):
     """The whole (d, d, d^2, d^2) stack of streamed cell-1 unit images."""
-    return np.stack([images.row(k) for k in range(images.a1.shape[0])])
+    d = images.a1.shape[0]
+    return np.stack([dense_row(images.row(k), d) for k in range(d)])
 
 
 def unit_span(units):
@@ -268,7 +283,7 @@ def test_one_hot_rows_match_full_window_route():
     # entry, the compressed conjugations over the whole window
     for rows, phases, d, w in one_hot_row_cases():
         row = _one_hot_unit_rows(rows, phases, d, w)
-        stack = np.stack([row(k) for k in range(d)])
+        stack = np.stack([dense_row(row(k), d) for k in range(d)])
         assert np.array_equal(stack, full_window_unit_stack(rows, phases, d, w))
 
 
@@ -340,6 +355,112 @@ def test_derive_u_recovers_splitter_up_to_phase():
     qca = fix_quiescent_gauge(u, la.dagger(fact.u), g.alphabet, fact.p, fact.q)
     cert = certify(qca, window_matrix(g, 4))
     assert cert.residual <= 1e-10
+
+
+def four_matmul_derive_u(images, fact):
+    """Reference for derive_u: each row densified and conjugated by
+    W = dagger(v) one patch leg at a time (four matmuls), every unit's
+    middle-factor residual taken on the (p, q, p, q) patch; returns u and
+    the (d, d) residuals."""
+    p, q = fact.p, fact.q
+    d = p * q
+    w, wh = fact.u, la.dagger(fact.u)
+    phi = np.zeros((d, d, d, d), dtype=np.complex128)
+    resid = np.zeros((d, d))
+    for k in range(d):
+        t = w @ dense_row(images.row(k), d).reshape(d, d, d ** 3)
+        t = w @ t.reshape(d * d, d, d * d)
+        t = t.reshape(d ** 3, d, d) @ wh
+        t = (w.conj() @ t).reshape(d, d * d, d * d)
+        for l in range(d):
+            resid[k, l] = la.localization_residual(t[l], (p, q, p, q), {1, 2})
+        tt = t.reshape(d, p, q, p, q, p, q, p, q)
+        phi[k] = tt[:, 0, :, :, 0, 0, :, :, 0].reshape(d, d, d)
+    _, vecs = np.linalg.eigh(phi[0, 0])
+    u = (phi[:, 0] @ vecs[:, -1]).T
+    uu, _, vvh = np.linalg.svd(u)
+    return uu @ vvh, resid
+
+
+def with_cell_phases(op, seed):
+    """The one-hot window followed by a random diagonal phase on every
+    output cell: exp(iθ) phases that keep the window an automaton."""
+    d, w = op.alphabet.d, op.width
+    rows, _ = op.matrix
+    theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, d)
+    out_digits = (rows[:, None] // d ** np.arange(w - 1, -1, -1)) % d
+    phases = np.exp(1j * theta[out_digits].sum(axis=1))
+    return WindowOperator(op.alphabet, w, (rows, phases), op.boundary, op.out_shift)
+
+
+def derive_u_cases():
+    """Normalized windows for the derive_u oracle: relabelled grouped
+    Toffoli and partitioned rules grouped by s ∈ {1, 2}, each also with
+    exp(iθ) phases, and a dense random block window."""
+    rng = np.random.default_rng(23)
+    rules = [relabelled(group_cells(toffoli_ca(), 2), rng)]
+    for p, q, s in [(2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 2, 2)]:
+        rule = partitioned_rule(p, q, seed=60 + 3 * p + q)
+        rules.append(group_cells(rule, s) if s > 1 else rule)
+    for i, rule in enumerate(rules):
+        op = quantize(rule, 4, "periodic")
+        yield op
+        yield with_cell_phases(op, seed=70 + i)
+    yield window_matrix(random_block_qca(6, 2, 3, seed=80), 4)
+
+
+def test_derive_u_matches_four_matmul_route(monkeypatch):
+    # the entry route (one-hot) and the permuted dense route give the u of
+    # the leg-by-leg conjugation of dense rows, and every unit's
+    # middle-factor residual equals the one on the (p, q, p, q) patch
+    for op in derive_u_cases():
+        images = cell_algebra_images(op)
+        fact = derive_v(*shared_cell_algebras(images), seed=0)
+        u_ref, resid_ref = four_matmul_derive_u(images, fact)
+        seen = []
+        defect = la.localization_defect
+
+        def spy(a, dims, region):
+            seen.append(defect(a, dims, region)[0])
+            return defect(a, dims, region)
+
+        with monkeypatch.context() as m:
+            m.setattr(la, "localization_defect", spy)
+            u = derive_u(images, fact)
+        # u is fixed by phi up to the global phase of the anchor's
+        # eigenvector, which eigh picks afresh for each route
+        overlap = np.vdot(u_ref, u)
+        assert la.max_norm(u - u_ref * overlap / abs(overlap)) <= 1e-12
+        assert len(seen) == resid_ref.size
+        assert np.allclose(seen, resid_ref.ravel(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hot", [True, False])
+def test_derive_u_names_the_perturbed_unit(hot):
+    # one entry of unit (k, l) moved by 1e-4 (far above tol) breaks that
+    # unit's middle-factor form, and derive_u refuses naming it
+    if hot:
+        op = quantize(relabelled(group_cells(toffoli_ca(), 2), np.random.default_rng(5)),
+                      4, "periodic")
+    else:
+        op = window_matrix(random_block_qca(6, 2, 3, seed=81), 4)
+    images = cell_algebra_images(op)
+    fact = derive_v(*shared_cell_algebras(images), seed=0)
+    k, l = 3, 2
+
+    def row(kk):
+        r = images.row(kk)
+        if kk != k:
+            return r
+        if isinstance(r, tuple):
+            c = r[3].copy()
+            c[np.flatnonzero(r[0] == l)[0]] += 1e-4
+            return (*r[:3], c)
+        r[l, 0, 1] += 1e-4
+        return r
+
+    with pytest.raises(IsoSolveFailed, match=rf"\({k},{l}\) misses the middle factors"):
+        derive_u(CellImages(row, images.a1, images.b1), fact)
 
 
 def test_gauge_fixing_rejects_entangled_quiescent_preimage():
