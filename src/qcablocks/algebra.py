@@ -1,11 +1,17 @@
-"""Finite-dimensional matrix *-algebras: closure from generators, centers,
-maximal projector families, and the constructive tensor-factor theorems.
+"""Finite-dimensional matrix *-algebras: closure from generators, maximal
+projector families, and the constructive tensor-factor theorems.
 
 An algebra is held as an orthonormal basis (Hilbert-Schmidt inner product)
 of its linear span, which is closed under products and adjoints.  The two
 factorization routines produce a unitary change of basis under which the
 algebra becomes M_p ⊗ I_q (one factor) or the pair M_p ⊗ I_q / I_p ⊗ M_q
 (two commuting factors).
+
+Whether an algebra is a single factor is decided by counting its minimal
+projectors, read off one eigendecomposition of a random element: in
+⊕_j M_{m_j} ⊗ I_{r_j} the identity splits into Σ m_j minimal projectors,
+those of block j of rank r_j, so the algebra is M_p ⊗ I_q exactly when p
+of them share the rank q and its dimension is p².  No center is computed.
 
 All randomized steps draw from a seeded generator and are deterministic
 given the seed.
@@ -33,8 +39,7 @@ from .linalg import (
     validate_shape,
 )
 
-# Rank / nullspace decisions are made on singular values relative to the
-# largest one.
+# Rank decisions are made on singular values relative to the largest one.
 RANK_RATIO = 1e-8
 # Eigenvalue clusters of sampled Hermitian elements are split when the gap
 # exceeds this fraction of the spectral radius.
@@ -81,14 +86,15 @@ class GeneratedAlgebra:
 @dataclass(frozen=True)
 class ProjectorFamily:
     """Orthogonal projectors in an algebra summing to the identity, all of
-    equal rank, with each compression P_i A P_i one-dimensional."""
+    equal rank, with each compression P_i A P_i one-dimensional.  Projector
+    i is V_i V_i† for the i-th block of ``ranks[i]`` orthonormal columns."""
 
-    projectors: np.ndarray  # (count, n, n)
+    columns: np.ndarray  # (n, n) unitary, the projector ranges side by side
     ranks: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        return self.projectors.shape[0]
+        return len(self.ranks)
 
 
 @dataclass(frozen=True)
@@ -171,165 +177,65 @@ def span_algebra(elements, n: int) -> GeneratedAlgebra:
     return GeneratedAlgebra(n, basis.reshape(-1, n, n))
 
 
-def center(alg: GeneratedAlgebra) -> GeneratedAlgebra:
-    """Elements of the algebra commuting with the whole algebra.
-
-    Computed as the nullspace of the stacked commutator maps in the
-    algebra's own coordinates.
-    """
-    b = alg.basis
-    k, n = b.shape[0], alg.ambient_dim
-    comm = np.matmul(b[:, None], b[None]) - np.matmul(b[None], b[:, None])
-    m = comm.reshape(k, k * n * n).T  # column a = stacked commutators of b_a
-    if m.shape[0] >= k:
-        _, s, vh = np.linalg.svd(m, full_matrices=False)
-        smax = float(s[0]) if s.size else 0.0
-        null_mask = s <= RANK_RATIO * max(smax, 1.0)
-        coeffs = vh.conj()[null_mask]
-    else:  # fewer rows than coefficients: the nullspace includes vh's tail
-        _, s, vh = np.linalg.svd(m, full_matrices=True)
-        smax = float(s[0]) if s.size else 0.0
-        null_mask = np.ones(k, dtype=bool)
-        null_mask[: s.size] = s <= RANK_RATIO * max(smax, 1.0)
-        coeffs = vh.conj()[null_mask]
-    cbasis = np.einsum("ma,aij->mij", coeffs, b)
-    return GeneratedAlgebra(n, cbasis)
-
-
-def _cluster_eigvals(vals: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped into clusters separated by > gap."""
-    order = np.argsort(vals)
-    groups: list[list[int]] = [[order[0]]]
-    for i in order[1:]:
-        if vals[i] - vals[groups[-1][-1]] > gap:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return [np.array(g) for g in groups]
-
-
-def _spectral_projectors(h: np.ndarray) -> list[np.ndarray]:
-    """Projectors onto eigenvalue clusters of a Hermitian matrix."""
-    vals, vecs = np.linalg.eigh(h)
-    radius = max(float(np.max(np.abs(vals))), 1.0)
-    gap = CLUSTER_GAP_RATIO * radius
-    return [vecs[:, g] @ dagger(vecs[:, g]) for g in _cluster_eigvals(vals, gap)]
-
-
-def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of a projector of known rank."""
-    vals, vecs = np.linalg.eigh(p)
-    return vecs[:, np.argsort(vals)[::-1][:rank]]
-
-
-def _compression_residual(p: np.ndarray, basis: np.ndarray, rank: int) -> float:
-    """Max over algebra basis b of the distance of P b P from C.P."""
-    pband = p @ basis @ p
-    coeffs = np.einsum("aij,ji->a", pband, p) / rank
-    return max_norm(pband - coeffs[:, None, None] * p)
+def _compression_defect(basis: np.ndarray, cols: np.ndarray) -> float:
+    """Max over algebra basis b of the distance of V† b V from C.I, for
+    orthonormal columns V spanning the range of one projector."""
+    comp = dagger(cols) @ basis @ cols
+    scalar = np.trace(comp, axis1=1, axis2=2) / cols.shape[1]
+    return max_norm(comp - scalar[:, None, None] * np.eye(cols.shape[1]))
 
 
 def maximal_projector_family(alg: GeneratedAlgebra, seed: int = 0,
                              tol: float = 1e-8) -> ProjectorFamily:
-    """Maximal family of orthogonal projectors inside an algebra with
-    scalar center: they sum to I, have equal ranks, and each compression
-    P_i A P_i is one-dimensional.
+    """Minimal projectors of a factor M_p ⊗ I_q: p projectors of rank q
+    summing to I, each compression P_i A P_i one-dimensional.
 
-    A seeded random Hermitian element of the algebra is spectrally split;
-    any block whose compression is not yet scalar is refined through the
-    eigendecomposition of a violating compressed element.
+    The eigenvalue clusters of one seeded random Hermitian element h give
+    projectors in the algebra.  When every compression V_i† b V_i is scalar
+    within ``tol`` they are minimal; otherwise two eigenvalues of h met by
+    accident and a fresh element is drawn.  In ⊕_j M_{m_j} ⊗ I_{r_j} the
+    identity splits into Σ m_j minimal projectors, those of block j of rank
+    r_j, so the algebra is a factor exactly when all ranks are equal and its
+    dimension is the count squared; otherwise ``NontrivialCenter`` is raised.
     """
-    if center(alg).dimension != 1:
-        raise NontrivialCenter("projector family requires a scalar center")
     n = alg.ambient_dim
     rng = np.random.default_rng(seed)
-    last_err: Exception | None = None
+    worst = np.inf
     for _ in range(MAX_SAMPLE_RETRIES):
-        try:
-            h = alg.random_hermitian(rng)
-            projs = _spectral_projectors(h)
-            projs = _refine_family(projs, alg, tol)
-            ranks = [int(round(float(np.trace(p).real))) for p in projs]
-            if len(set(ranks)) != 1 or sum(ranks) != n or min(ranks) < 1:
-                raise NumericalFailure(f"degenerate sample: unequal ranks {ranks}")
-            fam = ProjectorFamily(np.stack(projs), tuple(ranks))
-            _validate_family(fam, alg, tol)
-            return fam
-        except NumericalFailure as err:  # degenerate sample: retry with fresh draw
-            last_err = err
-    raise NumericalFailure(f"projector family did not stabilize: {last_err}")
-
-
-def _refine_family(projs: list[np.ndarray], alg: GeneratedAlgebra,
-                   tol: float) -> list[np.ndarray]:
-    basis = alg.basis
-    out = list(projs)
-    guard = 0
-    i = 0
-    while i < len(out):
-        p = out[i]
-        rank = int(round(float(np.trace(p).real)))
-        if rank <= 0:
-            raise NumericalFailure("projector collapsed to rank 0")
-        if rank == 1 or _compression_residual(p, basis, rank) <= tol:
-            i += 1
-            continue
-        guard += 1
-        if guard > alg.ambient_dim * 4:
-            raise NumericalFailure("projector refinement did not terminate")
-        split = _split_block(p, rank, basis, tol)
-        if split is None:
-            raise NumericalFailure("compression violation found but block did not split")
-        out[i : i + 1] = split
-    return out
-
-
-def _split_block(p: np.ndarray, rank: int, basis: np.ndarray, tol: float):
-    """Split P along the spectrum of a compressed Hermitian violator."""
-    for b in basis:
-        for h in ((b + dagger(b)) / 2.0, (b - dagger(b)) / 2.0j):
-            m = p @ h @ p
-            c = complex(np.trace(p @ m)) / rank
-            if max_norm(m - c * p) <= tol:
-                continue
-            cols = _range_basis(p, rank)
-            hr = dagger(cols) @ m @ cols
-            vals, vecs = np.linalg.eigh(hr)
-            radius = max(float(np.max(np.abs(vals))), 1.0)
-            groups = _cluster_eigvals(vals, CLUSTER_GAP_RATIO * radius)
-            if len(groups) < 2:
-                continue
-            return [cols @ vecs[:, g] @ dagger(vecs[:, g]) @ dagger(cols) for g in groups]
-    return None
-
-
-def _validate_family(fam: ProjectorFamily, alg: GeneratedAlgebra, tol: float) -> None:
-    ps = fam.projectors
-    n = alg.ambient_dim
-    if max_norm(np.einsum("aij,ajk->ik", ps, ps) - np.eye(n)) > 1e-6:
-        raise NumericalFailure("projector family does not resolve the identity")
-    for i, p in enumerate(ps):
-        if max_norm(p @ p - p) > 1e-6 or max_norm(p - dagger(p)) > 1e-6:
-            raise NumericalFailure(f"projector {i} is not a Hermitian idempotent")
-        if _compression_residual(p, alg.basis, fam.ranks[i]) > max(tol, 1e-7):
-            raise NumericalFailure(f"projector {i} compression is not scalar")
+        vals, vecs = np.linalg.eigh(alg.random_hermitian(rng))
+        gap = CLUSTER_GAP_RATIO * max(float(np.max(np.abs(vals))), 1.0)
+        bounds = np.concatenate([[0], np.flatnonzero(np.diff(vals) > gap) + 1, [n]])
+        worst = max(_compression_defect(alg.basis, vecs[:, lo:hi])
+                    for lo, hi in zip(bounds[:-1], bounds[1:]))
+        if worst <= tol:
+            break
+    else:
+        raise NumericalFailure(
+            f"projector family did not stabilize: compression defect {worst:.2e}")
+    ranks = tuple(int(r) for r in np.diff(bounds))
+    if len(set(ranks)) != 1 or alg.dimension != len(ranks) ** 2:
+        raise NontrivialCenter(
+            f"{len(ranks)} minimal projectors of ranks {ranks} in an algebra of "
+            f"dimension {alg.dimension}: not a factor")
+    return ProjectorFamily(vecs, ranks)
 
 
 def factor_one(alg: GeneratedAlgebra, seed: int = 0, tol: float = 1e-8) -> Factorization:
     """Unitary W with W b W† of the form M ⊗ I_q for every basis element b.
 
-    Construction: maximal projector family -> basis-aligning unitary taking
-    each projector to a coordinate block -> a generic algebra element whose
-    first block row is rescaled blockwise into the block-diagonal unitary
-    that makes all blocks scalar.
+    Construction: the minimal projector family, whose count p and common
+    rank q decide that the algebra is the factor M_p ⊗ I_q -> its range
+    columns as the basis-aligning unitary taking each projector to a
+    coordinate block -> a generic algebra element whose first block row is
+    rescaled blockwise into the block-diagonal unitary that makes all blocks
+    scalar.
     """
     fam = maximal_projector_family(alg, seed=seed, tol=tol)
     p_count = fam.count
     q = fam.ranks[0]
     n = alg.ambient_dim
-    cols = np.hstack([_range_basis(fam.projectors[i], q) for i in range(p_count)])
-    u_align = dagger(cols)
-    rotated = u_align @ alg.basis @ dagger(u_align)
+    u_align = dagger(fam.columns)
+    rotated = u_align @ alg.basis @ fam.columns
 
     rng = np.random.default_rng((seed * 0x9E3779B1 + 0x7F4A7C15) % (2**63))
     v_blocks = None
@@ -379,9 +285,10 @@ def factor_pair(a: GeneratedAlgebra, b: GeneratedAlgebra, seed: int = 0,
     W a W† ⊆ M_p ⊗ I_q and W b W† ⊆ I_p ⊗ M_q.
 
     Generation is decided without closing a ∪ b: commuting algebras that
-    generate M_n have scalar centers (a central element commutes with all
-    of M_n) and dimensions p², q² with pq = n; a factor a ≅ M_p ⊗ I_q and a
-    commuting b of dimension q² fill each other's commutants."""
+    generate M_n are factors (a central element commutes with all of M_n)
+    of dimensions p², q² with pq = n; a factor a ≅ M_p ⊗ I_q, found by
+    ``factor_one``'s minimal-projector count, and a commuting b of
+    dimension q² fill each other's commutants."""
     n = a.ambient_dim
     if b.ambient_dim != n:
         raise DimensionMismatch("algebras live in different ambient dimensions")
@@ -396,8 +303,8 @@ def factor_pair(a: GeneratedAlgebra, b: GeneratedAlgebra, seed: int = 0,
         fact = factor_one(a, seed=seed, tol=tol)
     except NontrivialCenter as err:
         raise NotGenerating(
-            f"commuting algebras cannot generate M_{n}: the first has a non-scalar "
-            f"center ({err})") from None
+            f"commuting algebras cannot generate M_{n}: the first is not a "
+            f"factor ({err})") from None
     # The commutant of M_p ⊗ I_q is I_p ⊗ M_q, so the second algebra lands
     # in the complementary factor automatically; verify rather than align.
     resid_b = factorization_residual(b, fact.u, fact.p, fact.q, region=(1,))

@@ -186,7 +186,7 @@ def algebra_spec_from_json(obj: dict):
     try:
         n = int(obj["n"])
         gens = [matrix_from_json(g) for g in obj["generators"]]
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise PreconditionViolated(f"malformed algebra spec: {err}") from None
     return n, gens
 

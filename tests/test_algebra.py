@@ -1,11 +1,13 @@
-"""Star-algebra engine checks: closure, center, projector families, and the
-two tensor-factor theorems with independent verification oracles."""
+"""Star-algebra engine checks: closure, the factor criterion, projector
+families, and the two tensor-factor theorems with independent verification
+oracles."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcablocks import linalg as la
 from qcablocks.algebra import (
-    center,
     close,
     commutation_defect,
     factor_one,
@@ -84,31 +86,40 @@ def test_close_dimension_mismatch():
         close([np.eye(2)], 3)
 
 
-# ----------------------------------------------------------------- center
+# ------------------------------------------------------- factor criterion
+# An algebra ⊕_j M_{m_j} ⊗ I_{r_j} splits I into Σ m_j minimal projectors,
+# those of block j of rank r_j: it is a factor exactly when the ranks are
+# equal and its dimension is the count squared.
 
-def test_center_full_matrix_algebra_is_scalar():
+def test_factor_criterion_full_matrix_algebra():
     alg = close([X, Z], 2)
     assert alg.dimension == 4
-    assert center(alg).dimension == 1
+    fam = maximal_projector_family(alg, seed=0)
+    assert fam.ranks == (1, 1)
+    assert fam.count ** 2 == alg.dimension
 
 
-def test_center_diagonal_algebra_is_itself():
+def test_factor_criterion_rejects_diagonal_algebra():
     e00 = np.diag([1.0, 0.0]).astype(complex)
     e11 = np.diag([0.0, 1.0]).astype(complex)
     alg = close([e00, e11], 2)
     assert alg.dimension == 2
-    assert center(alg).dimension == 2
+    with pytest.raises(NontrivialCenter):
+        maximal_projector_family(alg, seed=0)
 
 
-def test_center_factor_algebra_is_scalar():
+def test_factor_criterion_factor_algebra():
     gens = [la.kron(X, np.eye(2)), la.kron(Z, np.eye(2))]
     alg = close(gens, 4)
     assert alg.dimension == 4
-    assert center(alg).dimension == 1
+    fam = maximal_projector_family(alg, seed=0)
+    assert fam.ranks == (2, 2)
+    assert fam.count ** 2 == alg.dimension
 
 
-def test_center_direct_sum_is_two_dimensional():
-    # block-diag(M_2, M_2) embedded in M_4 has a 2-dimensional center.
+def test_factor_criterion_rejects_direct_sum():
+    # block-diag(M_2, M_2) in M_4: four minimal projectors of equal rank 1,
+    # but dimension 8 != 4²
     blocks = []
     for m in (X, Z):
         big = np.zeros((4, 4), dtype=complex)
@@ -120,15 +131,22 @@ def test_center_direct_sum_is_two_dimensional():
         blocks.append(big)
     alg = close(blocks, 4)
     assert alg.dimension == 8
-    assert center(alg).dimension == 2
+    with pytest.raises(NontrivialCenter, match=r"4 minimal projectors of ranks \(1, 1, 1, 1\)"):
+        maximal_projector_family(alg, seed=0)
 
 
 # --------------------------------------------------- projector families
 
+def family_projectors(fam):
+    """The projectors V_i V_i† of a family, from its blocks of columns."""
+    blocks = np.split(fam.columns, np.cumsum(fam.ranks)[:-1], axis=1)
+    return [v @ la.dagger(v) for v in blocks]
+
+
 def family_conditions_oracle(fam, alg, tol=1e-7):
     """Brute-force check of the defining conditions: membership, mutual
     orthogonality, completeness, equal ranks, scalar compressions."""
-    ps = fam.projectors
+    ps = family_projectors(fam)
     n = alg.ambient_dim
     for p in ps:
         assert alg.projection_residual(p) <= tol
@@ -190,7 +208,7 @@ def test_projector_family_deterministic():
     alg = close(gens, 6)
     fam1 = maximal_projector_family(alg, seed=9)
     fam2 = maximal_projector_family(alg, seed=9)
-    assert np.array_equal(fam1.projectors, fam2.projectors)
+    assert np.array_equal(fam1.columns, fam2.columns)
 
 
 # -------------------------------------------------------------- factor_one
@@ -237,6 +255,43 @@ def test_factor_one_roundtrip_sweep():
         fact = factor_one(alg, seed=11)
         assert (fact.p, fact.q) == (p, q), f"wrong split for {(p, q)}"
         assert factorization_residual(alg, fact.u, p, q) <= 1e-8
+
+
+def direct_sum_generators(blocks, rng):
+    """Matrix units of ⊕_j M_{m_j} ⊗ I_{r_j} for blocks [(m_j, r_j), ...],
+    conjugated by one Haar unitary; returns (generators, n)."""
+    n = sum(m * r for m, r in blocks)
+    w = random_unitary(n, rng)
+    gens, start = [], 0
+    for m, r in blocks:
+        for _, _, e in la.matrix_units(m):
+            g = np.zeros((n, n), dtype=complex)
+            g[start : start + m * r, start : start + m * r] = la.kron(e, np.eye(r))
+            gens.append(w @ g @ la.dagger(w))
+        start += m * r
+    return gens, n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4)
+       .filter(lambda blocks: sum(m * r for m, r in blocks) <= 12),
+       st.integers(0, 2**16))
+@example([(3, 4)], 0)                      # one factor, n = 12
+@example([(2, 2), (2, 2)], 1)              # equal ranks, equal blocks
+@example([(2, 2), (1, 2)], 2)              # equal ranks, count 3, dimension 5
+@example([(2, 1), (1, 3)], 3)              # unequal ranks
+@example([(1, 1)] * 4, 4)                  # all-diagonal algebra
+def test_factor_one_decides_factors_of_direct_sums(blocks, seed):
+    gens, n = direct_sum_generators(blocks, np.random.default_rng(seed))
+    alg = close(gens, n)
+    assert alg.dimension == sum(m * m for m, _ in blocks)
+    if len(blocks) == 1:
+        fact = factor_one(alg, seed=seed)
+        assert (fact.p, fact.q) == blocks[0]
+        assert factorization_residual(alg, fact.u, fact.p, fact.q) <= 1e-8
+    else:
+        with pytest.raises(NontrivialCenter):
+            factor_one(alg, seed=seed)
 
 
 def test_factor_one_deterministic():

@@ -243,6 +243,18 @@ def test_algebra_factor_nontrivial_center_exit_1(tmp_path, capsys):
     assert report["error"] == "NontrivialCenter"
 
 
+@pytest.mark.parametrize("spec_obj", [
+    {"n": "two", "generators": []},
+    {"n": 1, "generators": [{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}]},
+])
+def test_algebra_factor_malformed_spec_exit_2(tmp_path, capsys, spec_obj):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(spec_obj))
+    code, report = run(capsys, "algebra-factor", str(path))
+    assert code == 2
+    assert report["error"] == "ParseFailure"
+
+
 def test_decompose_honours_tol(tmp_path, capsys):
     # scaling a non-quiescent column of u by 1 + 1e-9 keeps the gauge exact
     # and leaves the w=4 window unitary only to ~8e-9: inside the library

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcablocks import linalg as la
-from qcablocks.algebra import close, restrict, span_algebra
+from qcablocks.algebra import close, factor_pair, restrict, span_algebra
 from qcablocks.decompose import (
     CellImages,
     _one_hot_unit_rows,
@@ -334,6 +334,23 @@ def test_derive_v_shift_qca_degenerate():
     a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=0)
     assert (fact.p, fact.q) == (1, 2)
+
+
+def test_factor_pair_peak_memory():
+    # the shared-cell algebras of grouped Toffoli, dimensions 64 and 4 in
+    # M_16: the split works in the algebra's own size, and a stack of all
+    # k² commutators (k²·n²·16 bytes, 16 MiB here) would not fit the bound
+    images = cell_algebra_images(quantize(group_cells(toffoli_ca(), 2), 4, "periodic"))
+    a1, b1 = shared_cell_algebras(images)
+    assert (a1.dimension, b1.dimension) == (64, 4)
+    tracemalloc.start()
+    try:
+        fact = factor_pair(a1, b1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (fact.p, fact.q) == (8, 2)
+    assert peak <= 8 * 2 ** 20
 
 
 def test_derive_v_rejects_noncommuting():
