@@ -17,7 +17,7 @@ from . import linalg as la
 from . import serialize as ser
 from .algebra import close, factor_one, factorization_residual
 from .decompose import decompose_certified
-from .errors import PreconditionViolated, QCAError, NotLocal
+from .errors import DimensionMismatch, NotLocal, PreconditionViolated, QCAError
 from .model import (
     BlockQCA,
     ClassicalRule,
@@ -48,21 +48,33 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+# What a loader raises on a file that cannot be read or does not describe a
+# valid object: a wrong entry count, a shape that disagrees with a declared
+# size and an unknown symbol are malformed input (exit 2), not a failed check.
+_MALFORMED = (OSError, json.JSONDecodeError, PreconditionViolated, DimensionMismatch,
+              KeyError, TypeError, ValueError)
+
+
 def _load_spec(path: str):
     try:
         obj = ser.load(path)
         return ser.qca_from_json(obj)
-    except (OSError, json.JSONDecodeError, PreconditionViolated, KeyError,
-            TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise _ParseFailure(f"cannot load spec {path}: {err}") from None
 
 
 def _load_state(path: str, alphabet=None) -> SparseState:
     try:
         return ser.state_from_json(ser.load(path), alphabet)
-    except (OSError, json.JSONDecodeError, PreconditionViolated, KeyError,
-            TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise _ParseFailure(f"cannot load state {path}: {err}") from None
+
+
+def _load_algebra(path: str):
+    try:
+        return ser.algebra_spec_from_json(ser.load(path))
+    except _MALFORMED as err:
+        raise _ParseFailure(f"cannot load algebra spec {path}: {err}") from None
 
 
 class _ParseFailure(Exception):
@@ -199,10 +211,7 @@ def cmd_signal(args) -> int:
 # ----------------------------------------------------------- algebra-factor
 
 def cmd_algebra_factor(args) -> int:
-    try:
-        n, gens = ser.algebra_spec_from_json(ser.load(args.file))
-    except (OSError, json.JSONDecodeError, PreconditionViolated) as err:
-        raise _ParseFailure(f"cannot load algebra spec {args.file}: {err}") from None
+    n, gens = _load_algebra(args.file)
     alg = close(gens, n)
     fact = factor_one(alg, seed=args.seed, tol=max(args.tol, 1e-9))
     report = {

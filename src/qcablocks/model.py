@@ -3,6 +3,12 @@ evolutions acting on them: classical radius-1/2 rules, two-layered block
 automata, and finite-window presentations, stored either as a dense matrix
 or, for quantized classical rules, as a one-hot column map.
 
+A superposition (SparseState) is held as arrays, one row per term: start
+cells, trimmed words zero-padded to the widest term, amplitudes.  Every
+evolution, restriction and comparison here works on those rows with no
+per-term Python objects; ``SparseState.terms`` is a read-only
+{Configuration: amplitude} view built on demand for file formats and tests.
+
 Conventions frozen here and used everywhere else:
 
 * Cell dimension d = |symbols| + 1; index 0 is the quiescent symbol, the
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -169,20 +176,163 @@ class Configuration:
 
 # ------------------------------------------------------------ sparse state
 
+def _word_dtype(d: int) -> np.dtype:
+    """Smallest unsigned dtype that holds the symbol indices 0 .. d-1."""
+    return np.min_scalar_type(d - 1)
+
+
+def _widths(words: np.ndarray) -> np.ndarray:
+    """Own width of each left-aligned row: its last non-quiescent column + 1.
+
+    The helpers here loop over the few columns and stay vectorized over the
+    many rows; numpy reduces an (m, L) array along its short axis slowly."""
+    widths = np.zeros(len(words), dtype=np.int64)
+    for j in range(words.shape[1]):
+        widths[words[:, j] != 0] = j + 1
+    return widths
+
+
+def _narrowed(words: np.ndarray) -> np.ndarray:
+    """Drop the all-quiescent columns on the right."""
+    width = words.shape[1]
+    while width and not words[:, width - 1].any():
+        width -= 1
+    return words[:, :width]
+
+
+def _digit_rows(idx: np.ndarray, d: int, w: int, dtype) -> np.ndarray:
+    """Window words of basis indices, shape (len(idx), w), one column at a
+    time so no int64 (len(idx), w) temporary is made."""
+    out = np.empty((len(idx), w), dtype=dtype)
+    for j in range(w):
+        out[:, j] = (idx // d ** (w - 1 - j)) % d
+    return out
+
+
+def _canonical(starts: np.ndarray, words: np.ndarray):
+    """Rows in Configuration.make's form: each word shifted left past its
+    leading quiescent cells (its start moved to match), the vacuum at start
+    0, and the columns narrowed to the widest row."""
+    width = words.shape[1]
+    lead = np.full(len(starts), width)
+    for j in range(width - 1, -1, -1):
+        lead[words[:, j] != 0] = j
+    live = lead < width
+    starts = np.where(live, starts + lead, 0)
+    shifts = np.flatnonzero(np.bincount(lead, minlength=width + 1)[1:width]) + 1
+    if len(shifts):
+        words = words.copy()
+        for k in shifts:
+            rows = np.flatnonzero(lead == k)
+            words[rows, :width - k] = words[rows, k:]
+            words[rows, width - k:] = 0
+    return starts, _narrowed(words)
+
+
+def _row_groups(starts: np.ndarray, words: np.ndarray):
+    """Exact grouping of equal (start, word) rows of equal column count,
+    numbered in lexicographic order.  Returns ``(first, group)``: a row of
+    each group, and the group of each row.  Rows are compared digit by
+    digit, never packed into one integer, so any width is exact."""
+    order = np.lexsort(tuple(words.T[::-1]) + (starts,))
+    s, w = starts[order], words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    for j in range(w.shape[1]):
+        new[1:] |= w[1:, j] != w[:-1, j]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
+def _cells_at(starts: np.ndarray, words: np.ndarray, positions: np.ndarray, d: int):
+    """Window index (base d, first position most significant) of every row's
+    cells at the given absolute positions; also ``words`` zero-padded by one
+    column and the padded column each cell was read from (the pad column
+    for cells outside the row's word)."""
+    width = words.shape[1]
+    padded = np.zeros((len(starts), width + 1), dtype=words.dtype)
+    padded[:, :width] = words
+    cols = positions[None, :] - starts[:, None]
+    cols = np.where((cols >= 0) & (cols < width), cols, width)
+    index = np.zeros(len(starts), dtype=np.int64)
+    for j in range(len(positions)):
+        index = index * d + padded[np.arange(len(starts)), cols[:, j]]
+    return index, padded, cols
+
+
 class SparseState:
     """Finitely supported superposition of finite configurations.
 
-    Terms with amplitude below the prune threshold are dropped at
-    construction.  Instances are treated as immutable.
+    A state is three arrays: ``starts`` (m,) int64, ``words`` (m, L) and
+    ``amps`` (m,) complex128.  Row r is the configuration with start
+    ``starts[r]`` and word ``words[r]`` in Configuration.make's trimmed form,
+    zero-padded on the right to the widest term's own width L (never to the
+    hull of all terms, so terms far apart cost nothing), in the smallest
+    unsigned dtype that holds the cell dimension.  Rows are distinct, in
+    lexicographic (start, word) order; equal configurations are merged and
+    then amplitudes at or below the prune threshold are dropped.
+
+    ``terms`` is a read-only {Configuration: complex} view of the same
+    state, built on first access and cached: the edge to file formats and
+    tests.  The evolutions and restrictions of this module work on the
+    arrays.  Instances are treated as immutable (the arrays are read-only).
     """
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet", "starts", "words", "amps", "_terms")
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[Configuration, complex],
                  prune: float = PRUNE_THRESHOLD):
+        configs = list(terms)
+        words = np.zeros((len(configs), max((len(c.word) for c in configs), default=0)),
+                         dtype=_word_dtype(alphabet.d))
+        for r, c in enumerate(configs):
+            words[r, :len(c.word)] = c.word
+        self._assign(alphabet, np.array([c.start for c in configs], dtype=np.int64), words,
+                     np.array([terms[c] for c in configs], dtype=np.complex128), prune)
+
+    @classmethod
+    def _from_arrays(cls, alphabet: Alphabet, starts: np.ndarray, words: np.ndarray,
+                     amps: np.ndarray) -> "SparseState":
+        """State of arbitrary rows: trimmed, merged and pruned as by the
+        public constructor."""
+        state = object.__new__(cls)
+        state._assign(alphabet, starts, words, amps, PRUNE_THRESHOLD)
+        return state
+
+    def _assign(self, alphabet, starts, words, amps, prune):
+        starts, words = _canonical(np.asarray(starts, dtype=np.int64),
+                                   np.asarray(words, dtype=_word_dtype(alphabet.d)))
+        first, group = _row_groups(starts, words)
+        merged = np.zeros(len(first), dtype=np.complex128)
+        np.add.at(merged, group, amps)
+        keep = np.abs(merged) > prune
+        self._set(alphabet, starts[first[keep]], _narrowed(words[first[keep]]), merged[keep])
+
+    def _set(self, alphabet, starts, words, amps):
         self.alphabet = alphabet
-        self.terms: dict[Configuration, complex] = {
-            c: complex(a) for c, a in terms.items() if abs(a) > prune}
+        for arr in (starts, words, amps):
+            arr.flags.writeable = False
+        self.starts, self.words, self.amps = starts, words, amps
+        self._terms = None
+
+    def _divided(self, n: float) -> "SparseState":
+        """The same configurations with amplitudes divided by n, pruned."""
+        amps = self.amps / n
+        keep = np.abs(amps) > PRUNE_THRESHOLD
+        state = object.__new__(SparseState)
+        state._set(self.alphabet, self.starts[keep], _narrowed(self.words[keep]), amps[keep])
+        return state
+
+    @property
+    def terms(self) -> Mapping[Configuration, complex]:
+        """Read-only {Configuration: amplitude} view, built on first access."""
+        if self._terms is None:
+            self._terms = MappingProxyType({
+                Configuration(s, tuple(w[:n])): a for s, w, n, a in zip(
+                    self.starts.tolist(), self.words.tolist(),
+                    _widths(self.words).tolist(), self.amps.tolist())})
+        return self._terms
 
     @classmethod
     def vacuum(cls, alphabet: Alphabet) -> "SparseState":
@@ -194,40 +344,47 @@ class SparseState:
         return cls(alphabet, {config_from_cells(alphabet, cells): amp})
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.terms.values())))
+        return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "SparseState":
         n = self.norm()
         if n == 0:
             raise PreconditionViolated("cannot normalize the zero vector")
-        return SparseState(self.alphabet, {c: a / n for c, a in self.terms.items()})
+        return self._divided(n)
+
+    def _paired(self, other: "SparseState"):
+        """Amplitude vectors of both states over the union of their rows."""
+        width = max(self.words.shape[1], other.words.shape[1])
+        words = np.zeros((len(self.amps) + len(other.amps), width),
+                         dtype=np.promote_types(self.words.dtype, other.words.dtype))
+        words[:len(self.amps), :self.words.shape[1]] = self.words
+        words[len(self.amps):, :other.words.shape[1]] = other.words
+        first, group = _row_groups(np.concatenate([self.starts, other.starts]), words)
+        a = np.zeros(len(first), dtype=np.complex128)
+        b = np.zeros(len(first), dtype=np.complex128)
+        a[group[:len(self.amps)]] = self.amps
+        b[group[len(self.amps):]] = other.amps
+        return a, b
 
     def inner(self, other: "SparseState") -> complex:
-        small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        acc = 0.0 + 0.0j
-        for c, a in small.terms.items():
-            b = large.terms.get(c)
-            if b is not None:
-                acc += (np.conj(a) * b if small is self else np.conj(b) * a)
-        return complex(acc)
+        a, b = self._paired(other)
+        return complex(np.vdot(a, b))
 
     def support(self) -> tuple[int, int] | None:
         """Smallest interval containing every non-quiescent cell, or None."""
-        lo, hi = None, None
-        for c in self.terms:
-            if c.is_vacuum:
-                continue
-            lo = c.start if lo is None else min(lo, c.start)
-            hi = c.end if hi is None else max(hi, c.end)
-        return None if lo is None else (lo, hi)
+        widths = _widths(self.words)
+        live = widths > 0
+        if not live.any():
+            return None
+        return (int(self.starts[live].min()),
+                int((self.starts[live] + widths[live]).max()) - 1)
 
     def distance(self, other: "SparseState") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return float(np.sqrt(sum(
-            abs(self.terms.get(c, 0.0) - other.terms.get(c, 0.0)) ** 2 for c in keys)))
+        a, b = self._paired(other)
+        return float(np.linalg.norm(a - b))
 
     def __repr__(self):
-        return f"SparseState({len(self.terms)} terms)"
+        return f"SparseState({len(self.amps)} terms)"
 
 
 def config_from_cells(alphabet: Alphabet, cells: Mapping[int, str]) -> Configuration:
@@ -243,29 +400,33 @@ def config_from_cells(alphabet: Alphabet, cells: Mapping[int, str]) -> Configura
 
 def shift(state: SparseState, k: int) -> SparseState:
     """Relabel every configuration position i -> i - k."""
-    return SparseState(state.alphabet, {c.shifted(k): a for c, a in state.terms.items()})
+    live = state.words.any(axis=1)
+    return SparseState._from_arrays(state.alphabet, state.starts - k * live,
+                                    state.words, state.amps)
 
 
 def restrict_state(state: SparseState, cells: Iterable[int]) -> np.ndarray:
     """Reduced density matrix on the named cells (sorted order), tracing out
-    everything else.  Finite thanks to the quiescent default."""
-    cells = sorted(set(int(i) for i in cells))
+    everything else.  Finite thanks to the quiescent default.
+
+    Terms are grouped by their rest: the configuration with the named cells
+    made quiescent and re-trimmed, so equal rests reached from different
+    starts share a group.  With M the matrix of amplitudes indexed by group
+    and by the named cells' window index, over the indices that occur, the
+    result is M^T M̄ on those indices and zero elsewhere.
+    """
+    cells = np.array(sorted(set(int(i) for i in cells)), dtype=np.int64)
     d = state.alphabet.d
     dim = d ** len(cells)
-    groups: dict[tuple, dict[int, complex]] = {}
-    for config, amp in state.terms.items():
-        idx = 0
-        for pos in cells:
-            idx = idx * d + config.cell(pos)
-        rest = tuple((pos, t) for pos, t in
-                     ((config.start + i, t) for i, t in enumerate(config.word))
-                     if t != 0 and pos not in cells)
-        groups.setdefault(rest, {})[idx] = groups.setdefault(rest, {}).get(idx, 0.0) + amp
+    idx, rest, cols = _cells_at(state.starts, state.words, cells, d)
+    rest[np.arange(len(state.amps))[:, None], cols] = 0
+    rest_starts, rest_words = _canonical(state.starts, rest)
+    first, group = _row_groups(rest_starts, rest_words)
+    present = np.flatnonzero(np.bincount(idx, minlength=dim))
+    m = np.zeros((len(first), len(present)), dtype=np.complex128)
+    np.add.at(m, (group, np.searchsorted(present, idx)), state.amps)
     rho = np.zeros((dim, dim), dtype=np.complex128)
-    for vec in groups.values():
-        idxs = np.fromiter(vec.keys(), dtype=np.int64)
-        vals = np.fromiter((vec[i] for i in idxs), dtype=np.complex128)
-        rho[np.ix_(idxs, idxs)] += np.outer(vals, vals.conj())
+    rho[np.ix_(present, present)] = m.T @ m.conj()
     return rho
 
 
@@ -317,12 +478,15 @@ class ClassicalRule:
 
     def apply(self, state: SparseState) -> SparseState:
         """Linear extension of the rule to superpositions (exact; the rule
-        need not be injective, in which case amplitudes merge)."""
-        out: dict[Configuration, complex] = {}
-        for config, amp in state.terms.items():
-            image = self.step_config(config)
-            out[image] = out.get(image, 0.0) + amp
-        return SparseState(state.alphabet, out)
+        need not be injective, in which case amplitudes merge).  Output
+        cell start - 1 + j of a row is table[c_{j-1}, c_j] over its word
+        padded by one quiescent cell on each side."""
+        m, width = state.words.shape
+        padded = np.zeros((m, width + 2), dtype=np.intp)
+        padded[:, 1:-1] = state.words
+        return SparseState._from_arrays(state.alphabet, state.starts - 1,
+                                        self.table[padded[:, :-1], padded[:, 1:]],
+                                        state.amps)
 
     def grouped(self, s: int) -> "ClassicalRule":
         """The same dynamics on supercells of s cells."""
@@ -402,39 +566,50 @@ def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
     exact fixed point and the support grows by at most one cell.  Raises
     DimensionMismatch before allocating when d^(s+1) exceeds
     DENSE_WINDOW_CAP², the entry count of the largest dense window.
+
+    The amplitudes above the prune threshold are decoded into rows of
+    digits directly; rows from different input configurations that name
+    the same output configuration are merged, the merged state is pruned
+    and renormalized, and PreconditionViolated is raised if nothing is
+    left.
     """
     if state.alphabet.d != g.d:
         raise DimensionMismatch("state and automaton alphabets disagree")
     d, p, q = g.d, g.p, g.q
-    widest = max((len(c.word) for c in state.terms), default=0)
+    widths = _widths(state.words)
+    widest = int(widths.max(initial=0))
     if d ** (widest + 1) > DENSE_WINDOW_CAP ** 2:
         raise DimensionMismatch(
             f"a support of {widest} cells needs {d}^{widest + 1} amplitudes, "
             f"more than the {DENSE_WINDOW_CAP}² entries of the largest dense window")
     v2 = g.v.reshape(d, p * q)
-    out: dict[Configuration, complex] = {}
-    for config, amp in state.terms.items():
-        if config.is_vacuum:
-            out[config] = out.get(config, 0.0) + amp
-            continue
-        width = len(config.word) + 1
-        psi = reduce(np.kron, [g.u[:, c] for c in config.word])
+    dtype = state.words.dtype
+    vacuum = widths == 0
+    starts, words, amps = [state.starts[vacuum]], [state.words[vacuum, :0]], [state.amps[vacuum]]
+    for r in np.flatnonzero(widths):
+        s = int(widths[r])
+        psi = reduce(np.kron, [g.u[:, c] for c in state.words[r, :s]])
         # Axes: b_{start-1} | (a_i, b_i) for the support cells | a_{end+1},
         # which regroups as (b_{i-1}, a_i) pairs for output cells start-1 .. end.
-        t = np.kron(g.q1, np.kron(psi, g.q2)).reshape([p * q] * width)
-        for ax in range(width):
+        t = np.kron(g.q1, np.kron(psi, g.q2)).reshape([p * q] * (s + 1))
+        for ax in range(s + 1):
             t = np.moveaxis(np.tensordot(t, v2.T, axes=([ax], [0])), -1, ax)
         t = t.ravel()
         nz = np.flatnonzero(np.abs(t) > PRUNE_THRESHOLD)
-        for flat in nz:
-            word = _digits(int(flat), d, width)
-            cfg = Configuration.make(config.start - 1, word)
-            out[cfg] = out.get(cfg, 0.0) + amp * t[flat]
-    result = SparseState(state.alphabet, out)
+        starts.append(np.full(len(nz), state.starts[r] - 1))
+        words.append(_digit_rows(nz, d, s + 1, dtype))
+        amps.append(state.amps[r] * t[nz])
+    padded = np.zeros((sum(len(w) for w in words), widest + 1), dtype=dtype)
+    row = 0
+    for w in words:
+        padded[row:row + len(w), :w.shape[1]] = w
+        row += len(w)
+    result = SparseState._from_arrays(state.alphabet, np.concatenate(starts), padded,
+                                      np.concatenate(amps))
     n = result.norm()
     if n == 0:
         raise PreconditionViolated("evolution annihilated the state")
-    return SparseState(state.alphabet, {c: a / n for c, a in result.terms.items()})
+    return result._divided(n)
 
 
 # ---------------------------------------------------------- window operator
@@ -622,29 +797,20 @@ def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,
         if lo < 0 or hi > w - 1:
             raise WindowTooSmall(
                 f"support [{span[0]}, {span[1]}] lies outside the window")
-    vec_entries: dict[int, complex] = {}
-    for config, amp in state.terms.items():
-        idx = 0
-        for i in range(w):
-            idx = idx * d + config.cell(offset + i)
-        vec_entries[idx] = vec_entries.get(idx, 0.0) + amp
-    cols = np.fromiter(vec_entries.keys(), dtype=np.int64)
-    vals = np.fromiter((vec_entries[c] for c in cols), dtype=np.complex128)
+    # the support lies inside the window, so distinct terms have distinct
+    # window columns
+    cols = _cells_at(state.starts, state.words, offset + np.arange(w), d)[0]
     if op.is_one_hot:
         rows, phases = op.matrix
-        rows, data = rows[cols], phases[cols] * vals
+        rows, data = rows[cols], phases[cols] * state.amps
     else:
         vec = np.zeros(op.dim, dtype=np.complex128)
-        vec[cols] = vals
+        vec[cols] = state.amps
         image = op.matrix @ vec
         rows = np.flatnonzero(np.abs(image) > PRUNE_THRESHOLD)
         data = image[rows]
-    out: dict[Configuration, complex] = {}
-    for r, a in zip(rows, data):
-        word = _digits(int(r), d, w)
-        cfg = Configuration.make(offset + op.out_shift, word)
-        out[cfg] = out.get(cfg, 0.0) + a
-    return SparseState(state.alphabet, out)
+    return SparseState._from_arrays(state.alphabet, np.full(len(rows), offset + op.out_shift),
+                                    _digit_rows(rows, d, w, state.words.dtype), data)
 
 
 def fit_offset(op: WindowOperator, spans: Iterable[tuple[int, int] | None],
@@ -692,35 +858,27 @@ def ungroup_cells(x, base: Alphabet, s: int):
 
 
 def _group_state(state: SparseState, s: int) -> SparseState:
-    alpha = state.alphabet
-    grouped_alpha = alpha.grouped(s)
-    d = alpha.d
-    out: dict[Configuration, complex] = {}
-    for config, amp in state.terms.items():
-        if config.is_vacuum:
-            cfg = config
-        else:
-            lo = (config.start // s) * s
-            hi = (config.end // s) * s + s - 1
-            cells = [config.cell(i) for i in range(lo, hi + 1)]
-            word = []
-            for j in range(0, len(cells), s):
-                chunk = cells[j : j + s]
-                word.append(int(np.dot(chunk, [d ** (s - 1 - t) for t in range(s)])))
-            cfg = Configuration.make(lo // s, word)
-        out[cfg] = out.get(cfg, 0.0) + amp
-    return SparseState(grouped_alpha, out)
+    """Each row placed at its offset inside its first supercell, then every
+    s columns read as one base-d supercell symbol."""
+    grouped_alpha = state.alphabet.grouped(s)
+    d = state.alphabet.d
+    m, width = state.words.shape
+    first = state.starts // s
+    offset = state.starts - first * s
+    supercells = -(-(width + s - 1) // s)
+    placed = np.zeros((m, supercells * s), dtype=np.int64)
+    for o in range(s):
+        rows = np.flatnonzero(offset == o)
+        placed[rows, o:o + width] = state.words[rows]
+    words = placed.reshape(m, supercells, s) @ d ** np.arange(s - 1, -1, -1)
+    return SparseState._from_arrays(grouped_alpha, first, words, state.amps)
 
 
 def _ungroup_state(state: SparseState, base: Alphabet, s: int) -> SparseState:
     if base.d ** s != state.alphabet.d:
         raise DimensionMismatch(
             f"cell dimension {state.alphabet.d} is not {base.d}^{s}")
-    out: dict[Configuration, complex] = {}
-    for config, amp in state.terms.items():
-        word: list[int] = []
-        for t in config.word:
-            word.extend(_digits(t, base.d, s))
-        cfg = Configuration.make(config.start * s, word)
-        out[cfg] = out.get(cfg, 0.0) + amp
-    return SparseState(base, out)
+    m, width = state.words.shape
+    words = _digit_rows(state.words.ravel().astype(np.int64), base.d, s, _word_dtype(base.d))
+    return SparseState._from_arrays(base, state.starts * s, words.reshape(m, width * s),
+                                    state.amps)

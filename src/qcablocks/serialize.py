@@ -182,12 +182,16 @@ def state_from_json(obj: dict, alphabet: Alphabet | None = None) -> SparseState:
 # ------------------------------------------------------------------- algebra
 
 def algebra_spec_from_json(obj: dict):
-    """Returns (n, generators) from {"n": int, "generators": [literal, ...]}."""
+    """Returns (n, generators) from {"n": int, "generators": [literal, ...]};
+    every generator must be n x n."""
     try:
         n = int(obj["n"])
         gens = [matrix_from_json(g) for g in obj["generators"]]
     except (KeyError, TypeError, ValueError) as err:
         raise PreconditionViolated(f"malformed algebra spec: {err}") from None
+    for k, g in enumerate(gens):
+        if g.shape != (n, n):
+            raise DimensionMismatch(f"generator {k} has shape {g.shape}, expected ({n}, {n})")
     return n, gens
 
 

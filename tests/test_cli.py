@@ -171,6 +171,27 @@ def test_simulate_vacuum_stays_vacuum(tmp_path, capsys):
     assert report["terms"] == [{"cells": {}, "amp": [1.0, 0.0]}]
 
 
+def test_block_spec_with_wrong_entry_count_exit_2(tmp_path, capsys):
+    obj = ser.load(spec("swap.json"))
+    del obj["u"]["entries"][-1]
+    path = tmp_path / "swap_short.json"
+    ser.dump(obj, path)
+    for command in ("verify", "decompose"):
+        code, report = run(capsys, command, str(path))
+        assert code == 2
+        assert report["error"] == "ParseFailure"
+        assert "entries" in report["message"]
+
+
+def test_state_symbol_outside_alphabet_exit_2(capsys):
+    # excitation.json names symbol "1"; the swap block's symbols are 01, 10, 11
+    code, report = run(capsys, "simulate", spec("swap.json"),
+                       "--state", spec("states/excitation.json"))
+    assert code == 2
+    assert report["error"] == "ParseFailure"
+    assert "unknown symbol '1'" in report["message"]
+
+
 def test_simulate_kind_mismatch_exit_2(capsys):
     code, report = run(capsys, "simulate", spec("kari.json"),
                        "--state", spec("states/excitation.json"))
@@ -246,6 +267,10 @@ def test_algebra_factor_nontrivial_center_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("spec_obj", [
     {"n": "two", "generators": []},
     {"n": 1, "generators": [{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}]},
+    # a matrix literal with the wrong entry count
+    {"n": 2, "generators": [{"rows": 2, "cols": 2, "entries": [[1, 0]]}]},
+    # generators whose shape disagrees with "n"
+    {"n": 3, "generators": [ser.matrix_to_json(np.eye(2))]},
 ])
 def test_algebra_factor_malformed_spec_exit_2(tmp_path, capsys, spec_obj):
     path = tmp_path / "alg.json"

@@ -32,6 +32,7 @@ from qcablocks.model import (
     window_matrix,
 )
 from qcablocks.rand import default_alphabet, random_block_qca, random_sparse_state
+from qcablocks.verify import detect_signalling
 
 BITS = Alphabet(("0", "1"), "q")
 
@@ -182,6 +183,25 @@ def test_apply_block_peak_memory_is_support_sized():
     cells = [0] + word + [0]
     image = [(cells[i] % p) * q + cells[i + 1] // p for i in range(len(word) + 1)]
     assert out.terms == {Configuration.make(-1, image): 1.0}
+
+
+def test_detect_signalling_peak_memory_is_term_sized():
+    # d = 6 Haar block, two basis states of support 5: each image has ~41k
+    # terms, held as arrays with one byte per cell; as a dict of
+    # Configuration objects they take ~27 MiB
+    g = random_block_qca(6, 2, 3, seed=41)
+    word_a = [int(x) for x in np.random.default_rng(41).integers(1, 6, size=5)]
+    word_b = list(word_a)
+    word_b[3] = word_a[3] % 5 + 1
+    a, b = (SparseState(g.alphabet, {Configuration.make(0, w): 1.0}) for w in (word_a, word_b))
+    tracemalloc.start()
+    try:
+        witness = detect_signalling(g, a, b, 0, (0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak <= 10 * 2**20
 
 
 def test_apply_block_refuses_oversized_support_before_allocating():
