@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import linalg as la
 from . import serialize as ser
 from .algebra import close, factor_one, factorization_residual
@@ -34,6 +32,7 @@ from .verify import (
     check_shift_invariance,
     check_unitary,
     detect_signalling,
+    is_injective,
     max_testable_radius,
     neighborhood,
 )
@@ -142,7 +141,7 @@ def cmd_decompose(args) -> int:
             # a one-cell-wider truncated window with a quiescent last cell;
             # their rows hold every cell of the image, both spills included
             rows = quantize(spec, args.window + 1).matrix[0][::spec.alphabet.d]
-            if len(np.unique(rows)) < len(rows):
+            if not is_injective(rows):
                 raise NotLocal(
                     "the rule is not injective on finite configurations of a "
                     f"{args.window}-cell window, so its linear extension is "

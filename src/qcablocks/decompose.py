@@ -19,15 +19,19 @@ T_k0 ... T_k(d-1) at a time in two passes: the first takes the partial
 traces and the matrix-unit checks, the second (after the split) rebuilds
 each row for u.
 
-Conjugation and localization residuals come from the verifier's one
-primitive: dense windows conjugate rank-one cell operators as C_x C_y†
-(seeded probes for localization, matrix units on the quiescent rows for
-the compressed images), backward is forward on the adjoint window, and
-one-hot windows are conjugated by reindexing and never densified.  A
-one-hot row is not a dense array but its entries (l, patch_row,
-patch_col, value), read off the preimages of the patch rows alone (about
-d per unit): both passes work on the entries, the partial traces by
-scatter-adds and u's conjugations as products of d columns of W ⊗ W.
+The window's alignment is chosen by exact gates alone: of the window
+rotations by 0, +1 and -1 cells, the first that is shift invariant and
+whose compressed images pass the trace and matrix-unit checks is
+decomposed; no random probe is drawn.  Dense windows conjugate the matrix
+units on their quiescent-complement rows with the verifier's dense unit
+primitive; one-hot windows are conjugated by reindexing and never
+densified, with the verifier's exact generator check for localization on
+the patch.  A one-hot row is not a dense array but its entries (l,
+patch_row, patch_col, value), read off the preimages of the patch rows
+alone (about d per unit): both passes work on the entries, the partial
+traces by scatter-adds and u's conjugations as products of d columns of
+W ⊗ W.  Whatever a gate cannot see, the end-to-end certificate against the
+whole window refuses.
 """
 from __future__ import annotations
 
@@ -60,16 +64,18 @@ from .model import (
     window_matrix,
 )
 from .verify import (
-    _cell_slices,
-    _dense_conjugation,
+    _dense_units,
     _first_localized,
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
-    fast_localization_residual,
 )
 
 DEFAULT_CERT_TOL = 1e-7
+# window cyclic shifts tried in turn to bring the neighborhood to {0, 1}
+ALIGNMENTS = (0, 1, -1)
+# row blocks of the dense certificate comparison
+CERTIFY_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,6 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     else:
         mat = op.matrix[np.argsort(rot)]
     return WindowOperator(op.alphabet, op.width, mat, op.boundary, op.out_shift)
-
-
-def _random_cell_vector(rng, d: int) -> np.ndarray:
-    """Seeded random unit vector of C^d, one side of a rank-one probe."""
-    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return x / np.linalg.norm(x)
 
 
 def _one_hot_unit_rows(rows: np.ndarray, phases: np.ndarray, d: int,
@@ -158,15 +158,14 @@ def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray |
     row's entries (_one_hot_unit_rows), the same split as the window's own
     storage.
 
-    Localization on the patch is established through two seeded random
-    rank-one probes G (|x><y| ⊗ I) G† (dense path: a generic element of the
-    image algebra is localized only if the whole algebra is) or the exact
-    generator check of the verifier (one-hot path: d residuals, the norm
-    bound and, only where it fails, every unit); the end-to-end
-    reconstruction certificate independently covers anything a probe could
-    miss.  Dense rows are the dense conjugation routine applied to the rows
-    of G whose complement cells are quiescent; one-hot entries are read off
-    the preimages of those rows.
+    A one-hot window must first pass the verifier's exact generator check
+    on the patch (d residuals, the norm bound and, only where it fails,
+    every unit), else NotLocal.  A dense window is not checked here: the
+    trace and matrix-unit checks of cell_algebra_images, the middle-factor
+    and isomorphism residuals of derive_u and the end-to-end certificate
+    refuse what is not localized.  Dense rows are the verifier's dense
+    units on the d² rows of G whose complement cells are quiescent; one-hot
+    entries are read off the preimages of those rows.
     """
     d, w = op.alphabet.d, op.width
     patch = (0, 1)
@@ -177,26 +176,12 @@ def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray |
                            f"cells {patch}")
         return _one_hot_unit_rows(*op.matrix, d, w)
 
-    mat = op.dense()
-    slices = _cell_slices(mat, d, w, 1)
-    rng = np.random.default_rng(0xC0FFEF)
-    for _ in range(2):
-        x, y = _random_cell_vector(rng, d), _random_cell_vector(rng, d)
-        resid, _ = fast_localization_residual(_dense_conjugation(slices, x, y), d, w, patch)
-        if resid > tol:
-            raise NotLocal(
-                f"image of the cell-1 algebra is not localized on cells "
-                f"{patch} (probe residual {resid:.2e})")
     # rows with a quiescent complement (cells 2 ... w-1 all 0), already in
-    # patch order
-    patch_slices = _cell_slices(mat[::d ** (w - 2)], d, w, 1)
-    eye = np.eye(d)
+    # patch order; a copy, so the rows do not keep the window alive
+    unit, _ = _dense_units(op.dense()[::d ** (w - 2)].copy(), d, d, forward=True)
 
     def row(k: int) -> np.ndarray:
-        out = np.empty((d, d * d, d * d), dtype=np.complex128)
-        for l in range(d):
-            out[l] = _dense_conjugation(patch_slices, eye[k], eye[l])
-        return out
+        return np.stack([unit(k, l) for l in range(d)])
 
     return row
 
@@ -218,7 +203,7 @@ class CellImages:
 
 def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
     """First pass over the rows of compressed images T_kl of the cell-1
-    matrix units under forward conjugation G (E_kl ⊗ I) G†, localized on
+    matrix units under forward conjugation G (E_kl ⊗ I) G†, compressed onto
     patch (0, 1) by _unit_images.  One row is held at a time; the pass keeps
     the two partial traces and the units the checks below need.  Dense rows
     are traced by einsum; entry rows add each entry whose two leg-0 (or
@@ -382,25 +367,25 @@ def certify(qca: BlockQCA, op: WindowOperator,
     """Max-norm residual between the reconstructed window and the input,
     minimized over a global cell shift and a global phase.
 
-    Dense windows are compared entry by entry (exact).  One-hot windows
-    are never densified: _transfer_certify bounds their residual through
-    per-column overlaps, traces of rings of q x q transfer matrices in
-    extended precision."""
+    Dense windows are compared entry by entry (exact), a block of rows at
+    a time.  One-hot windows are never densified: _transfer_certify bounds
+    their residual through per-column overlaps, traces of rings of q x q
+    transfer matrices in extended precision."""
     if op.is_one_hot:
         return _transfer_certify(qca, op, offsets)
-    w = op.width
+    d, w, n = op.alphabet.d, op.width, op.dim
     rec = window_matrix(qca, w).dense()
     g = op.dense()
-    # one buffer holds the rotated input, then the difference
-    diff = np.empty_like(rec)
+    edges = [n * i // CERTIFY_BLOCKS for i in range(CERTIFY_BLOCKS + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
     best = None
     for k in offsets:
-        diff[_row_rotation(op.alphabet.d, w, k)] = g
-        overlap = complex(np.vdot(diff, rec))
+        # the rotated input's row r is the input's row src[r]; compared a
+        # block of rows at a time, so no n x n difference exists
+        src = np.argsort(_row_rotation(d, w, k))
+        overlap = sum(complex(np.vdot(g[src[b]], rec[b])) for b in blocks)
         phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-        diff *= -phase
-        diff += rec
-        resid = la.max_norm(diff)
+        resid = max(la.max_norm(rec[b] - phase * g[src[b]]) for b in blocks)
         if best is None or resid < best.residual:
             best = Certification(float(resid), k, complex(phase))
     return best
@@ -467,17 +452,16 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator,
 
 def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
                         cert_tol: float = DEFAULT_CERT_TOL) -> tuple[BlockQCA, Certification]:
-    """Full pipeline with the certification attached."""
+    """Full pipeline with the certification attached: unitarity, then the
+    first window alignment whose exact gates pass (_aligned_images), the
+    split of the shared cell, u, the quiescent gauge, and the certificate
+    against the input window.  A failure after the alignment is chosen
+    propagates as raised."""
     if op.width < 4:
         raise WindowTooSmall("decomposition needs a window of at least 4 cells")
     if not check_unitary(op, max(tol, 1e-9)):
         raise PreconditionViolated("window operator is not unitary")
-    # align first: shift invariance is tested in the {0, 1} alignment, where
-    # interior images stay clear of the window edge
-    norm_op, comp_shift = _normalize_alignment(op, tol)
-    if not check_shift_invariance(norm_op, max(tol, 1e-9)):
-        raise PreconditionViolated("window operator is not shift invariant")
-    images = cell_algebra_images(norm_op, tol)
+    images = _aligned_images(op, tol)
     a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=seed, tol=tol)
     u = derive_u(images, fact, tol=tol)
@@ -498,37 +482,27 @@ def decompose(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     return qca
 
 
-def _normalize_alignment(op: WindowOperator, tol: float) -> tuple[WindowOperator, int]:
-    """Bring the operator's neighborhood to window offsets {0, 1} by
-    composing with a window cyclic shift when it sits at {-1, 0} or {1, 2}
-    (hand-written windows may come in any of the three alignments)."""
-    d, w = op.alphabet.d, op.width
-    cc = (w - 1) // 2
-    # composing with the cyclic shift sigma^s relabels outputs so that
-    # N -> N + s; pick s moving the found alignment onto {0, 1}.
-    aligns = [(steps, tuple(cc + o for o in offsets))
-              for steps, offsets in ((0, (0, 1)), (1, (-1, 0)), (-1, (1, 2)))
-              if 0 <= cc + offsets[0] and cc + offsets[1] <= w - 1]
-    regions = [region for _, region in aligns]
-    if op.is_one_hot:
-        found = _first_localized(_unit_conjugation(op, cc, forward=False),
-                                 d, w, regions, tol)
-    else:
-        slices = _cell_slices(la.dagger(op.dense()), d, w, cc)
+def _aligned_images(op: WindowOperator, tol: float) -> CellImages:
+    """Cell-1 images of the first alignment that passes the exact gates.
 
-        def probes_pass(region) -> bool:
-            rng = np.random.default_rng(0xA11CE)
-            for _ in range(3):
-                x, y = _random_cell_vector(rng, d), _random_cell_vector(rng, d)
-                if fast_localization_residual(_dense_conjugation(slices, x, y),
-                                              d, w, region)[0] > tol:
-                    return False
-            return True
-
-        found = next((i for i, region in enumerate(regions) if probes_pass(region)), None)
-    if found is not None:
-        steps = aligns[found][0]
-        return (_rotate_rows(op, steps) if steps else op), steps
+    Hand-written windows may have their neighborhood at window offsets
+    {0, 1}, {-1, 0} or {1, 2}; composing with the window cyclic shift by
+    ``steps`` cells moves it by ``steps``.  For steps in ALIGNMENTS, the
+    rotated window must be shift invariant (tested in the {0, 1}
+    alignment, where interior images stay clear of the window edge) and
+    pass cell_algebra_images; the first that does is taken.  NotLocal,
+    naming each alignment's failing check, when none does."""
+    failures = []
+    for steps in ALIGNMENTS:
+        rotated = _rotate_rows(op, steps)
+        name = f"alignment {steps:+d}" if steps else "alignment 0"
+        if not check_shift_invariance(rotated, max(tol, 1e-9)):
+            failures.append(f"{name}: not shift invariant")
+            continue
+        try:
+            return cell_algebra_images(rotated, tol)
+        except NotLocal as err:
+            failures.append(f"{name}: {err}")
     raise NotLocal(
         "the evolution is not local with a radius-1/2 neighborhood at any "
-        "window alignment")
+        "window alignment (" + "; ".join(failures) + ")")

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DimensionMismatch
 
 DEFAULT_TOL = 1e-9
+# column blocks of is_unitary: its scratch is three block-sized arrays, about
+# 3/UNITARY_BLOCKS of the matrix's bytes
+UNITARY_BLOCKS = 8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -50,12 +53,26 @@ def max_norm(a: np.ndarray) -> float:
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``max |m† m - I| <= tol``.  Raises on non-square input."""
+    """True iff ``max |m† m - I| <= tol``.  Raises on non-square input.
+
+    m† m is Hermitian, so only its upper block triangle is formed: for each
+    of UNITARY_BLOCKS column blocks J, the block row m[:, J]† m[:, J:].  The
+    scratch is one conjugated column block and one block row, never an
+    n x n product, identity or difference, and the first block row above
+    tol ends the test."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"unitarity needs a square matrix, got {m.shape}")
     n = m.shape[0]
-    return max_norm(dagger(m) @ m - np.eye(n)) <= tol
+    blocks = min(UNITARY_BLOCKS, n)
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        row = np.conj(m[:, lo:hi]).T @ m[:, lo:]
+        diag = np.arange(hi - lo)
+        row[diag, diag] -= 1.0
+        if not max_norm(row) <= tol:
+            return False
+    return True
 
 
 def validate_shape(dims: Sequence[int], n: int) -> tuple[int, ...]:
@@ -136,24 +153,27 @@ def localization_defect(a: np.ndarray, dims: Sequence[int],
                         region: Iterable[int]) -> tuple[float, float]:
     """Max-norm and Hilbert-Schmidt norm of ``a - P(a)``, P the conditional
     expectation onto operators supported on ``region`` (the diagonal-block
-    mean), computed on the region/complement reshape without building the
-    embedded comparison operator.  Entries off the complement diagonal count
-    in full; diagonal blocks count by their deviation from their mean.  The
-    HS norm bounds the operator norm of the defect from above."""
+    mean), computed without building the embedded comparison operator.
+    Entries off the complement diagonal count in full; diagonal blocks count
+    by their deviation from their mean.  The diagonal blocks are an einsum
+    view of ``a`` (complement row and column axes merged), so the only n x n
+    scratch is one float array of |a| whose diagonal blocks are then
+    overwritten by their deviation.  The HS norm bounds the operator norm of
+    the defect from above."""
     a = as_matrix(a)
     dims = validate_shape(dims, a.shape[0])
-    region = list(_normalize_region(dims, region))
+    region = _normalize_region(dims, region)
     w = len(dims)
     comp = [i for i in range(w) if i not in region]
-    dk = int(np.prod([dims[i] for i in region]))
     dc = int(np.prod([dims[i] for i in comp]))
-    order = region + comp
-    x = a.reshape(dims + dims).transpose([*order, *[w + i for i in order]])
-    x = x.reshape(dk, dc, dk, dc)
-    ii = np.arange(dc)
-    diag = x[:, ii, :, ii]  # (dc, dk, dk): the diagonal blocks
-    dev = np.abs(x)
-    dev[:, ii, :, ii] = np.abs(diag - diag.sum(axis=0) / dc)
+    # labels: row axis i, column axis w + i, merged with i on the complement;
+    # the view's axes are (complement..., region rows..., region columns...)
+    labels = list(range(w)) + [i if i in comp else w + i for i in range(w)]
+    view = comp + list(region) + [w + i for i in region]
+    blocks = np.einsum(a.reshape(dims + dims), labels, view)
+    mean = blocks.sum(axis=tuple(range(len(comp)))) / dc
+    dev = np.abs(a)
+    np.einsum(dev.reshape(dims + dims), labels, view)[...] = np.abs(blocks - mean)
     return float(np.max(dev)), float(np.linalg.norm(dev))
 
 

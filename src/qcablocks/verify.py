@@ -11,17 +11,18 @@ requested radius cannot be tested soundly.
 Every locality verdict asks one question: is the conjugated cell operator
 G† (E_kl ⊗ I) G (backward) or G (E_kl ⊗ I) G† (forward) supported on a
 region R?  A window is a dense matrix or a one-hot column map (see
-WindowOperator); each format has one forward conjugation routine, and the
-backward direction is the forward one on the adjoint window.  Dense windows
-conjugate a rank-one cell operator |x><y| as C_x C_y†, with C_x the
-x-weighted sum of the column slices of G by the cell's digit; one-hot
-windows (quantized classical rules) only reindex entries, so windows far
-beyond the dense cap stay cheap, and their adjoint is the inverse column
-map with conjugated phases.  fast_localization_residual is the one residual
-entry point for both formats.
+WindowOperator).  Dense windows conjugate a matrix unit from the parts of
+G split by the cell's digit: forward T_kl = S_k S_l† with S_k the columns
+of G whose cell digit is k, backward T_kl = R_k† R_l with R_k its rows
+whose cell digit is k, so neither direction copies or conjugates the whole
+window.  One-hot windows (quantized classical rules) only reindex entries,
+so windows far beyond the dense cap stay cheap; their backward direction is
+the forward one on the adjoint, the inverse column map with conjugated
+phases.  fast_localization_residual is the one residual entry point for
+both formats.
 
-Locality on R needs every unit T_kl = S_k S_l† (S_k the column slices by
-the cell's digit) within tol of P(T_kl) in the max-norm, P the
+Locality on R needs every unit T_kl = S_k S_l† (backward S_k = R_k†)
+within tol of P(T_kl) in the max-norm, P the
 diagonal-block mean (a contraction and an M_R-bimodule map), yet only the
 d generators T_0l are conjugated.  With ε_l the HS norm of T_0l - P(T_0l),
 s_k = ||S_k|| and η = ||S_0† S_0 - I||, the identity T_kl = T_k0 T_0l +
@@ -104,6 +105,13 @@ def _split_index(ix: np.ndarray, d: int, w: int, region) -> tuple[np.ndarray, np
     return kept, rest
 
 
+def is_injective(idx: np.ndarray) -> bool:
+    """Whether the nonnegative integers ``idx`` are pairwise distinct, so a
+    one-hot column map of n inputs into n rows is a permutation.  Counted
+    by np.bincount: np.unique imports numpy.ma on first use."""
+    return len(idx) == 0 or int(np.bincount(idx).max()) <= 1
+
+
 # ------------------------------------------------------------ unitarity
 
 def check_unitary(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
@@ -112,7 +120,7 @@ def check_unitary(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
         rows, phases = op.matrix
         if np.max(np.abs(np.abs(phases) - 1.0)) > tol:
             return False
-        return len(np.unique(rows)) == op.dim
+        return is_injective(rows)
     return la.is_unitary(op.dense(), tol)
 
 
@@ -156,24 +164,6 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> b
 
 # ------------------------------------------------- conjugated cell units
 
-def _cell_slices(mat: np.ndarray, d: int, w: int, cell: int) -> np.ndarray:
-    """The column slices G[:, cell digit = k], k < d, of a matrix whose
-    columns index the d^w window, stacked into shape (d, rows, d^(w-1))."""
-    r = mat.shape[0]
-    t = mat.reshape(r, d**cell, d, d ** (w - 1 - cell)).transpose(2, 0, 1, 3)
-    return np.ascontiguousarray(t).reshape(d, r, -1)
-
-
-def _dense_conjugation(slices: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """C_x C_y† with C_x = Σ_k x_k G[:, cell digit = k], which is
-    G (|x><y| ⊗ I) G†: a matrix unit E_kl is x = e_k, y = e_l, a rank-one
-    probe is a random pair.  Restricting G to some rows restricts the
-    result to the same rows and columns."""
-    cx = np.tensordot(x, slices, 1)
-    cy = np.tensordot(y, slices, 1)
-    return cx @ la.dagger(cy)
-
-
 def _one_hot_conjugation(rows: np.ndarray, phases: np.ndarray, d: int, w: int,
                          cell: int, k: int, l: int):
     """COO triple of G (E_kl ⊗ I) G† for the one-hot window
@@ -192,7 +182,7 @@ def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
     inverse column map with conjugated phases.  Exists only for a bijective
     column map."""
     n = len(rows)
-    if len(np.unique(rows)) != n:
+    if not is_injective(rows):
         raise PreconditionViolated(
             "locality analysis needs a unitary window; this one-hot "
             "operator is not injective")
@@ -201,19 +191,39 @@ def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
     return inv, np.conj(phases[inv])
 
 
-def _dense_units(slices: np.ndarray):
-    """Unit conjugation T_kl = S_k S_l† from stacked column slices, and the
-    bound's norms: η = ||S_0† S_0 - I|| and s_0 = ||S_0|| from the one Gram
-    S_0† S_0, and for k > 0 the Frobenius norm of S_k, which bounds ||S_k||."""
+def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
+    """Unit conjugation from the parts P_k of ``mat`` split by one digit of
+    size d, with ``lead`` the size of the index before it: forward
+    T_kl = S_k S_l†, S_k the columns whose digit is k; backward
+    T_kl = R_k† R_l, R_k the rows whose digit is k (so S_k = R_k†).  Each
+    unit copies only the two parts it multiplies, one of them conjugated.
+    Also the bound's norms: η = ||S_0† S_0 - I|| and s_0 = ||S_0|| from the
+    one Gram S_0† S_0, and for k > 0 the Frobenius norm of S_k, which
+    bounds ||S_k||."""
+    r, c = mat.shape
+    split = mat.reshape(r, lead, d, -1) if forward else mat.reshape(lead, d, -1, c)
+
+    def part(k, conj=False):
+        view = split[:, :, k] if forward else split[:, k]
+        out = np.conj(view) if conj else np.ascontiguousarray(view)
+        return out.reshape(r, -1) if forward else out.reshape(-1, c)
+
+    def outer(k, l):  # P_k P_l†
+        return part(k) @ part(l, conj=True).T
+
+    def inner(k, l):  # P_k† P_l
+        return part(k, conj=True).T @ part(l)
+
+    unit, gram = (outer, inner) if forward else (inner, outer)
 
     @cache
     def norms():
-        gram = np.linalg.eigvalsh(la.dagger(slices[0]) @ slices[0])
-        s = np.linalg.norm(slices.reshape(len(slices), -1), axis=1)
-        s[0] = np.sqrt(max(gram[-1], 0.0))
-        return s, float(np.max(np.abs(gram - 1.0)))
+        eig = np.linalg.eigvalsh(gram(0, 0))
+        s = np.array([np.linalg.norm(part(k)) for k in range(d)])
+        s[0] = np.sqrt(max(eig[-1], 0.0))
+        return s, float(np.max(np.abs(eig - 1.0)))
 
-    return (lambda k, l: slices[k] @ la.dagger(slices[l])), norms
+    return unit, norms
 
 
 def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
@@ -223,15 +233,14 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     arrays."""
     d, w = op.alphabet.d, op.width
     if not op.is_one_hot:
-        mat = op.dense()
-        return _dense_units(_cell_slices(mat if forward else la.dagger(mat), d, w, cell))
+        return _dense_units(op.dense(), d, d**cell, forward)
     rows, phases = op.matrix if forward else _one_hot_adjoint(*op.matrix)
 
     @cache
     def norms():
         # an injective map has S_k† S_k = diag |phases|² over the inputs
         # with cell digit k, so the norms are exact; others get no bound
-        if len(np.unique(rows)) != len(rows):
+        if not is_injective(rows):
             return None
         digit = (np.arange(d**w, dtype=np.int64) // d ** (w - 1 - cell)) % d
         s = np.zeros(d)
@@ -273,7 +282,7 @@ def _coo_localization_residual(rows, cols, vals, d: int, w: int,
     ck, cc = _split_index(np.asarray(cols, dtype=np.int64), d, w, region)
     diag = rc == cc
     # the entries on the complement diagonal, grouped by region pattern
-    uniq, inverse = np.unique(rk[diag] * dk + ck[diag], return_inverse=True)
+    inverse = _group_ids(rk[diag] * dk + ck[diag])
     sums = (np.bincount(inverse, weights=vals[diag].real)
             + 1j * np.bincount(inverse, weights=vals[diag].imag))
     counts = np.bincount(inverse)
@@ -287,6 +296,15 @@ def _coo_localization_residual(rows, cols, vals, d: int, w: int,
     absent = np.abs(b_vals[missing > 0])
     resid = max(float(np.max(dev)), float(np.max(absent, initial=0.0)))
     return resid, float(np.sqrt(np.sum(dev**2) + np.sum(missing * np.abs(b_vals) ** 2)))
+
+
+def _group_ids(keys: np.ndarray) -> np.ndarray:
+    """Group index of each key, groups numbered in key order (np.unique's
+    inverse, without the numpy.ma import np.unique makes)."""
+    order = np.argsort(keys, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(np.concatenate(([True], np.diff(keys[order]) != 0))) - 1
+    return inverse
 
 
 def _first_localized(units, d: int, w: int, regions, tol: float) -> int | None:
@@ -587,16 +605,13 @@ def detect_signalling(evolution, state_a: SparseState, state_b: SparseState,
 
 # ------------------------------------------------------- block-native path
 
-def _block_patch_slices(g: BlockQCA) -> np.ndarray:
-    """Column slices of one step of a block automaton on its minimal patch:
-    with X = (I_q ⊗ v ⊗ I_p)(u ⊗ u) from input cells (c, c+1) to
-    (a_c, output cell c, b_{c+1}) and X_k its rows whose output digit is k,
-    S_k = X_k† gives the backward conjugation G† E_kl G = S_k S_l† on the
-    input patch, stacked (d, d², qp)."""
-    d, p, q = g.d, g.p, g.q
-    x = la.kron(np.eye(q), g.v, np.eye(p)) @ la.kron(g.u, g.u)
-    xk = x.reshape(q, d, p, d * d).transpose(1, 0, 2, 3).reshape(d, q * p, d * d)
-    return np.ascontiguousarray(xk.conj().transpose(0, 2, 1))
+def _block_patch_units(g: BlockQCA):
+    """Backward unit conjugation of one step of a block automaton on its
+    minimal patch: with X = (I_q ⊗ v ⊗ I_p)(u ⊗ u) from input cells
+    (c, c+1) to (a_c, output cell c, b_{c+1}) and X_k its rows whose output
+    digit is k, G† E_kl G = X_k† X_l on the input patch (_dense_units)."""
+    x = la.kron(np.eye(g.q), g.v, np.eye(g.p)) @ la.kron(g.u, g.u)
+    return _dense_units(x, g.d, g.q, forward=False)
 
 
 def block_neighborhood(g: BlockQCA, tol: float = la.DEFAULT_TOL) -> NeighborhoodReport:
@@ -604,6 +619,6 @@ def block_neighborhood(g: BlockQCA, tol: float = la.DEFAULT_TOL) -> Neighborhood
     conjugation: the first of {0}, {1}, {0, 1} (always localized) on which
     every unit is, by the generator check of _first_localized."""
     cands = [(0, 0), (1, 1), (0, 1)]
-    found = _first_localized(_dense_units(_block_patch_slices(g)), g.d, 2,
+    found = _first_localized(_block_patch_units(g), g.d, 2,
                              [range(lo, hi + 1) for lo, hi in cands], tol)
     return NeighborhoodReport(True, cands[found], None, 1, 0)

@@ -1,6 +1,8 @@
 """Command-line behavior: subcommands, exit codes, report shapes."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -310,3 +312,24 @@ def test_reports_are_deterministic_given_seed(capsys):
                       "--seed", "5")
     assert code1 == code2 == 0
     assert rep1 == rep2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "xor.json", "--window", "8"],
+    ["decompose", "toffoli_grouped.json", "--window", "4"],
+])
+def test_commands_do_not_import_numpy_ma(argv):
+    # np.unique imports numpy.ma on first use (about 25 ms per process);
+    # bijectivity and grouping go through np.bincount and argsort instead
+    script = ("import contextlib, io, sys\n"
+              "from qcablocks.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(sys.argv[1:])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    args = [argv[0], spec(argv[1])] + argv[2:]
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -703,3 +703,95 @@ def test_decompose_recovers_grouped_partitioned_rules(case, seed):
         expected = SparseState(rule.alphabet,
                                {c: cert.phase * a for c, a in expected.terms.items()})
         assert apply_block(state, qca).distance(expected) <= 1e-7
+
+
+# ------------------------------------------- alignment from the exact gates
+
+ALIGNMENT_SPLITS = [(2, 1, 2), (2, 2, 1), (4, 2, 2), (6, 2, 3), (6, 3, 2)]
+
+
+def expected_alignment(p, q, steps):
+    """Split and certified shift of a (p, q) window rotated by ``steps``.
+
+    The rotation moves the neighborhood {0, 1} to {steps, 1 + steps}, and
+    the first of the alignments 0, +1, -1 that passes undoes it, which the
+    certificate reports as the shift -steps.  Only a split with a trivial
+    side is seen earlier: its neighborhood is one cell ({0} for q = 1, {1}
+    for p = 1), and the rotation that moves it onto the other cell of
+    {0, 1} leaves a valid automaton at alignment 0, an on-site map and a
+    pure shift exchanged, so the split is (q, p) and the shift 0."""
+    if (q == 1 and steps == 1) or (p == 1 and steps == -1):
+        return (q, p), 0
+    return (p, q), -steps
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(ALIGNMENT_SPLITS), st.sampled_from([-1, 0, 1]),
+       st.integers(0, 2**16))
+def test_alignment_found_by_exact_gates_on_block_windows(split, steps, seed):
+    from qcablocks.decompose import _rotate_rows
+    d, p, q = split
+    op = _rotate_rows(window_matrix(random_block_qca(d, p, q, seed=seed), 4), steps)
+    qca, cert = decompose_certified(op, seed=seed)
+    assert ((qca.p, qca.q), cert.shift) == expected_alignment(p, q, steps)
+    assert cert.residual <= 1e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]),
+       st.sampled_from([-1, 0, 1]), st.integers(0, 2**16))
+def test_alignment_found_by_exact_gates_on_one_hot_rules(split, steps, seed):
+    from qcablocks.decompose import _rotate_rows
+    p, q = split
+    op = _rotate_rows(quantize(partitioned_rule(p, q, seed=seed), 4, "periodic"), steps)
+    assert op.is_one_hot
+    qca, cert = decompose_certified(op, seed=seed)
+    assert ((qca.p, qca.q), cert.shift) == expected_alignment(p, q, steps)
+    assert cert.residual <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_haar_window_is_refused_at_every_alignment(d):
+    # a Haar-random unitary on the whole window is unitary but no automaton:
+    # the refusal names the failing check of each of the three alignments
+    rng = np.random.default_rng(100 + d)
+    n = d**4
+    z, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    op = WindowOperator(default_alphabet(d), 4, z * (np.diag(r) / np.abs(np.diag(r))),
+                        "periodic")
+    assert check_shift_invariance(op, 1e-9) is False
+    with pytest.raises(NotLocal) as err:
+        decompose_certified(op)
+    message = str(err.value)
+    for name in ("alignment 0:", "alignment +1:", "alignment -1:"):
+        assert message.count(name) == 1
+
+
+def test_alignment_failures_name_the_image_checks():
+    # 2·I has the neighborhood {0}: rotated by 0 or +1 cells it is shift
+    # invariant in the {0, 1} alignment and the trace check of its images
+    # refuses it; rotated by -1 the neighborhood is {-1}, which leaks
+    from qcablocks.decompose import _aligned_images
+    op = WindowOperator(default_alphabet(2), 4, 2 * np.eye(16, dtype=complex), "periodic")
+    with pytest.raises(NotLocal) as err:
+        _aligned_images(op, 1e-8)
+    message = str(err.value)
+    assert "alignment 0: cell-1 unit traces miss" in message
+    assert "alignment +1: cell-1 unit traces miss" in message
+    assert "alignment -1: not shift invariant" in message
+
+
+def test_decompose_dense_peak_memory():
+    # check_unitary, the alignment, both passes over the unit rows and the
+    # row-block certificate stay within 2.5 window copies; the reconstructed
+    # window of certify is one of them (with a full m† m, probes and a full
+    # difference buffer this took 3.6 copies)
+    op = window_matrix(random_block_qca(6, 2, 3, seed=7), 4)
+    tracemalloc.start()
+    try:
+        qca, cert = decompose_certified(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (qca.p, qca.q) == (2, 3) and cert.residual <= 1e-9
+    assert peak <= 2.5 * op.dim ** 2 * 16

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle as oracle
 from qcablocks.errors import DimensionMismatch
 from qcablocks import linalg as la
 from qcablocks.verify import (
+    _group_ids,
     _one_hot_adjoint,
     _one_hot_conjugation,
     fast_localization_residual,
+    is_injective,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -190,6 +193,54 @@ def test_is_unitary():
         la.is_unitary(np.ones((2, 3)))
 
 
+@st.composite
+def perturbed_unitaries(draw):
+    """(m, tol, expected): a Haar-random unitary of dimension n in 1 ... 40
+    (mostly not a multiple of UNITARY_BLOCKS) with m† m - I moved by 0.5·tol
+    or 2·tol at one diagonal entry or one Hermitian pair of entries, in
+    any column block."""
+    n = draw(st.integers(1, 40))
+    tol = draw(st.sampled_from([1e-9, 1e-6]))
+    factor = draw(st.sampled_from([0.5, 2.0]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, r = np.linalg.qr(z)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    eps = factor * tol
+    # m = u h with h Hermitian: m† m = h², which moves the (i, j) and (j, i)
+    # entries (or the (i, i) entry) by eps, up to O(eps²)
+    h = np.eye(n, dtype=complex)
+    if i == j:
+        h[i, i] = np.sqrt(1.0 + eps)
+    else:
+        phase = np.exp(2j * np.pi * rng.random())
+        h[i, j], h[j, i] = eps / 2 * phase, eps / 2 * np.conj(phase)
+    m = u @ h
+    return m, tol, oracle.unitary_verdict(m, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_unitaries())
+def test_is_unitary_matches_full_product_verdict(case):
+    m, tol, expected = case
+    assert la.is_unitary(m, tol) == expected
+    assert la.is_unitary(np.asfortranarray(m), tol) == expected
+
+
+def test_is_unitary_blocks_do_not_divide_n():
+    # n = 13 splits into blocks of 1 and 2 columns; a defect in the last
+    # column's Hermitian pair with the first is seen from the first block
+    for n in (9, 13, 17):
+        assert n % la.UNITARY_BLOCKS != 0
+        m = np.eye(n, dtype=complex)
+        for eps, verdict in ((0.5e-9, True), (2e-9, False)):
+            m[0, n - 1] = m[n - 1, 0] = eps / 2
+            assert oracle.unitary_verdict(m, 1e-9) is verdict
+            assert la.is_unitary(m, 1e-9) is verdict
+    assert not la.is_unitary(np.full((3, 3), np.nan))
+
+
 def test_trace_distance_extremes():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     rho1 = np.diag([0.0, 1.0]).astype(complex)
@@ -257,6 +308,36 @@ def test_localization_defect_norms_match_definition(case):
         (la.max_norm(defect), la.hs_norm(defect)), rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def operators_on_up_to_four_factors(draw):
+    """(a, dims, region): a random or nearly localized operator on up to
+    four factors of size 1 ... 3, with any region (empty, non-contiguous or
+    the whole window)."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    region = sorted(draw(st.sets(st.integers(0, len(dims) - 1))))
+    if draw(st.booleans()):
+        region = list(range(len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(np.prod(dims))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        dk = int(np.prod([dims[i] for i in region]))
+        m = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
+        a = la.embed_on_factors(m, dims, region) + 1e-6 * a
+    return a, dims, region
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators_on_up_to_four_factors())
+def test_localization_defect_matches_transposed_oracle(case):
+    # the einsum-view kernel against the transposed-copy kernel it replaced
+    a, dims, region = case
+    resid, hs = la.localization_defect(a, dims, region)
+    want_resid, want_hs = oracle.transposed_localization_defect(a, dims, region)
+    assert resid == pytest.approx(want_resid, rel=0, abs=1e-15)
+    assert hs == pytest.approx(want_hs, rel=1e-12, abs=1e-300)
+
+
 @settings(max_examples=150, deadline=None)
 @given(operators_on_factors())
 def test_localization_residual_is_adjoint_invariant(case):
@@ -304,3 +385,14 @@ def test_coo_kernel_matches_dense_kernel_on_one_hot_conjugations(case):
         adjoint = (coo[1], coo[0], np.conj(coo[2]))
         assert fast_localization_residual(adjoint, d, w, region) == pytest.approx(
             fast_localization_residual(coo, d, w, region), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 50), max_size=60))
+def test_index_grouping_matches_np_unique(keys):
+    # the sparse kernel's grouping and the bijectivity test, against
+    # np.unique (which the library avoids: it imports numpy.ma)
+    keys = np.array(keys, dtype=np.int64)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(_group_ids(keys), inverse)
+    assert is_injective(keys) == (len(uniq) == len(keys))

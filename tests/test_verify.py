@@ -1,6 +1,7 @@
 """Verifier checks: unitarity, shift invariance, neighborhoods, the
 inverse-locality mirror, signalling detection, and the block-native path."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,7 @@ from qcablocks.model import (
 )
 from qcablocks.rand import default_alphabet, random_block_qca, random_sparse_state
 from qcablocks.verify import (
-    _block_patch_slices,
-    _dense_conjugation,
+    _block_patch_units,
     _unit_conjugation,
     block_neighborhood,
     check_inverse_locality,
@@ -55,6 +55,25 @@ def test_xor_quantization_is_unitary_on_window():
     assert rows.shape == phases.shape == (3**6,) and np.all(phases == 1)
     assert len(set(rows.tolist())) == 3**6
     assert check_unitary(op)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_unitary_peak_memory():
+    # the Hermitian half of m† m in column blocks: no n x n product,
+    # identity, difference or conjugate copy (the full product took 2.0
+    # window copies)
+    op = window_matrix(random_block_qca(6, 2, 3, seed=7), 4)
+    ok, peak = _traced_peak(lambda: check_unitary(op))
+    assert ok
+    assert peak <= 0.75 * op.dim ** 2 * 16
 
 
 def test_block_window_is_unitary():
@@ -188,6 +207,16 @@ def test_neighborhood_monotone_under_superset():
                 if min(region) < 0 or max(region) > op.width - 1:
                     continue
                 assert fast_localization_residual(entry, 4, 5, region)[0] <= 1e-9
+
+
+def test_neighborhood_dense_peak_memory():
+    # backward units from the row parts of G, and residuals without a
+    # transposed copy: one unit, its |.| array and two parts (with the
+    # adjoint, a slice stack and transposed copies this took 3.6 copies)
+    op = window_matrix(random_block_qca(6, 2, 3, seed=7), 4)
+    rep, peak = _traced_peak(lambda: neighborhood(op, max_radius=1))
+    assert rep.neighborhood == (0, 1)
+    assert peak <= 3 * op.dim ** 2 * 16
 
 
 # -------------------------------------------------------- inverse locality
@@ -498,10 +527,9 @@ def test_block_conjugated_unit_matches_window_conjugation():
     op = window_matrix(g, 4)
     d, w, cc = 4, 4, 1
     unit, _ = _unit_conjugation(op, cc, forward=False)
-    patch = _block_patch_slices(g)
-    eye = np.eye(d)
+    native, _ = _block_patch_units(g)
     for k, l in [(0, 0), (1, 2), (3, 1)]:
-        t_native = _dense_conjugation(patch, eye[k], eye[l])
+        t_native = native(k, l)
         t_window = unit(k, l)
         embedded = la.embed_on_factors(t_native, (d,) * w, {cc, cc + 1})
         assert la.max_norm(t_window - embedded) <= 1e-10
