@@ -12,7 +12,7 @@ pipeline splits that cell with the two-factor theorem (the recombining
 unitary v), reads the cell-splitting unitary u off the induced
 *-isomorphism onto the middle factors, fixes the quiescent gauge, and
 certifies the reconstruction against the whole input window up to a
-global shift and phase.
+global phase, at the one cell shift the alignment chose.
 
 No step needs all d² images at once, so they are streamed one row
 T_k0 ... T_k(d-1) at a time in two passes: the first takes the partial
@@ -22,16 +22,17 @@ each row for u.
 The window's alignment is chosen by exact gates alone: of the window
 rotations by 0, +1 and -1 cells, the first that is shift invariant and
 whose compressed images pass the trace and matrix-unit checks is
-decomposed; no random probe is drawn.  Dense windows conjugate the matrix
-units on their quiescent-complement rows with the verifier's dense unit
-primitive; one-hot windows are conjugated by reindexing and never
-densified, with the verifier's exact generator check for localization on
-the patch.  A one-hot row is not a dense array but its entries (l,
-patch_row, patch_col, value), read off the preimages of the patch rows
-alone (about d per unit): both passes work on the entries, the partial
-traces by scatter-adds and u's conjugations as products of d columns of
-W ⊗ W.  Whatever a gate cannot see, the end-to-end certificate against the
-whole window refuses.
+decomposed; no random probe is drawn, and the certificate compares at
+that rotation alone.  Dense windows conjugate the matrix units on their
+quiescent-complement rows with the verifier's dense unit primitive;
+one-hot windows are conjugated by reindexing and never densified, with
+the verifier's exact generator check for localization on the patch.  A
+one-hot row is not a dense array but its entries (l, patch_row,
+patch_col, value), read off the preimages of the patch rows alone (about
+d per unit): both passes work on the entries, the partial traces by
+scatter-adds and u's conjugations as products of d columns of W ⊗ W.
+Whatever a gate cannot see, the end-to-end certificate against the whole
+window refuses.
 """
 from __future__ import annotations
 
@@ -80,8 +81,9 @@ CERTIFY_BLOCKS = 8
 
 @dataclass(frozen=True)
 class Certification:
-    """How well the reconstructed window matches the input: max-norm
-    residual after aligning a global cell shift and a global phase."""
+    """How well the reconstructed window matches the input rotated by
+    ``shift`` cells (_rotate_rows): max-norm residual after aligning a
+    global phase."""
 
     residual: float
     shift: int
@@ -362,38 +364,35 @@ def fix_quiescent_gauge(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
     return BlockQCA(alphabet, p, q, u, v, q1, q2)
 
 
-def certify(qca: BlockQCA, op: WindowOperator,
-            offsets: tuple[int, ...] = (-1, 0, 1)) -> Certification:
-    """Max-norm residual between the reconstructed window and the input,
-    minimized over a global cell shift and a global phase.
+def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
+    """Max-norm residual between the reconstructed window and the input
+    rotated by ``shift`` cells, minimized over a global phase.
 
     Dense windows are compared entry by entry (exact), a block of rows at
-    a time.  One-hot windows are never densified: _transfer_certify bounds
-    their residual through per-column overlaps, traces of rings of q x q
-    transfer matrices in extended precision."""
+    a time, each block gathered from the input's rows at that rotation, so
+    no rotated copy of the window exists.  One-hot windows are never
+    densified: _transfer_certify bounds their residual through per-column
+    overlaps, traces of rings of q x q transfer matrices in extended
+    precision."""
     if op.is_one_hot:
-        return _transfer_certify(qca, op, offsets)
+        return _transfer_certify(qca, op, shift)
     d, w, n = op.alphabet.d, op.width, op.dim
     rec = window_matrix(qca, w).dense()
     g = op.dense()
     edges = [n * i // CERTIFY_BLOCKS for i in range(CERTIFY_BLOCKS + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    best = None
-    for k in offsets:
-        # the rotated input's row r is the input's row src[r]; compared a
-        # block of rows at a time, so no n x n difference exists
-        src = np.argsort(_row_rotation(d, w, k))
-        overlap = sum(complex(np.vdot(g[src[b]], rec[b])) for b in blocks)
-        phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-        resid = max(la.max_norm(rec[b] - phase * g[src[b]]) for b in blocks)
-        if best is None or resid < best.residual:
-            best = Certification(float(resid), k, complex(phase))
-    return best
+    # the rotated input's row r is the input's row src[r]; compared a block
+    # of rows at a time, so no n x n difference exists
+    src = np.argsort(_row_rotation(d, w, shift))
+    overlap = sum(complex(np.vdot(g[src[b]], rec[b])) for b in blocks)
+    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
+    resid = max(la.max_norm(rec[b] - phase * g[src[b]]) for b in blocks)
+    return Certification(float(resid), shift, complex(phase))
 
 
-def _transfer_certify(qca: BlockQCA, op: WindowOperator,
-                      offsets: tuple[int, ...]) -> Certification:
-    """Certify a one-hot window without expanding reconstruction columns.
+def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certification:
+    """Certify a one-hot window, rotated by ``shift`` cells, without
+    expanding reconstruction columns.
 
     For each basis column x with target entry phi_x at row r(x), the
     reconstruction's element <r(x)| (⊗v) P (⊗u) |x> is the trace of a ring
@@ -432,22 +431,17 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator,
             prod = np.matmul(prod[:, None], doubled[None]).reshape(-1, q * q, q * q)
         halves.append(prod)
     col_norm2 = np.einsum("xij,yji->xy", *halves).real.ravel()
-    best = None
-    for k in offsets:
-        rot = _row_rotation(d, w, k)[rows]
-        row_digits = (rot[:, None] // pws[None, :]) % d
-        t = lookup[col_digits[:, 0], row_digits[:, 0]]
-        for i in range(1, w):
-            t = np.matmul(t, lookup[col_digits[:, i], row_digits[:, i]])
-        t_x = np.trace(t, axis1=1, axis2=2)
-        z = complex(np.sum(np.conj(phases.astype(np.clongdouble)) * t_x))
-        phase = z / abs(z) if abs(z) > 1e-12 else 1.0
-        off_mass = np.sqrt(np.maximum(0.0, col_norm2 - np.abs(t_x) ** 2))
-        target_dev = np.abs(t_x - np.clongdouble(phase) * phases.astype(np.clongdouble))
-        resid = float(np.max(off_mass + target_dev))
-        if best is None or resid < best.residual:
-            best = Certification(resid, k, complex(phase))
-    return best
+    rot = _row_rotation(d, w, shift)[rows]
+    row_digits = (rot[:, None] // pws[None, :]) % d
+    t = lookup[col_digits[:, 0], row_digits[:, 0]]
+    for i in range(1, w):
+        t = np.matmul(t, lookup[col_digits[:, i], row_digits[:, i]])
+    t_x = np.trace(t, axis1=1, axis2=2)
+    z = complex(np.sum(np.conj(phases.astype(np.clongdouble)) * t_x))
+    phase = z / abs(z) if abs(z) > 1e-12 else 1.0
+    off_mass = np.sqrt(np.maximum(0.0, col_norm2 - np.abs(t_x) ** 2))
+    target_dev = np.abs(t_x - np.clongdouble(phase) * phases.astype(np.clongdouble))
+    return Certification(float(np.max(off_mass + target_dev)), shift, complex(phase))
 
 
 def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
@@ -455,23 +449,23 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     """Full pipeline with the certification attached: unitarity, then the
     first window alignment whose exact gates pass (_aligned_images), the
     split of the shared cell, u, the quiescent gauge, and the certificate
-    against the input window.  A failure after the alignment is chosen
-    propagates as raised."""
+    against the input window at the shift that alignment chose.  A failure
+    after the alignment is chosen propagates as raised."""
     if op.width < 4:
         raise WindowTooSmall("decomposition needs a window of at least 4 cells")
     if not check_unitary(op, max(tol, 1e-9)):
         raise PreconditionViolated("window operator is not unitary")
-    images = _aligned_images(op, tol)
+    steps, images = _aligned_images(op, tol)
     a1, b1 = shared_cell_algebras(images)
     fact = derive_v(a1, b1, seed=seed, tol=tol)
     u = derive_u(images, fact, tol=tol)
     v = la.dagger(fact.u)
     qca = fix_quiescent_gauge(u, v, op.alphabet, fact.p, fact.q, tol=tol)
-    cert = certify(qca, op)
+    cert = certify(qca, op, shift=steps)
     if cert.residual > cert_tol:
         raise ReconstructionMismatch(
             f"certification residual {cert.residual:.2e} exceeds {cert_tol:.1e} "
-            f"(best shift {cert.shift})")
+            f"(at shift {cert.shift})")
     return qca, cert
 
 
@@ -482,16 +476,18 @@ def decompose(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     return qca
 
 
-def _aligned_images(op: WindowOperator, tol: float) -> CellImages:
-    """Cell-1 images of the first alignment that passes the exact gates.
+def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, CellImages]:
+    """``(steps, images)``: the first alignment that passes the exact gates
+    and the cell-1 images of the window rotated by it.
 
     Hand-written windows may have their neighborhood at window offsets
     {0, 1}, {-1, 0} or {1, 2}; composing with the window cyclic shift by
     ``steps`` cells moves it by ``steps``.  For steps in ALIGNMENTS, the
     rotated window must be shift invariant (tested in the {0, 1}
     alignment, where interior images stay clear of the window edge) and
-    pass cell_algebra_images; the first that does is taken.  NotLocal,
-    naming each alignment's failing check, when none does."""
+    pass cell_algebra_images; the first that does is taken, and ``steps``
+    is the shift its reconstruction is certified at.  NotLocal, naming
+    each alignment's failing check, when none does."""
     failures = []
     for steps in ALIGNMENTS:
         rotated = _rotate_rows(op, steps)
@@ -500,7 +496,7 @@ def _aligned_images(op: WindowOperator, tol: float) -> CellImages:
             failures.append(f"{name}: not shift invariant")
             continue
         try:
-            return cell_algebra_images(rotated, tol)
+            return steps, cell_algebra_images(rotated, tol)
         except NotLocal as err:
             failures.append(f"{name}: {err}")
     raise NotLocal(

@@ -584,8 +584,8 @@ def test_transfer_certificate_bounds_the_dense_one():
     # partitioned rules (p, q), grouped by s: one-hot ring windows up to
     # n = 4096 certified by the transfer bound, and their densified copies by
     # the exact comparison; for d <= 6 also composed with the window cyclic
-    # shift, so the certified shift is nonzero and both _rotate_rows
-    # branches are compared
+    # shift, so both are certified at the nonzero shift that undoes it and
+    # both _rotate_rows branches are compared
     from qcablocks.decompose import _rotate_rows
     for p, q, s in CERT_CROSS_CHECK:
         rule = partitioned_rule(p, q, seed=10 * p + q)
@@ -598,10 +598,39 @@ def test_transfer_certificate_bounds_the_dense_one():
                 rotated = WindowOperator(op.alphabet, 4, op.dense(), "periodic")
                 rotated = _rotate_rows(rotated, steps)
                 assert np.array_equal(densified.matrix, rotated.matrix)
-            transfer, dense = certify(qca, hot), certify(qca, densified)
-            assert transfer.shift == dense.shift
+            transfer = certify(qca, hot, shift=-steps)
+            dense = certify(qca, densified, shift=-steps)
             assert transfer.residual <= 1e-7 and dense.residual <= 1e-7
             assert transfer.residual >= dense.residual - 1e-15
+
+
+def test_one_hot_and_dense_decompositions_certify_at_the_same_shift():
+    # the transfer and the dense path align the same rotated window alike
+    from qcablocks.decompose import _rotate_rows
+    op = quantize(partitioned_rule(2, 3, seed=23), 4, "periodic")
+    for steps in (-1, 0, 1):
+        hot = _rotate_rows(op, steps)
+        densified = WindowOperator(op.alphabet, 4, hot.dense(), "periodic")
+        (qh, transfer), (qd, dense) = decompose_certified(hot), decompose_certified(densified)
+        assert ((qh.p, qh.q), transfer.shift) == ((qd.p, qd.q), dense.shift)
+        assert transfer.shift == -steps
+
+
+@pytest.mark.parametrize("one_hot", [False, True])
+def test_certify_at_a_wrong_shift_reports_the_mismatch(one_hot):
+    # an unrotated window certified one cell off: the reconstruction is not
+    # the window rotated by ±1, and the single comparison says so
+    if one_hot:
+        op = quantize(partitioned_rule(2, 2, seed=31), 4, "periodic")
+    else:
+        op = window_matrix(random_block_qca(4, 2, 2, seed=31), 4)
+    assert op.is_one_hot == one_hot
+    qca, cert = decompose_certified(op)
+    assert cert.shift == 0 and cert.residual <= 1e-9
+    for wrong in (-1, 1):
+        off = certify(qca, op, shift=wrong)
+        assert off.shift == wrong
+        assert off.residual > 1e-7
 
 
 def test_certify_one_hot_peak_memory():
@@ -781,17 +810,21 @@ def test_alignment_failures_name_the_image_checks():
     assert "alignment -1: not shift invariant" in message
 
 
-def test_decompose_dense_peak_memory():
+@pytest.mark.parametrize("steps", [-1, 0, 1])
+def test_decompose_dense_peak_memory(steps):
     # check_unitary, the alignment, both passes over the unit rows and the
-    # row-block certificate stay within 2.5 window copies; the reconstructed
-    # window of certify is one of them (with a full m† m, probes and a full
-    # difference buffer this took 3.6 copies)
-    op = window_matrix(random_block_qca(6, 2, 3, seed=7), 4)
+    # row-block certificate stay within 2.5 window copies, also for a
+    # rotated input; the reconstructed window of certify is one of them, and
+    # the input's rows are gathered at the certified shift block by block,
+    # never as a rotated copy (with a full m† m, probes and a full difference
+    # buffer this took 3.6 copies)
+    from qcablocks.decompose import _rotate_rows
+    op = _rotate_rows(window_matrix(random_block_qca(6, 2, 3, seed=7), 4), steps)
     tracemalloc.start()
     try:
         qca, cert = decompose_certified(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (qca.p, qca.q) == (2, 3) and cert.residual <= 1e-9
+    assert (qca.p, qca.q) == (2, 3) and cert.shift == -steps and cert.residual <= 1e-9
     assert peak <= 2.5 * op.dim ** 2 * 16
