@@ -62,11 +62,12 @@ from .model import (
     Alphabet,
     BlockQCA,
     WindowOperator,
-    window_matrix,
+    _window_columns,
 )
 from .verify import (
     _dense_units,
     _first_localized,
+    _row_rotation,
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
@@ -75,8 +76,6 @@ from .verify import (
 DEFAULT_CERT_TOL = 1e-7
 # window cyclic shifts tried in turn to bring the neighborhood to {0, 1}
 ALIGNMENTS = (0, 1, -1)
-# row blocks of the dense certificate comparison
-CERTIFY_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,6 @@ class Certification:
     residual: float
     shift: int
     phase: complex
-
-
-def _row_rotation(d: int, w: int, steps: int) -> np.ndarray:
-    """Window index map of the cyclic shift by ``steps`` cells: row y of a
-    window moves to row rot[y] (content moves left for steps > 0)."""
-    rot = np.arange(d ** w, dtype=np.int64)
-    for _ in range(steps % w):
-        rot = (rot % d ** (w - 1)) * d + rot // d ** (w - 1)
-    return rot
 
 
 def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
@@ -152,13 +142,14 @@ def _entry_unit(entries: tuple[np.ndarray, ...], l: int, d: int) -> np.ndarray:
     return out
 
 
-def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray | tuple]:
+def _unit_images(op: WindowOperator, tol: float,
+                 shift: int) -> Callable[[int], np.ndarray | tuple]:
     """Row builder k -> row T_k0 ... T_k(d-1) of the conjugated cell-1
     matrix units G (E_kl ⊗ I) G†, compressed onto their two-cell patch
-    (0, 1); each call rebuilds the row, so the whole stack never exists.
-    A dense window gives a dense (d, d², d²) row, a one-hot window the
-    row's entries (_one_hot_unit_rows), the same split as the window's own
-    storage.
+    (0, 1), of the window rotated by ``shift`` cells (_rotate_rows); each
+    call rebuilds the row, so the whole stack never exists.  A dense window
+    gives a dense (d, d², d²) row, a one-hot window the row's entries
+    (_one_hot_unit_rows), the same split as the window's own storage.
 
     A one-hot window must first pass the verifier's exact generator check
     on the patch (d residuals, the norm bound and, only where it fails,
@@ -166,24 +157,27 @@ def _unit_images(op: WindowOperator, tol: float) -> Callable[[int], np.ndarray |
     trace and matrix-unit checks of cell_algebra_images, the middle-factor
     and isomorphism residuals of derive_u and the end-to-end certificate
     refuse what is not localized.  Dense rows are the verifier's dense
-    units on the d² rows of G whose complement cells are quiescent; one-hot
-    entries are read off the preimages of those rows.
+    units on the d² rows of the rotated G whose complement cells are
+    quiescent, gathered from G, so no rotated copy of a dense window
+    exists; one-hot entries are read off the preimages of those rows.
     """
     d, w = op.alphabet.d, op.width
     patch = (0, 1)
 
     if op.is_one_hot:
+        op = _rotate_rows(op, shift)
         if _first_localized(_unit_conjugation(op, 1, forward=True), d, w, [patch], tol) is None:
             raise NotLocal(f"image of the cell-1 algebra is not localized on "
                            f"cells {patch}")
         return _one_hot_unit_rows(*op.matrix, d, w)
 
-    # rows with a quiescent complement (cells 2 ... w-1 all 0), already in
-    # patch order; a copy, so the rows do not keep the window alive
-    unit, _ = _dense_units(op.dense()[::d ** (w - 2)].copy(), d, d, forward=True)
+    # rows with a quiescent complement (cells 2 ... w-1 all 0), in patch
+    # order: the rotated window's row r is the window's row src[r]
+    src = _row_rotation(d, w, -shift)
+    unit, _ = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)
 
     def row(k: int) -> np.ndarray:
-        return np.stack([unit(k, l) for l in range(d)])
+        return np.stack([unit(k, l)() for l in range(d)])
 
     return row
 
@@ -203,10 +197,13 @@ class CellImages:
     b1: np.ndarray
 
 
-def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
+def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
+                        shift: int = 0) -> CellImages:
     """First pass over the rows of compressed images T_kl of the cell-1
     matrix units under forward conjugation G (E_kl ⊗ I) G†, compressed onto
-    patch (0, 1) by _unit_images.  One row is held at a time; the pass keeps
+    patch (0, 1) by _unit_images, with G the window composed with the cyclic
+    shift of its outputs by ``shift`` cells (_rotate_rows), read without
+    forming it.  One row is held at a time; the pass keeps
     the two partial traces and the units the checks below need.  Dense rows
     are traced by einsum; entry rows add each entry whose two leg-0 (or
     leg-1) indices agree, and only the sampled units are densified.
@@ -218,7 +215,7 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8) -> CellImages:
     if op.width < 4:
         raise WindowTooSmall("cell algebra images need a window of at least 4 cells")
     d = op.alphabet.d
-    row = _unit_images(op, tol)
+    row = _unit_images(op, tol, shift)
     rng = np.random.default_rng(0)
     triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
     sampled = {key: None for k, l, m in triples for key in ((k, l), (l, m), (k, m))}
@@ -368,26 +365,33 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
     """Max-norm residual between the reconstructed window and the input
     rotated by ``shift`` cells, minimized over a global phase.
 
-    Dense windows are compared entry by entry (exact), a block of rows at
-    a time, each block gathered from the input's rows at that rotation, so
-    no rotated copy of the window exists.  One-hot windows are never
-    densified: _transfer_certify bounds their residual through per-column
-    overlaps, traces of rings of q x q transfer matrices in extended
-    precision."""
+    Dense windows are compared entry by entry (exact) without the
+    reconstruction ever existing whole: each column block of it is rebuilt
+    from its basis inputs (model._window_columns) and compared with the same
+    columns of the input, their rows gathered at that rotation, in two
+    passes, the overlap that fixes the phase and then the residual.  One-hot
+    windows are never densified: _transfer_certify bounds their residual
+    through per-column overlaps, traces of rings of q x q transfer matrices
+    in extended precision."""
     if op.is_one_hot:
         return _transfer_certify(qca, op, shift)
     d, w, n = op.alphabet.d, op.width, op.dim
-    rec = window_matrix(qca, w).dense()
     g = op.dense()
-    edges = [n * i // CERTIFY_BLOCKS for i in range(CERTIFY_BLOCKS + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    # the rotated input's row r is the input's row src[r]; compared a block
-    # of rows at a time, so no n x n difference exists
-    src = np.argsort(_row_rotation(d, w, shift))
-    overlap = sum(complex(np.vdot(g[src[b]], rec[b])) for b in blocks)
+    # the rotated input's row r is the input's row src[r]
+    src = _row_rotation(d, w, -shift)
+
+    def pairs():
+        for cols in la.row_blocks(n):
+            yield _window_columns(qca, w, cols), g[src, cols]
+
+    overlap = sum(complex(np.vdot(target, rec)) for rec, target in pairs())
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    resid = max(la.max_norm(rec[b] - phase * g[src[b]]) for b in blocks)
-    return Certification(float(resid), shift, complex(phase))
+    resid = []
+    for rec, target in pairs():
+        target *= phase
+        rec -= target
+        resid.append(la.max_norm(rec))
+    return Certification(float(np.max(resid)), shift, complex(phase))
 
 
 def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certification:
@@ -486,17 +490,18 @@ def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, CellImages]:
     rotated window must be shift invariant (tested in the {0, 1}
     alignment, where interior images stay clear of the window edge) and
     pass cell_algebra_images; the first that does is taken, and ``steps``
-    is the shift its reconstruction is certified at.  NotLocal, naming
-    each alignment's failing check, when none does."""
+    is the shift its reconstruction is certified at.  Both checks read the
+    rotation through their ``shift`` argument, so no rotated copy of a
+    dense window exists.  NotLocal, naming each alignment's failing check,
+    when none does."""
     failures = []
     for steps in ALIGNMENTS:
-        rotated = _rotate_rows(op, steps)
         name = f"alignment {steps:+d}" if steps else "alignment 0"
-        if not check_shift_invariance(rotated, max(tol, 1e-9)):
+        if not check_shift_invariance(op, max(tol, 1e-9), shift=steps):
             failures.append(f"{name}: not shift invariant")
             continue
         try:
-            return steps, cell_algebra_images(rotated, tol)
+            return steps, cell_algebra_images(op, tol, shift=steps)
         except NotLocal as err:
             failures.append(f"{name}: {err}")
     raise NotLocal(

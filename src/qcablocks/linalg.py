@@ -9,6 +9,7 @@ Everything here is pure and safe to call concurrently.
 from __future__ import annotations
 
 from functools import reduce
+from math import prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,9 +17,10 @@ import numpy as np
 from .errors import DimensionMismatch
 
 DEFAULT_TOL = 1e-9
-# column blocks of is_unitary: its scratch is three block-sized arrays, about
-# 3/UNITARY_BLOCKS of the matrix's bytes
-UNITARY_BLOCKS = 8
+# blocks of all dense streaming (is_unitary, the localization defects of
+# conjugated units, window_matrix, the dense certificate): a block's scratch
+# is a few arrays of about 1/STREAM_BLOCKS of the matrix's bytes
+STREAM_BLOCKS = 16
 
 
 def as_matrix(m) -> np.ndarray:
@@ -52,23 +54,29 @@ def max_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def row_blocks(n: int) -> list[slice]:
+    """The streaming blocks of n rows (or columns): STREAM_BLOCKS contiguous
+    ranges, fewer where a block would have under STREAM_BLOCKS rows, so a
+    small matrix is one block."""
+    blocks = min(STREAM_BLOCKS, max(1, n // STREAM_BLOCKS))
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |m† m - I| <= tol``.  Raises on non-square input.
 
     m† m is Hermitian, so only its upper block triangle is formed: for each
-    of UNITARY_BLOCKS column blocks J, the block row m[:, J]† m[:, J:].  The
+    column block J of row_blocks, the block row m[:, J]† m[:, J:].  The
     scratch is one conjugated column block and one block row, never an
     n x n product, identity or difference, and the first block row above
     tol ends the test."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"unitarity needs a square matrix, got {m.shape}")
-    n = m.shape[0]
-    blocks = min(UNITARY_BLOCKS, n)
-    edges = [n * i // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        row = np.conj(m[:, lo:hi]).T @ m[:, lo:]
-        diag = np.arange(hi - lo)
+    for cols in row_blocks(m.shape[0]):
+        row = np.conj(m[:, cols]).T @ m[:, cols.start:]
+        diag = np.arange(cols.stop - cols.start)
         row[diag, diag] -= 1.0
         if not max_norm(row) <= tol:
             return False
@@ -80,7 +88,7 @@ def validate_shape(dims: Sequence[int], n: int) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise DimensionMismatch(f"factor dims must be positive, got {dims}")
-    if int(np.prod(dims)) != n:
+    if prod(dims) != n:
         raise DimensionMismatch(f"factor shape {dims} does not multiply to {n}")
     return dims
 
@@ -152,29 +160,89 @@ def localization_residual(a: np.ndarray, dims: Sequence[int], region: Iterable[i
 def localization_defect(a: np.ndarray, dims: Sequence[int],
                         region: Iterable[int]) -> tuple[float, float]:
     """Max-norm and Hilbert-Schmidt norm of ``a - P(a)``, P the conditional
-    expectation onto operators supported on ``region`` (the diagonal-block
-    mean), computed without building the embedded comparison operator.
-    Entries off the complement diagonal count in full; diagonal blocks count
-    by their deviation from their mean.  The diagonal blocks are an einsum
-    view of ``a`` (complement row and column axes merged), so the only n x n
-    scratch is one float array of |a| whose diagonal blocks are then
-    overwritten by their deviation.  The HS norm bounds the operator norm of
-    the defect from above."""
-    a = as_matrix(a)
-    dims = validate_shape(dims, a.shape[0])
-    region = _normalize_region(dims, region)
-    w = len(dims)
-    comp = [i for i in range(w) if i not in region]
-    dc = int(np.prod([dims[i] for i in comp]))
-    # labels: row axis i, column axis w + i, merged with i on the complement;
-    # the view's axes are (complement..., region rows..., region columns...)
-    labels = list(range(w)) + [i if i in comp else w + i for i in range(w)]
-    view = comp + list(region) + [w + i for i in region]
-    blocks = np.einsum(a.reshape(dims + dims), labels, view)
-    mean = blocks.sum(axis=tuple(range(len(comp)))) / dc
-    dev = np.abs(a)
-    np.einsum(dev.reshape(dims + dims), labels, view)[...] = np.abs(blocks - mean)
-    return float(np.max(dev)), float(np.linalg.norm(dev))
+    expectation onto operators supported on ``region``: the one-block,
+    one-region case of localization_defects."""
+    return localization_defects([(0, as_matrix(a))], dims, [region])[0]
+
+
+def localization_defects(blocks: Iterable[tuple[int, np.ndarray]], dims: Sequence[int],
+                         regions: Sequence[Iterable[int]]) -> list[tuple[float, float]]:
+    """Max-norm and Hilbert-Schmidt norm of ``a - P_R(a)`` for every region
+    R, P_R the conditional expectation onto operators supported on R (the
+    diagonal-block mean), in one pass over the square matrix ``a`` given as
+    row blocks: ``blocks`` yields (first row, rows) pairs that cover every
+    row once, so ``a`` itself need never exist.
+
+    Each block's |.| is taken once for all regions.  Per region, the
+    entries on the complement diagonal (row and column agree off R; n·d_R
+    of them) are gathered into their diagonal blocks and kept; the rest
+    count in full toward the region's max and HS sum, read from |block|
+    with the diagonal entries zeroed for that region.  After the pass each
+    region's diagonal blocks are compared with their mean.  The scratch is
+    one block, its |.| and the kept diagonals.  The HS norm bounds the
+    operator norm of the defect from above."""
+    regions = list(regions)
+    state = None
+    for lo, block in blocks:
+        if state is None:
+            state = [_RegionDefect(dims, block.shape[1], region) for region in regions]
+        block = np.ascontiguousarray(block)
+        mags = np.abs(block)
+        for i, region in enumerate(state):
+            region.add(lo, block, mags, restore=i < len(state) - 1)
+        del block, mags  # before the next block is built
+    # each region's kept diagonal is dropped once it is scored
+    return [state.pop(0).result() for _ in regions]
+
+
+class _RegionDefect:
+    """The running defect of one region in localization_defects."""
+
+    def __init__(self, dims: Sequence[int], n: int, region: Iterable[int]):
+        dims = validate_shape(dims, n)
+        keep = _normalize_region(dims, region)
+        self.n = n
+        self.dk = prod(dims[i] for i in keep)
+        self.dc = n // self.dk
+        # window indices of the words zero off the region (offsets, in region
+        # order) and zero on it (one per complement value, broadcast to every
+        # row): the diagonal-block columns of row r are base[r] + offsets
+        words = np.arange(n, dtype=np.int64).reshape(dims)
+        self.offsets = words[tuple(slice(None) if i in keep else slice(0, 1)
+                                   for i in range(len(dims)))].reshape(-1)
+        base = words[tuple(slice(0, 1) if i in keep else slice(None)
+                           for i in range(len(dims)))]
+        # row r's flat position in the matrix at column base[r]
+        self.start = (words * n + base).reshape(-1)
+        # row r's entries there land in row slot[r] = (complement, region)
+        # of the kept diagonal
+        self.slot = np.empty(n, dtype=np.int64)
+        self.slot[words.transpose([i for i in range(len(dims)) if i not in keep]
+                                  + list(keep)).reshape(-1)] = np.arange(n)
+        self.diag = np.empty((n, self.dk), dtype=np.complex128)
+        self.off_max = 0.0
+        self.off_ssq = 0.0
+
+    def add(self, lo: int, block: np.ndarray, mags: np.ndarray, restore: bool) -> None:
+        """Score the rows lo ... of a C-contiguous block and its |.|."""
+        rows = slice(lo, lo + block.shape[0])
+        # flat positions of the diagonal-block entries inside the block
+        at = (self.start[rows] - lo * self.n)[:, None] + self.offsets
+        self.diag[self.slot[rows]] = block.reshape(-1)[at]
+        flat = mags.reshape(-1)
+        kept = flat[at] if restore else None
+        flat[at] = 0.0
+        self.off_max = np.maximum(self.off_max, np.max(flat))  # keeps a NaN
+        self.off_ssq += float(np.dot(flat, flat))
+        if restore:
+            flat[at] = kept
+
+    def result(self) -> tuple[float, float]:
+        blocks = self.diag.reshape(self.dc, self.dk, self.dk)
+        blocks -= blocks.sum(axis=0) / self.dc
+        dev = np.abs(blocks)
+        return (float(np.maximum(self.off_max, np.max(dev))),
+                sqrt(self.off_ssq + float(np.vdot(dev, dev))))
 
 
 def matrix_units(n: int):

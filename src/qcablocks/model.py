@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     WindowTooSmall,
 )
-from .linalg import is_unitary, max_norm
+from .linalg import is_unitary, max_norm, row_blocks
 
 PRUNE_THRESHOLD = 1e-14
 # Dense window matrices are refused above this dimension, and apply_block
@@ -755,26 +755,46 @@ def window_matrix(g: BlockQCA, w: int) -> WindowOperator:
     straddling half-cell pairs, wrapping the last onto the first; this is
     unitary for every w >= 2 and agrees with :func:`apply_block` on
     configurations whose support keeps one cell of slack inside the window.
+    The matrix is written one column block at a time (_window_columns), so
+    the only n x n array is the result.
     """
     if w < 2:
         raise WindowTooSmall("window width must be at least 2")
-    d, p, q = g.d, g.p, g.q
-    n = d**w
+    n = g.d**w
     if n > DENSE_WINDOW_CAP:
         raise DimensionMismatch(
             f"dense window would have dimension {n} > cap {DENSE_WINDOW_CAP}")
-    # Row axes after the u-layer: (a_0, b_0, ..., a_{w-1}, b_{w-1}); the
-    # v-layer pairs (b_i, a_{i+1 mod w}), a cyclic left shift of the axes.
-    # The Kronecker power is dropped once its transposed copy exists.
-    src = np.transpose(reduce(np.kron, [g.u] * w).reshape([q, p] * w + [n]),
-                       list(range(1, 2 * w)) + [0, 2 * w]).reshape(n, n)
-    dst = np.empty_like(src)
-    # the v-layer one cell at a time (w·d·n² rather than one n³ product),
-    # between two n x n buffers
+    out = np.empty((n, n), dtype=np.complex128)
+    for cols in row_blocks(n):
+        _window_columns(g, w, cols, out[:, cols])
+    return WindowOperator(g.alphabet, w, out, boundary="periodic")
+
+
+def _window_columns(g: BlockQCA, w: int, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """The columns ``cols`` of the dense w-cell window of g, from their basis
+    inputs alone, written into ``out`` when given.
+
+    The u-layer acts one cell at a time: a basis column's image is the
+    product of one column of u per cell, multiplied in the association of
+    the Kronecker power.  Its row axes are (b_0, a_1, b_1, ..., a_{w-1},
+    b_{w-1}, a_0): a_0 is kept last, so the v-layer's pairs (b_i, a_{i+1 mod
+    w}) are consecutive, and v acts one pair at a time (w·d·n·b operations
+    for b columns) between two block buffers."""
+    d, p, q = g.d, g.p, g.q
+    digits = np.arange(d**w)[cols, None] // d ** np.arange(w - 1, -1, -1) % d
+    b = len(digits)
+    src = g.u[:, digits[:, 0]].reshape(q, p, b).transpose(1, 0, 2)[:, None]
+    for i in range(1, w):
+        src = np.multiply(src[:, :, None], g.u[:, digits[:, i]][:, None],
+                          order="C").reshape(p, -1, q, b)
+    src = src.reshape(-1, b)
+    dst = np.empty(src.shape, dtype=np.complex128)
     for i in range(w):
+        if i == w - 1 and out is not None:
+            dst = out
         np.matmul(g.v, src.reshape(d**i, d, -1), out=dst.reshape(d**i, d, -1))
         src, dst = dst, src
-    return WindowOperator(g.alphabet, w, src, boundary="periodic")
+    return src
 
 
 def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,

@@ -15,11 +15,14 @@ WindowOperator).  Dense windows conjugate a matrix unit from the parts of
 G split by the cell's digit: forward T_kl = S_k S_l† with S_k the columns
 of G whose cell digit is k, backward T_kl = R_k† R_l with R_k its rows
 whose cell digit is k, so neither direction copies or conjugates the whole
-window.  One-hot windows (quantized classical rules) only reindex entries,
-so windows far beyond the dense cap stay cheap; their backward direction is
+window.  A dense unit is never held whole either: it is produced one row
+block at a time and scored on every candidate region in the same pass
+(linalg.localization_defects), so T_00 is formed once for all regions.
+One-hot windows (quantized classical rules) only reindex entries, so
+windows far beyond the dense cap stay cheap; their backward direction is
 the forward one on the adjoint, the inverse column map with conjugated
 phases.  fast_localization_residual is the one residual entry point for
-both formats.
+both formats, and takes a list of regions for both.
 
 Locality on R needs every unit T_kl = S_k S_l† (backward S_k = R_k†)
 within tol of P(T_kl) in the max-norm, P the
@@ -91,18 +94,36 @@ class NeighborhoodReport:
 
 # ------------------------------------------------------------------ helpers
 
-def _split_index(ix: np.ndarray, d: int, w: int, region) -> tuple[np.ndarray, np.ndarray]:
-    """Window indices as (region digits, complement digits), each read as a
-    base-d number in cell order."""
-    pw = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
-    kept = np.zeros(len(ix), dtype=np.int64)
-    rest = np.zeros(len(ix), dtype=np.int64)
-    for pos in range(w):
-        if pos in region:
-            kept = kept * d + (ix // pw[pos]) % d
-        else:
-            rest = rest * d + (ix // pw[pos]) % d
-    return kept, rest
+def _digits(ix, d: int, w: int) -> np.ndarray:
+    """Window indices as their w base-d digits: row i of the (w, len(ix))
+    result holds every index's digit at cell i."""
+    out = np.empty((w, len(ix)), dtype=np.int64)
+    rest = np.asarray(ix, dtype=np.int64)
+    for pos in range(w - 1, 0, -1):
+        rest, out[pos] = np.divmod(rest, d)
+    out[0] = rest
+    return out
+
+
+def _split_digits(digits: np.ndarray, d: int, region) -> tuple[np.ndarray, np.ndarray]:
+    """Digit rows (_digits) as (region digits, complement digits), each read
+    as a base-d number in cell order."""
+    numbers = (np.zeros(digits.shape[1], dtype=np.int64),
+               np.zeros(digits.shape[1], dtype=np.int64))
+    for pos, row in enumerate(digits):
+        number = numbers[0] if pos in region else numbers[1]
+        number *= d
+        number += row
+    return numbers
+
+
+def _row_rotation(d: int, w: int, steps: int) -> np.ndarray:
+    """Window index map of the cyclic shift by ``steps`` cells: row y of a
+    window moves to row rot[y] (content moves left for steps > 0)."""
+    rot = np.arange(d ** w, dtype=np.int64)
+    for _ in range(steps % w):
+        rot = (rot % d ** (w - 1)) * d + rot // d ** (w - 1)
+    return rot
 
 
 def is_injective(idx: np.ndarray) -> bool:
@@ -126,10 +147,16 @@ def check_unitary(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
 
 # ------------------------------------------------------ shift invariance
 
-def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
+def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
+                           shift: int = 0) -> bool:
     """Compare the action on configurations supported on the interior with
     the one-cell-shifted action.  Columns for words on cells [1, w-2] are
-    matched against shifted columns for the same words on [2, w-1]."""
+    matched against shifted columns for the same words on [2, w-1].
+
+    ``shift`` tests the window composed with the cyclic shift of its output
+    cells by that many cells (content moves left for shift > 0): only the
+    compared columns are read, with their rows rotated, so no rotated copy
+    of the window exists."""
     w, d = op.width, op.alphabet.d
     if w < 3:
         raise WindowTooSmall("shift invariance needs a window of at least 3 cells")
@@ -142,8 +169,9 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> b
 
     if op.is_one_hot:
         f, phases = op.matrix
-        img = f[interior]
-        img_shift = f[shifted_cols]
+        rot = _row_rotation(d, w, shift)
+        img = rot[f[interior]]
+        img_shift = rot[f[shifted_cols]]
         ok_support = np.all(img % d == 0)
         if not ok_support:
             return False
@@ -152,8 +180,10 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> b
         return float(np.max(np.abs(phases[interior] - phases[shifted_cols]))) <= tol
 
     mat = op.dense()
-    cols = mat[:, interior]
-    cols_shift = mat[:, shifted_cols]
+    # the rotated window's row r is the window's row src[r]
+    src = _row_rotation(d, w, -shift)
+    cols = mat[:, interior][src]
+    cols_shift = mat[:, shifted_cols][src]
     leak = float(np.max(np.abs(cols[~movable, :]))) if np.any(~movable) else 0.0
     if leak > tol:
         return False
@@ -192,33 +222,37 @@ def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
 
 
 def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
-    """Unit conjugation from the parts P_k of ``mat`` split by one digit of
-    size d, with ``lead`` the size of the index before it: forward
-    T_kl = S_k S_l†, S_k the columns whose digit is k; backward
-    T_kl = R_k† R_l, R_k the rows whose digit is k (so S_k = R_k†).  Each
-    unit copies only the two parts it multiplies, one of them conjugated.
-    Also the bound's norms: η = ||S_0† S_0 - I|| and s_0 = ||S_0|| from the
-    one Gram S_0† S_0, and for k > 0 the Frobenius norm of S_k, which
-    bounds ||S_k||."""
+    """Unit conjugation from the parts of ``mat`` split by one digit of size
+    d, with ``lead`` the size of the index before it.  Both directions are
+    T_kl = P_k† P_l: forward T_kl = S_k S_l† with S_k the columns whose
+    digit is k and P_k = S_k†; backward T_kl = R_k† R_l with R_k the rows
+    whose digit is k and P_k = R_k.  ``unit(k, l)`` copies P_l once (forward:
+    the conjugate of S_l, used transposed) and returns rows -> those rows of
+    T_kl, P_k[:, rows]† P_l, each call reading its slice of P_k from ``mat``
+    (no argument: the whole unit).  Also the bound's norms: η = ||S_0† S_0 -
+    I|| and s_0 = ||S_0|| from the one Gram P_0 P_0† = S_0† S_0, and for
+    k > 0 the Frobenius norm of P_k, which bounds ||S_k||."""
     r, c = mat.shape
     split = mat.reshape(r, lead, d, -1) if forward else mat.reshape(lead, d, -1, c)
 
-    def part(k, conj=False):
-        view = split[:, :, k] if forward else split[:, k]
-        out = np.conj(view) if conj else np.ascontiguousarray(view)
-        return out.reshape(r, -1) if forward else out.reshape(-1, c)
+    def part(k):  # P_k
+        if forward:
+            return np.conj(split[:, :, k]).reshape(r, -1).T
+        return np.ascontiguousarray(split[:, k]).reshape(-1, c)
 
-    def outer(k, l):  # P_k P_l†
-        return part(k) @ part(l, conj=True).T
+    def adjoint_rows(k, rows):  # P_k[:, rows]†
+        if forward:
+            return split[rows, :, k].reshape(-1, c // d)
+        return np.conj(split[:, k, :, rows]).reshape(r // d, -1).T
 
-    def inner(k, l):  # P_k† P_l
-        return part(k, conj=True).T @ part(l)
-
-    unit, gram = (outer, inner) if forward else (inner, outer)
+    def unit(k, l):
+        right = part(l)
+        return lambda rows=slice(None): adjoint_rows(k, rows) @ right
 
     @cache
     def norms():
-        eig = np.linalg.eigvalsh(gram(0, 0))
+        p0 = part(0)
+        eig = np.linalg.eigvalsh(p0 @ la.dagger(p0))
         s = np.array([np.linalg.norm(part(k)) for k in range(d)])
         s[0] = np.sqrt(max(eig[-1], 0.0))
         return s, float(np.max(np.abs(eig - 1.0)))
@@ -229,8 +263,9 @@ def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
 def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     """Conjugated matrix units at ``cell`` as a function (k, l) -> T_kl,
     forward G (E_kl ⊗ I) G† or backward G† (E_kl ⊗ I) G, and the norms of
-    the generator bound.  One-hot windows give COO triples, others dense
-    arrays."""
+    the generator bound.  One-hot windows give COO triples, others a
+    function of a row slice (_dense_units) that yields the unit's rows, so
+    no dense unit need exist whole."""
     d, w = op.alphabet.d, op.width
     if not op.is_one_hot:
         return _dense_units(op.dense(), d, d**cell, forward)
@@ -250,52 +285,54 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     return (lambda k, l: _one_hot_conjugation(rows, phases, d, w, cell, k, l)), norms
 
 
-def _adjoint(entry):
-    """Adjoint of a conjugated unit in either format."""
-    if isinstance(entry, tuple):
-        rows, cols, vals = entry
-        return cols, rows, np.conj(vals)
-    return la.dagger(entry)
-
-
-def fast_localization_residual(t, d: int, w: int, region) -> tuple[float, float]:
-    """Localization defect of an operator on the d^w window, given dense
-    (``linalg.localization_defect``) or as a COO triple (rows, cols, vals)
-    (sparse kernel): the max-norm of t - P(t), which verdicts compare with
-    tol, and its HS norm, which bounds the operator norm.  Both are
-    adjoint-invariant: the projection P onto M_region ⊗ I commutes with †."""
+def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, float]]:
+    """Localization defect of an operator on the d^w window on every region
+    in ``regions``, in one pass over t: the max-norm of t - P(t), which
+    verdicts compare with tol, and its HS norm, which bounds the operator
+    norm.  A dense t is a function of a row slice (_dense_units), streamed in
+    linalg.row_blocks through linalg.localization_defects, so only one row
+    block of it exists at a time; a COO triple (rows, cols, vals) goes to
+    the sparse kernel, which splits its indices into digits once for all
+    regions.  Both norms are adjoint-invariant: the projection P onto
+    M_region ⊗ I commutes with †."""
     if isinstance(t, tuple):
-        return _coo_localization_residual(*t, d, w, tuple(region))
-    return la.localization_defect(t, (d,) * w, region)
+        return _coo_localization_residual(*t, d, w, regions)
+    return la.localization_defects(((rows.start, t(rows)) for rows in la.row_blocks(d**w)),
+                                   (d,) * w, regions)
 
 
 def _coo_localization_residual(rows, cols, vals, d: int, w: int,
-                               region: tuple[int, ...]) -> tuple[float, float]:
-    """Max-norm and HS norm of t - P(t) for a sparse operator t given in COO
-    form, without duplicate entries, over the d^w window space."""
-    dk = d ** len(set(region))
-    dc = d**w // dk
+                               regions) -> list[tuple[float, float]]:
+    """Max-norm and HS norm of t - P(t) on each region for a sparse operator
+    t given in COO form, without duplicate entries, over the d^w window
+    space."""
     vals = np.asarray(vals, dtype=np.complex128)
     if len(vals) == 0:
-        return 0.0, 0.0
-    rk, rc = _split_index(np.asarray(rows, dtype=np.int64), d, w, region)
-    ck, cc = _split_index(np.asarray(cols, dtype=np.int64), d, w, region)
-    diag = rc == cc
-    # the entries on the complement diagonal, grouped by region pattern
-    inverse = _group_ids(rk[diag] * dk + ck[diag])
-    sums = (np.bincount(inverse, weights=vals[diag].real)
-            + 1j * np.bincount(inverse, weights=vals[diag].imag))
-    counts = np.bincount(inverse)
-    b_vals = sums / dc
-    # deviation of present entries from the M ⊗ I pattern
-    expected = np.zeros(len(vals), dtype=np.complex128)
-    expected[diag] = b_vals[inverse]
-    dev = np.abs(vals - expected)
-    # pattern entries of M ⊗ I with no data present: dc - count per block
-    missing = dc - counts
-    absent = np.abs(b_vals[missing > 0])
-    resid = max(float(np.max(dev)), float(np.max(absent, initial=0.0)))
-    return resid, float(np.sqrt(np.sum(dev**2) + np.sum(missing * np.abs(b_vals) ** 2)))
+        return [(0.0, 0.0) for _ in regions]
+    row_digits, col_digits = _digits(rows, d, w), _digits(cols, d, w)
+    out = []
+    for region in regions:
+        dk = d ** len(set(region))
+        dc = d**w // dk
+        rk, rc = _split_digits(row_digits, d, region)
+        ck, cc = _split_digits(col_digits, d, region)
+        diag = rc == cc
+        # the entries on the complement diagonal, grouped by region pattern
+        inverse = _group_ids(rk[diag] * dk + ck[diag])
+        sums = (np.bincount(inverse, weights=vals[diag].real)
+                + 1j * np.bincount(inverse, weights=vals[diag].imag))
+        counts = np.bincount(inverse)
+        b_vals = sums / dc
+        # deviation of present entries from the M ⊗ I pattern
+        expected = np.zeros(len(vals), dtype=np.complex128)
+        expected[diag] = b_vals[inverse]
+        dev = np.abs(vals - expected)
+        # pattern entries of M ⊗ I with no data present: dc - count per block
+        missing = dc - counts
+        absent = np.abs(b_vals[missing > 0])
+        resid = max(float(np.max(dev)), float(np.max(absent, initial=0.0)))
+        out.append((resid, float(np.sqrt(np.sum(dev**2) + np.sum(missing * np.abs(b_vals) ** 2)))))
+    return out
 
 
 def _group_ids(keys: np.ndarray) -> np.ndarray:
@@ -310,26 +347,24 @@ def _group_ids(keys: np.ndarray) -> np.ndarray:
 def _first_localized(units, d: int, w: int, regions, tol: float) -> int | None:
     """Index of the first region on which every conjugated unit is
     localized within tol, or None; ``units`` is a (unit, norms) pair from
-    _unit_conjugation.  T_00 is tested on every region, then each survivor
-    in turn on T_01 ... T_0(d-1), one generator alive at a time; the bound
-    or, where it exceeds tol, the units with 1 <= k <= l decide the rest."""
+    _unit_conjugation.  T_00 is formed once and tested on every region in
+    one pass, then each survivor in turn on T_01 ... T_0(d-1), one
+    generator alive at a time; the bound or, where it exceeds tol, the
+    units with 1 <= k <= l decide the rest."""
     unit, norms = units
-    t = unit(0, 0)
-    eps0 = {}
-    for i, region in enumerate(regions):
-        resid, hs = fast_localization_residual(t, d, w, region)
-        if resid <= tol:
-            eps0[i] = hs
-    del t
+    eps0 = {i: hs for i, (resid, hs)
+            in enumerate(fast_localization_residual(unit(0, 0), d, w, regions))
+            if resid <= tol}
     for i, e0 in eps0.items():
+        survivor = [regions[i]]
         eps = [e0]
         for l in range(1, d):
-            resid, hs = fast_localization_residual(unit(0, l), d, w, regions[i])
+            [(resid, hs)] = fast_localization_residual(unit(0, l), d, w, survivor)
             if resid > tol:
                 break  # a generator is itself a unit: the region fails
             eps.append(hs)
         if len(eps) == d and (_unit_bound(norms(), np.array(eps)) <= tol or all(
-                fast_localization_residual(unit(k, l), d, w, regions[i])[0] <= tol
+                fast_localization_residual(unit(k, l), d, w, survivor)[0][0] <= tol
                 for k in range(1, d) for l in range(k, d))):
             return i
     return None
@@ -382,8 +417,8 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
     (the operator's out_shift relabel is compensated).  Only proper
     subintervals of the window count: localization on the whole window is
     vacuous and can never support a locality claim.  _first_localized
-    decides, with d + (number of candidates) residuals when the bound
-    holds; only the witness of a non-local verdict needs every unit.
+    decides, with d residual passes when the bound holds; only the witness
+    of a non-local verdict needs whole units, built one probe at a time.
     """
     cc = default_center(op) if cell is None else cell
     if max_radius < 0:
@@ -412,13 +447,11 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
             True, (lo - op.out_shift, hi - op.out_shift), None, max_radius, probe_cell)
     witness = None
     if make_witness:
-        unit = units[0]
-        images = {(k, l): unit(k, l) for k in range(d) for l in range(k, d)}
         # demonstrate the failure on a tested region: widest first, so the
         # witness states agree on as much of the window as possible
         for lo, hi in sorted(candidates, key=lambda c: c[0] - c[1]):
             region = range(cc + lo, cc + hi + 1)
-            witness = _nonlocality_witness(op, cc, images, region, tol)
+            witness = _nonlocality_witness(op, cc, units[0], region, tol)
             if witness is not None:
                 break
     return NeighborhoodReport(False, None, witness, max_radius, probe_cell)
@@ -455,19 +488,61 @@ def _window_state(alphabet: Alphabet, d: int, w: int, amps: dict[int, complex]) 
 
 
 def _entries_to_blocks(entry, d, w, region):
-    """Group operator entries by their region (row, col) pattern; values are
-    dicts over the complement indices."""
-    if isinstance(entry, tuple):
-        rows, cols, vals = entry
-    else:
-        rows, cols = np.nonzero(np.abs(entry) > 1e-14)
-        vals = entry[rows, cols]
-    rk, rc = _split_index(np.asarray(rows, dtype=np.int64), d, w, region)
-    ck, cc = _split_index(np.asarray(cols, dtype=np.int64), d, w, region)
+    """Group the entries of a COO operator by their region (row, col)
+    pattern, in order of first entry; values are dicts over the complement
+    indices."""
+    rows, cols, vals = entry
+    rk, rc = _split_digits(_digits(rows, d, w), d, region)
+    ck, cc = _split_digits(_digits(cols, d, w), d, region)
     blocks: dict[tuple[int, int], dict[tuple[int, int], complex]] = defaultdict(dict)
     for a, b, c, e, v in zip(rk.tolist(), rc.tolist(), ck.tolist(), cc.tolist(), vals):
         blocks[(a, c)][(b, e)] = blocks[(a, c)].get((b, e), 0.0) + v
-    return blocks
+    return blocks.items()
+
+
+def _dense_blocks(t: np.ndarray, d: int, w: int, region):
+    """The region blocks of a dense operator as _entries_to_blocks gives them,
+    read off one transposed (region row, region col, complement row,
+    complement col) copy of t in (region row, region col) order; blocks
+    without entries are skipped."""
+    comp = [i for i in range(w) if i not in region]
+    dk, dc = d ** len(region), d ** len(comp)
+    x = t.reshape((d,) * (2 * w)).transpose(
+        [*region, *(w + i for i in region), *comp, *(w + i for i in comp)])
+    x = x.reshape(dk, dk, dc, dc)
+    for rk in range(dk):
+        for ck in range(dk):
+            m, m2 = np.nonzero(np.abs(x[rk, ck]) > 1e-14)
+            if len(m):
+                yield (rk, ck), dict(zip(zip(m.tolist(), m2.tolist()),
+                                         x[rk, ck, m, m2].tolist()))
+
+
+def _hermitian_probes(unit, d: int):
+    """The Hermitian probes of the witness search, in its order, each built
+    from its unit only when reached: the diagonal units T_kk, then for
+    k < l the two probes c T_kl + (c T_kl)† with c = 1/2 and c = i/2.  A
+    probe is a COO triple or a dense array, as the units are."""
+    for k in range(d):
+        t = unit(k, k)
+        t = t if isinstance(t, tuple) else t()
+        yield t
+    for k in range(d):
+        for l in range(k + 1, d):
+            for scale in (0.5, 0.5j):
+                t = unit(k, l)
+                if isinstance(t, tuple):
+                    rows, cols, vals = t
+                    vals = np.asarray(vals) * scale
+                    yield (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                           np.concatenate([vals, np.conj(vals)]))
+                    continue
+                t = t()
+                t *= scale
+                probe = np.conj(t.T)
+                probe += t
+                del t  # the probe is the one dense copy held while it is tried
+                yield probe
 
 
 def _comp_index_to_window(index: int, comp: list[int], region, d: int, w: int,
@@ -479,37 +554,21 @@ def _comp_index_to_window(index: int, comp: list[int], region, d: int, w: int,
     return int(np.ravel_multi_index(digits, (d,) * w))
 
 
-def _nonlocality_witness(op: WindowOperator, cc: int, units, region,
+def _nonlocality_witness(op: WindowOperator, cc: int, unit, region,
                          tol: float) -> Witness | None:
     """Construct a state pair with equal restrictions on the tested region
     whose images differ at the probed cell, from a block of a conjugated
-    Hermitian probe that is not a multiple of the identity.  ``units`` maps
-    (k, l) with k <= l to the backward-conjugated matrix unit."""
+    Hermitian probe that is not a multiple of the identity.  ``unit`` maps
+    (k, l) to the backward-conjugated matrix unit (_unit_conjugation); the
+    probes are built from it one at a time (_hermitian_probes)."""
     d, w = op.alphabet.d, op.width
     region = tuple(sorted(region))
     comp = [i for i in range(w) if i not in region]
     dc = d ** len(comp)
-    # Hermitian probes: diagonal units and Hermitian/anti-Hermitian
-    # combinations of off-diagonal ones; the unit (l, k) is the adjoint of
-    # (k, l).
-    combos = [[(1.0, entry)] for (k, l), entry in units.items() if k == l]
-    for (k, l), entry in units.items():
-        if k < l:
-            partner = _adjoint(entry)
-            combos.append([(0.5, entry), (0.5, partner)])
-            combos.append([(0.5j, entry), (-0.5j, partner)])
-
-    def merge(parts):
-        if isinstance(parts[0][1], tuple):
-            rows = np.concatenate([p[1][0] for p in parts])
-            cols = np.concatenate([p[1][1] for p in parts])
-            vals = np.concatenate([np.asarray(p[1][2]) * p[0] for p in parts])
-            return rows, cols, vals
-        return sum(p[0] * p[1] for p in parts)
-
-    for parts in combos:
-        t = merge(parts)
-        for (rk, ck), block in _entries_to_blocks(t, d, w, region).items():
+    for t in _hermitian_probes(unit, d):
+        blocks = (_entries_to_blocks(t, d, w, region) if isinstance(t, tuple)
+                  else _dense_blocks(t, d, w, region))
+        for (rk, ck), block in blocks:
             cand = _block_witness_vectors(block, dc)
             if cand is None:
                 continue

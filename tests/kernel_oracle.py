@@ -1,6 +1,6 @@
 """Reference implementations of dense kernels that the library now computes
-without scratch copies, kept as oracles for the property tests in
-``test_linalg.py``.
+without scratch copies or in row blocks, kept as oracles for the property
+tests in ``test_linalg.py`` and ``test_verify.py``.
 """
 from __future__ import annotations
 
@@ -34,3 +34,42 @@ def unitary_verdict(m: np.ndarray, tol: float) -> bool:
     """``max_norm(m† m - I) <= tol`` on the whole n x n product."""
     m = la.as_matrix(m)
     return la.max_norm(la.dagger(m) @ m - np.eye(m.shape[0])) <= tol
+
+
+def whole_unit_first_localized(op, cell: int, forward: bool, regions, tol: float):
+    """Index of the first region on which every conjugated unit at ``cell``
+    is localized, by the generator check with each unit formed whole (the
+    dense search before units were streamed in row blocks): T_0l = P_0† P_l
+    from the parts of G split by the cell's digit, the transposed-copy
+    kernel on each region, the norm bound of verify's module docstring, and
+    every unit with 1 <= k <= l where the bound exceeds tol."""
+    from qcablocks.verify import _unit_bound
+
+    g = op.dense()
+    d, w, n = op.alphabet.d, op.width, op.dim
+    lead = d**cell
+    if forward:  # P_k = S_k†, S_k the columns whose cell digit is k
+        parts = [la.dagger(g.reshape(n, lead, d, -1)[:, :, k].reshape(n, -1)) for k in range(d)]
+    else:  # P_k = R_k, the rows whose cell digit is k
+        parts = [g.reshape(lead, d, -1, n)[:, k].reshape(-1, n) for k in range(d)]
+    t00 = la.dagger(parts[0]) @ parts[0]  # tested on every region
+
+    def defect(k, l, region):
+        t = t00 if k == l == 0 else la.dagger(parts[k]) @ parts[l]
+        return transposed_localization_defect(t, (d,) * w, region)
+
+    eig = np.linalg.eigvalsh(parts[0] @ la.dagger(parts[0]))
+    s = np.array([np.linalg.norm(p) for p in parts])
+    s[0] = np.sqrt(max(eig[-1], 0.0))
+    norms = s, float(np.max(np.abs(eig - 1.0)))
+    for i, region in enumerate(regions):
+        eps = []
+        for l in range(d):
+            resid, hs = defect(0, l, region)
+            if resid > tol:
+                break
+            eps.append(hs)
+        if len(eps) == d and (_unit_bound(norms, np.array(eps)) <= tol or all(
+                defect(k, l, region)[0] <= tol for k in range(1, d) for l in range(k, d))):
+            return i
+    return None

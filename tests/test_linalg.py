@@ -229,10 +229,10 @@ def test_is_unitary_matches_full_product_verdict(case):
 
 
 def test_is_unitary_blocks_do_not_divide_n():
-    # n = 13 splits into blocks of 1 and 2 columns; a defect in the last
+    # n = 50 splits into blocks of 16 and 17 columns; a defect in the last
     # column's Hermitian pair with the first is seen from the first block
-    for n in (9, 13, 17):
-        assert n % la.UNITARY_BLOCKS != 0
+    for n in (33, 50, 257):
+        assert n % len(la.row_blocks(n)) != 0
         m = np.eye(n, dtype=complex)
         for eps, verdict in ((0.5e-9, True), (2e-9, False)):
             m[0, n - 1] = m[n - 1, 0] = eps / 2
@@ -330,12 +330,54 @@ def operators_on_up_to_four_factors(draw):
 @settings(max_examples=200, deadline=None)
 @given(operators_on_up_to_four_factors())
 def test_localization_defect_matches_transposed_oracle(case):
-    # the einsum-view kernel against the transposed-copy kernel it replaced
+    # the streamed kernel's one-block case against the transposed-copy
+    # kernel of an earlier version
     a, dims, region = case
     resid, hs = la.localization_defect(a, dims, region)
     want_resid, want_hs = oracle.transposed_localization_defect(a, dims, region)
     assert resid == pytest.approx(want_resid, rel=0, abs=1e-15)
     assert hs == pytest.approx(want_hs, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def streamed_operators(draw):
+    """(a, dims, regions, edges): a case of operators_on_up_to_four_factors
+    with two more regions (empty, non-contiguous or the whole window among
+    them) and the row edges of 1 ... n blocks, their count mostly not a
+    divisor of n."""
+    a, dims, region = draw(operators_on_up_to_four_factors())
+    w = len(dims)
+    regions = [region, [], list(range(w))][:draw(st.integers(1, 3))]
+    regions += [sorted(draw(st.sets(st.integers(0, w - 1)))) for _ in range(2)]
+    n = a.shape[0]
+    blocks = draw(st.integers(1, n))
+    edges = sorted({0, n, *draw(st.lists(st.integers(1, n - 1), max_size=blocks - 1)
+                                if n > 1 else st.just([]))})
+    return a, dims, regions, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(streamed_operators())
+def test_streamed_defects_match_transposed_oracle(case):
+    # one pass over row blocks in any order scores every region: the
+    # max-norm is the transposed-copy kernel's bit for bit, the HS norm
+    # agrees to rounding
+    a, dims, regions, edges = case
+    blocks = [(lo, a[lo:hi]) for lo, hi in zip(edges, edges[1:])][::-1]
+    got = la.localization_defects(blocks, dims, regions)
+    assert len(got) == len(regions)
+    for (resid, hs), region in zip(got, regions):
+        want_resid, want_hs = oracle.transposed_localization_defect(a, dims, region)
+        assert resid == want_resid
+        assert hs == pytest.approx(want_hs, rel=1e-12, abs=1e-300)
+
+
+def test_streamed_defects_keep_a_nan():
+    a = np.eye(4, dtype=complex)
+    a[3, 0] = np.nan
+    for region in ([0], [1], [0, 1]):
+        resid, hs = la.localization_defects([(0, a[:2]), (2, a[2:])], (2, 2), [region])[0]
+        assert np.isnan(resid) and np.isnan(hs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -380,11 +422,11 @@ def test_coo_kernel_matches_dense_kernel_on_one_hot_conjugations(case):
         np.add.at(dense, (coo[0], coo[1]), coo[2])
         assert la.max_norm(dense - expected) <= 1e-12
         # both norms of the defect: the max-norm verdict and the HS bound
-        assert fast_localization_residual(coo, d, w, region) == pytest.approx(
+        assert fast_localization_residual(coo, d, w, [region])[0] == pytest.approx(
             la.localization_defect(dense, (d,) * w, region), rel=1e-12, abs=1e-12)
         adjoint = (coo[1], coo[0], np.conj(coo[2]))
-        assert fast_localization_residual(adjoint, d, w, region) == pytest.approx(
-            fast_localization_residual(coo, d, w, region), rel=1e-12, abs=1e-12)
+        assert fast_localization_residual(adjoint, d, w, [region])[0] == pytest.approx(
+            fast_localization_residual(coo, d, w, [region])[0], rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
