@@ -45,6 +45,8 @@ RANK_RATIO = 1e-8
 # exceeds this fraction of the spectral radius.
 CLUSTER_GAP_RATIO = 1e-6
 MAX_SAMPLE_RETRIES = 6
+# Largest max-norm commutator of two bases factor_pair accepts as commuting.
+COMM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,18 +127,19 @@ def _check_square(mats, n: int) -> list[np.ndarray]:
     return out
 
 
-def close(generators, n: int, rank_ratio: float = RANK_RATIO) -> GeneratedAlgebra:
+def close(generators, n: int) -> GeneratedAlgebra:
     """Smallest *-algebra containing the generators and the identity.
 
     Breadth-first span growth: orthonormalize generators, adjoints and I,
     then repeatedly add the orthogonal complement of all pairwise products
-    until no singular value above the rank threshold emerges.
+    until no singular value above the rank threshold (RANK_RATIO of the
+    largest) emerges.
     """
     gens = _check_square(generators, n)
     seed = gens + [dagger(g) for g in gens] + [np.eye(n, dtype=np.complex128)]
     stack = np.stack([m.ravel() for m in seed])
     scale = max(float(np.max(np.abs(np.linalg.svd(stack, compute_uv=False)))), 1.0)
-    floor = rank_ratio * scale
+    floor = RANK_RATIO * scale
     basis = _orthonormal_rows(stack, floor)
     fresh = basis  # directions whose products have not been formed yet
     while fresh.shape[0] > 0:
@@ -157,7 +160,7 @@ def close(generators, n: int, rank_ratio: float = RANK_RATIO) -> GeneratedAlgebr
         prod_scale = float(np.max(np.abs(resid))) * n if resid.size else 0.0
         # the residual rows are orthogonal to the current span, so the new
         # directions extend the orthonormal basis directly
-        fresh = _orthonormal_rows(resid, max(floor, rank_ratio * max(prod_scale, 1.0)))
+        fresh = _orthonormal_rows(resid, max(floor, RANK_RATIO * max(prod_scale, 1.0)))
         if fresh.shape[0] == 0:
             break
         basis = np.vstack([basis, fresh])
@@ -280,7 +283,7 @@ def commutation_defect(a: GeneratedAlgebra, b: GeneratedAlgebra) -> float:
 
 
 def factor_pair(a: GeneratedAlgebra, b: GeneratedAlgebra, seed: int = 0,
-                tol: float = 1e-8, comm_tol: float = 1e-8) -> Factorization:
+                tol: float = 1e-8) -> Factorization:
     """Unitary W splitting two commuting, jointly generating algebras as
     W a W† ⊆ M_p ⊗ I_q and W b W† ⊆ I_p ⊗ M_q.
 
@@ -288,12 +291,13 @@ def factor_pair(a: GeneratedAlgebra, b: GeneratedAlgebra, seed: int = 0,
     generate M_n are factors (a central element commutes with all of M_n)
     of dimensions p², q² with pq = n; a factor a ≅ M_p ⊗ I_q, found by
     ``factor_one``'s minimal-projector count, and a commuting b of
-    dimension q² fill each other's commutants."""
+    dimension q² fill each other's commutants.  NotCommuting when a basis
+    commutator exceeds COMM_TOL."""
     n = a.ambient_dim
     if b.ambient_dim != n:
         raise DimensionMismatch("algebras live in different ambient dimensions")
     defect = commutation_defect(a, b)
-    if defect > comm_tol:
+    if defect > COMM_TOL:
         raise NotCommuting(f"algebras do not commute (defect {defect:.2e})")
     if a.dimension * b.dimension != n * n:
         raise NotGenerating(

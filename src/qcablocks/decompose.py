@@ -63,11 +63,12 @@ from .model import (
     BlockQCA,
     WindowOperator,
     _window_columns,
+    window_digits,
+    window_rotation,
 )
 from .verify import (
     _dense_units,
     _first_localized,
-    _row_rotation,
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
@@ -95,7 +96,7 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     if steps == 0:
         return op
     # new matrix rows: h[rot(y), :] = g[y, :]
-    rot = _row_rotation(op.alphabet.d, op.width, steps)
+    rot = window_rotation(op.alphabet.d, op.width, steps)
     if op.is_one_hot:
         mat = (rot[op.matrix[0]], op.matrix[1])
     else:
@@ -173,7 +174,7 @@ def _unit_images(op: WindowOperator, tol: float,
 
     # rows with a quiescent complement (cells 2 ... w-1 all 0), in patch
     # order: the rotated window's row r is the window's row src[r]
-    src = _row_rotation(d, w, -shift)
+    src = window_rotation(d, w, -shift)
     unit, _ = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)
 
     def row(k: int) -> np.ndarray:
@@ -378,7 +379,7 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
     d, w, n = op.alphabet.d, op.width, op.dim
     g = op.dense()
     # the rotated input's row r is the input's row src[r]
-    src = _row_rotation(d, w, -shift)
+    src = window_rotation(d, w, -shift)
 
     def pairs():
         for cols in la.row_blocks(n):
@@ -411,7 +412,8 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
     itself.  Both traces are evaluated in extended precision, putting the
     bound's floor orders of magnitude below the certification tolerance.
     The reported residual is this rigorous upper bound on the max-norm
-    residual, slightly conservative compared to the dense path."""
+    residual, slightly conservative compared to the dense path.  Column and
+    row cell digits come from window_digits, one narrow row per cell."""
     d, w, n = op.alphabet.d, op.width, op.dim
     p, q = qca.p, qca.q
     rows, phases = op.matrix
@@ -421,9 +423,7 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
     lookup = np.einsum("abx,rbc->xrac", u3, v3)
     # doubled transfer for column norms: D[x] = sum_r M(x,r) (x) conj(M(x,r))
     doubled = np.einsum("xrac,xrbd->xabcd", lookup, lookup.conj()).reshape(d, q * q, q * q)
-    idx = np.arange(n, dtype=np.int64)
-    pws = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
-    col_digits = (idx[:, None] // pws[None, :]) % d
+    col_digits = window_digits(np.arange(n), d, w)
     # split each ring at its middle: Tr(L R) = sum_ij L_ij R_ji, with L over
     # all left half-words and R over all right half-words, so the column
     # norms take d^h + d^(w-h) half-ring products and one contraction
@@ -435,11 +435,10 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
             prod = np.matmul(prod[:, None], doubled[None]).reshape(-1, q * q, q * q)
         halves.append(prod)
     col_norm2 = np.einsum("xij,yji->xy", *halves).real.ravel()
-    rot = _row_rotation(d, w, shift)[rows]
-    row_digits = (rot[:, None] // pws[None, :]) % d
-    t = lookup[col_digits[:, 0], row_digits[:, 0]]
+    row_digits = window_digits(window_rotation(d, w, shift)[rows], d, w)
+    t = lookup[col_digits[0], row_digits[0]]
     for i in range(1, w):
-        t = np.matmul(t, lookup[col_digits[:, i], row_digits[:, i]])
+        t = np.matmul(t, lookup[col_digits[i], row_digits[i]])
     t_x = np.trace(t, axis1=1, axis2=2)
     z = complex(np.sum(np.conj(phases.astype(np.clongdouble)) * t_x))
     phase = z / abs(z) if abs(z) > 1e-12 else 1.0
@@ -471,13 +470,6 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
             f"certification residual {cert.residual:.2e} exceeds {cert_tol:.1e} "
             f"(at shift {cert.shift})")
     return qca, cert
-
-
-def decompose(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
-              cert_tol: float = DEFAULT_CERT_TOL) -> BlockQCA:
-    """Two-layered block form of a verified radius-1/2 window operator."""
-    qca, _ = decompose_certified(op, seed=seed, tol=tol, cert_tol=cert_tol)
-    return qca
 
 
 def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, CellImages]:

@@ -15,6 +15,11 @@ Conventions frozen here and used everywhere else:
   remaining symbols follow in alphabet order.
 * Window bases are lexicographic over cells left to right, so the basis
   index of a window word is its base-d value with cell 0 most significant.
+  The window-basis codec below (window_digits, window_index,
+  window_rotation, window_split) is the one place that order is computed:
+  every module converts whole words between basis indices and cell digits
+  through it.  Kernels that need a single cell's digit read it off its
+  place value d^(w-1-i) inline.
 * A block automaton splits each cell into a left part of dimension q and a
   right part of dimension p: after the u-layer site i holds (a_i, b_i) in
   C^q ⊗ C^p, and the v-layer forms output cell i from (b_i, a_{i+1}).
@@ -25,7 +30,7 @@ Conventions frozen here and used everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -45,6 +50,61 @@ PRUNE_THRESHOLD = 1e-14
 # refuses amplitude vectors with more entries than such a matrix.  Quantized
 # rules are one-hot column maps and are never densified by the library.
 DENSE_WINDOW_CAP = 8192
+# max-norm tolerance of a block automaton's unitarity and quiescent gauge
+GAUGE_TOL = 1e-6
+
+
+# ------------------------------------------------------------ window basis
+
+def window_digits(idx, d: int, w: int, dtype=None) -> np.ndarray:
+    """Cell digits of window basis indices: row i of the (w, *idx.shape)
+    result holds every index's digit at cell i, cell 0 most significant.
+
+    One in-place divmod per cell writes straight into ``dtype`` (default the
+    narrowest that holds d - 1), so the only int64 temporary is one copy of
+    ``idx``.  Consumers that store words, one row per index, take the
+    transpose."""
+    rest = np.array(idx, dtype=np.int64)
+    out = np.empty((w,) + rest.shape, dtype=_word_dtype(d) if dtype is None else dtype)
+    for pos in range(w - 1, 0, -1):
+        np.divmod(rest, d, out=(rest, out[pos, ...]), casting="unsafe")
+    out[0] = rest
+    return out
+
+
+def window_index(digits, d: int) -> np.ndarray:
+    """Inverse of window_digits: the basis index (int64) of cell digits
+    given cell-major, row i holding the digits at cell i."""
+    digits = np.asarray(digits)
+    index = np.zeros(digits.shape[1:], dtype=np.int64)
+    for row in digits:
+        index *= d
+        index += row
+    return index
+
+
+def window_rotation(d: int, w: int, steps: int) -> np.ndarray:
+    """Basis index map of the cyclic shift of a w-cell window by ``steps``
+    cells: index y moves to rot[y], the index of y's digits rolled by
+    -steps (content moves left for steps > 0)."""
+    idx = np.arange(d**w, dtype=np.int64)
+    if steps % w == 0:
+        return idx
+    low = d ** (w - steps % w)
+    return (idx % low) * (d**w // low) + idx // low
+
+
+def window_split(digits: np.ndarray, d: int, region) -> tuple[np.ndarray, np.ndarray]:
+    """Cell digits (window_digits) as (region index, complement index): the
+    digits at the cells in ``region`` and those at the other cells, each
+    read as a base-d number in cell order, in one pass over the cells."""
+    numbers = (np.zeros(digits.shape[1:], dtype=np.int64),
+               np.zeros(digits.shape[1:], dtype=np.int64))
+    for pos, row in enumerate(digits):
+        number = numbers[0] if pos in region else numbers[1]
+        number *= d
+        number += row
+    return numbers
 
 
 # --------------------------------------------------------------- alphabet
@@ -99,23 +159,14 @@ class Alphabet:
         names = [self.quiescent] + list(self.symbols)
 
         def joined(sep: str) -> tuple[list[str], str]:
-            words = []
-            for idx in range(d**s):
-                digits = _digits(idx, d, s)
-                words.append(sep.join(names[t] for t in digits))
+            words = [sep.join(names[t] for t in word)
+                     for word in window_digits(np.arange(d**s), d, s).T.tolist()]
             return words[1:], words[0]
 
         syms, quiescent = joined("")
         if len(set(syms + [quiescent])) != d**s:
             syms, quiescent = joined("|")
         return Alphabet(tuple(syms), quiescent)
-
-
-def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
-    out = []
-    for k in range(width - 1, -1, -1):
-        out.append((value // base**k) % base)
-    return tuple(out)
 
 
 # ----------------------------------------------------------- configuration
@@ -200,15 +251,6 @@ def _narrowed(words: np.ndarray) -> np.ndarray:
     return words[:, :width]
 
 
-def _digit_rows(idx: np.ndarray, d: int, w: int, dtype) -> np.ndarray:
-    """Window words of basis indices, shape (len(idx), w), one column at a
-    time so no int64 (len(idx), w) temporary is made."""
-    out = np.empty((len(idx), w), dtype=dtype)
-    for j in range(w):
-        out[:, j] = (idx // d ** (w - 1 - j)) % d
-    return out
-
-
 def _canonical(starts: np.ndarray, words: np.ndarray):
     """Rows in Configuration.make's form: each word shifted left past its
     leading quiescent cells (its start moved to match), the vacuum at start
@@ -246,19 +288,16 @@ def _row_groups(starts: np.ndarray, words: np.ndarray):
 
 
 def _cells_at(starts: np.ndarray, words: np.ndarray, positions: np.ndarray, d: int):
-    """Window index (base d, first position most significant) of every row's
-    cells at the given absolute positions; also ``words`` zero-padded by one
-    column and the padded column each cell was read from (the pad column
-    for cells outside the row's word)."""
+    """Window index (window_index, first position most significant) of
+    every row's cells at the given absolute positions; also ``words``
+    zero-padded by one column and the padded column each cell was read
+    from (the pad column for cells outside the row's word)."""
     width = words.shape[1]
     padded = np.zeros((len(starts), width + 1), dtype=words.dtype)
     padded[:, :width] = words
     cols = positions[None, :] - starts[:, None]
     cols = np.where((cols >= 0) & (cols < width), cols, width)
-    index = np.zeros(len(starts), dtype=np.int64)
-    for j in range(len(positions)):
-        index = index * d + padded[np.arange(len(starts)), cols[:, j]]
-    return index, padded, cols
+    return window_index(np.take_along_axis(padded, cols, axis=1).T, d), padded, cols
 
 
 class SparseState:
@@ -489,19 +528,13 @@ class ClassicalRule:
                                         state.amps)
 
     def grouped(self, s: int) -> "ClassicalRule":
-        """The same dynamics on supercells of s cells."""
-        grouped_alpha = self.alphabet.grouped(s)
+        """The same dynamics on supercells of s cells: the pair index x·d^s + y
+        of two supercells is the window index of their 2s cells, and output
+        supercell x holds delta of cells (k, k + 1) for k < s."""
         d = self.alphabet.d
-        dg = d**s
-        table = np.zeros((dg, dg), dtype=np.int64)
-        for x in range(dg):
-            xs = _digits(x, d, s)
-            for y in range(dg):
-                ys = _digits(y, d, s)
-                cells = xs + ys
-                out = [int(self.table[cells[k], cells[k + 1]]) for k in range(s)]
-                table[x, y] = int(np.dot(out, [d ** (s - 1 - k) for k in range(s)]))
-        return ClassicalRule(grouped_alpha, table)
+        cells = window_digits(np.arange(d ** (2 * s)), d, 2 * s)
+        table = window_index(self.table[cells[:s], cells[1:s + 1]], d)
+        return ClassicalRule(self.alphabet.grouped(s), table.reshape(d**s, d**s))
 
 
 # -------------------------------------------------------------- block QCA
@@ -510,7 +543,8 @@ class ClassicalRule:
 class BlockQCA:
     """Two-layered block automaton: cell-splitting unitary u (C^d -> C^q ⊗ C^p),
     recombining unitary v (C^p ⊗ C^q -> C^d), and the quiescent gauge pair
-    (q1 in C^p, q2 in C^q) with u|q> = |q2>|q1> and v(|q1>|q2>) = |q>."""
+    (q1 in C^p, q2 in C^q) with u|q> = |q2>|q1> and v(|q1>|q2>) = |q>, both
+    checked, like the unitarity of u and v, within GAUGE_TOL."""
 
     alphabet: Alphabet
     p: int
@@ -519,7 +553,6 @@ class BlockQCA:
     v: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
-    gauge_tol: float = field(default=1e-6, compare=False)
 
     def __post_init__(self):
         d = self.alphabet.d
@@ -531,10 +564,9 @@ class BlockQCA:
             if a.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape}")
             object.__setattr__(self, name, a)
-        tol = self.gauge_tol
-        if not is_unitary(self.u, tol) or not is_unitary(self.v, tol):
+        if not is_unitary(self.u, GAUGE_TOL) or not is_unitary(self.v, GAUGE_TOL):
             raise PreconditionViolated("u and v must be unitary")
-        if max_norm(self.gauge_residuals()) > tol:
+        if max_norm(self.gauge_residuals()) > GAUGE_TOL:
             raise PreconditionViolated(
                 "quiescent gauge conditions violated: "
                 f"residual {max_norm(self.gauge_residuals()):.2e}")
@@ -568,10 +600,10 @@ def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
     DENSE_WINDOW_CAP², the entry count of the largest dense window.
 
     The amplitudes above the prune threshold are decoded into rows of
-    digits directly; rows from different input configurations that name
-    the same output configuration are merged, the merged state is pruned
-    and renormalized, and PreconditionViolated is raised if nothing is
-    left.
+    digits directly (window_digits, in the state's word dtype); rows from
+    different input configurations that name the same output configuration
+    are merged, the merged state is pruned and renormalized, and
+    PreconditionViolated is raised if nothing is left.
     """
     if state.alphabet.d != g.d:
         raise DimensionMismatch("state and automaton alphabets disagree")
@@ -597,7 +629,7 @@ def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
         t = t.ravel()
         nz = np.flatnonzero(np.abs(t) > PRUNE_THRESHOLD)
         starts.append(np.full(len(nz), state.starts[r] - 1))
-        words.append(_digit_rows(nz, d, s + 1, dtype))
+        words.append(window_digits(nz, d, s + 1, dtype).T)
         amps.append(state.amps[r] * t[nz])
     padded = np.zeros((sum(len(w) for w in words), widest + 1), dtype=dtype)
     row = 0
@@ -702,12 +734,6 @@ class WindowOperator:
         return WindowOperator(base, self.width * s, self.matrix, self.boundary,
                               self.out_shift * s)
 
-    def column_digits(self) -> np.ndarray:
-        """All window words as an array of shape (d^w, w) of symbol indices."""
-        d, w = self.alphabet.d, self.width
-        idx = np.arange(d**w)
-        return (idx[:, None] // (d ** np.arange(w - 1, -1, -1))[None, :]) % d
-
 
 def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> WindowOperator:
     """Linear extension of a classical rule on a w-cell window.
@@ -726,25 +752,29 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
     borders (the non-locally-quantizable class) lose unitarity here.
 
     Either way the matrix is the one-hot column map (rows, ones) and
-    unitarity is *not* guaranteed; checking it is the verifier's job."""
+    unitarity is *not* guaranteed; checking it is the verifier's job.  The
+    rows are read one output cell at a time off the window's digits
+    (window_digits) in the narrowest dtype.  DimensionMismatch is raised
+    before anything is allocated when d^w exceeds DENSE_WINDOW_CAP², the
+    entry count of the largest dense window."""
     if w < 2:
         raise WindowTooSmall("quantize needs a window of at least 2 cells")
     d = rule.alphabet.d
     n = d**w
-    powers = (d ** np.arange(w - 1, -1, -1)).astype(np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    digits = (idx[:, None] // powers[None, :]) % d
-    if boundary == "truncated":
-        padded = np.concatenate([np.zeros((n, 1), dtype=np.int64), digits], axis=1)
-        out_digits = rule.table[padded[:, :-1], padded[:, 1:]]
-        out_shift = -1
-    elif boundary == "periodic":
-        rolled = np.concatenate([digits[:, 1:], digits[:, :1]], axis=1)
-        out_digits = rule.table[digits, rolled]
-        out_shift = 0
-    else:
+    if n > DENSE_WINDOW_CAP ** 2:
+        raise DimensionMismatch(
+            f"a window of {w} cells over {d} symbols has dimension {d}^{w}, more than "
+            f"the {DENSE_WINDOW_CAP}² entries of the largest dense window")
+    if boundary not in ("truncated", "periodic"):
         raise PreconditionViolated(f"unknown boundary kind {boundary!r}")
-    return WindowOperator(rule.alphabet, w, (out_digits @ powers, np.ones(n)),
+    digits = list(window_digits(np.arange(n), d, w))
+    table = rule.table.astype(digits[0].dtype)
+    if boundary == "truncated":
+        pairs, out_shift = zip([0] + digits[:-1], digits), -1
+    else:
+        pairs, out_shift = zip(digits, digits[1:] + digits[:1]), 0
+    rows = window_index([table[a, b] for a, b in pairs], d)
+    return WindowOperator(rule.alphabet, w, (rows, np.ones(n)),
                           boundary=boundary, out_shift=out_shift)
 
 
@@ -775,17 +805,18 @@ def _window_columns(g: BlockQCA, w: int, cols: slice, out: np.ndarray | None = N
     inputs alone, written into ``out`` when given.
 
     The u-layer acts one cell at a time: a basis column's image is the
-    product of one column of u per cell, multiplied in the association of
+    product of one column of u per cell, chosen by the column's cell
+    digits (window_digits), multiplied in the association of
     the Kronecker power.  Its row axes are (b_0, a_1, b_1, ..., a_{w-1},
     b_{w-1}, a_0): a_0 is kept last, so the v-layer's pairs (b_i, a_{i+1 mod
     w}) are consecutive, and v acts one pair at a time (w·d·n·b operations
     for b columns) between two block buffers."""
     d, p, q = g.d, g.p, g.q
-    digits = np.arange(d**w)[cols, None] // d ** np.arange(w - 1, -1, -1) % d
-    b = len(digits)
-    src = g.u[:, digits[:, 0]].reshape(q, p, b).transpose(1, 0, 2)[:, None]
+    digits = window_digits(np.arange(d**w)[cols], d, w, np.intp)
+    b = digits.shape[1]
+    src = g.u[:, digits[0]].reshape(q, p, b).transpose(1, 0, 2)[:, None]
     for i in range(1, w):
-        src = np.multiply(src[:, :, None], g.u[:, digits[:, i]][:, None],
+        src = np.multiply(src[:, :, None], g.u[:, digits[i]][:, None],
                           order="C").reshape(p, -1, q, b)
     src = src.reshape(-1, b)
     dst = np.empty(src.shape, dtype=np.complex128)
@@ -804,7 +835,8 @@ def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,
 
     ``strict=False`` skips the slack check and applies the matrix as-is;
     the result then describes the window operator itself rather than the
-    infinite-line evolution (used for witness evaluation)."""
+    infinite-line evolution (used for witness evaluation).  Terms are read
+    off as window indices and the image rows decoded by window_digits."""
     w = op.width
     d = op.alphabet.d
     span = state.support()
@@ -830,7 +862,7 @@ def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,
         rows = np.flatnonzero(np.abs(image) > PRUNE_THRESHOLD)
         data = image[rows]
     return SparseState._from_arrays(state.alphabet, np.full(len(rows), offset + op.out_shift),
-                                    _digit_rows(rows, d, w, state.words.dtype), data)
+                                    window_digits(rows, d, w, state.words.dtype).T, data)
 
 
 def fit_offset(op: WindowOperator, spans: Iterable[tuple[int, int] | None],
@@ -879,26 +911,26 @@ def ungroup_cells(x, base: Alphabet, s: int):
 
 def _group_state(state: SparseState, s: int) -> SparseState:
     """Each row placed at its offset inside its first supercell, then every
-    s columns read as one base-d supercell symbol."""
-    grouped_alpha = state.alphabet.grouped(s)
-    d = state.alphabet.d
+    s columns read as one supercell symbol, their window index."""
     m, width = state.words.shape
     first = state.starts // s
     offset = state.starts - first * s
     supercells = -(-(width + s - 1) // s)
-    placed = np.zeros((m, supercells * s), dtype=np.int64)
+    placed = np.zeros((m, supercells * s), dtype=state.words.dtype)
     for o in range(s):
         rows = np.flatnonzero(offset == o)
         placed[rows, o:o + width] = state.words[rows]
-    words = placed.reshape(m, supercells, s) @ d ** np.arange(s - 1, -1, -1)
-    return SparseState._from_arrays(grouped_alpha, first, words, state.amps)
+    words = window_index(placed.reshape(m, supercells, s).transpose(2, 0, 1),
+                         state.alphabet.d)
+    return SparseState._from_arrays(state.alphabet.grouped(s), first, words, state.amps)
 
 
 def _ungroup_state(state: SparseState, base: Alphabet, s: int) -> SparseState:
+    """Each supercell symbol read back as its s base cells (window_digits)."""
     if base.d ** s != state.alphabet.d:
         raise DimensionMismatch(
             f"cell dimension {state.alphabet.d} is not {base.d}^{s}")
     m, width = state.words.shape
-    words = _digit_rows(state.words.ravel().astype(np.int64), base.d, s, _word_dtype(base.d))
+    words = window_digits(state.words, base.d, s).transpose(1, 2, 0)
     return SparseState._from_arrays(base, state.starts * s, words.reshape(m, width * s),
                                     state.amps)

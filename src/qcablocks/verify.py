@@ -54,13 +54,16 @@ from .model import (
     Alphabet,
     BlockQCA,
     ClassicalRule,
-    Configuration,
     SparseState,
     WindowOperator,
     apply_block,
     apply_window,
     fit_offset,
     restrict_state,
+    window_digits,
+    window_index,
+    window_rotation,
+    window_split,
 )
 
 
@@ -93,38 +96,6 @@ class NeighborhoodReport:
 
 
 # ------------------------------------------------------------------ helpers
-
-def _digits(ix, d: int, w: int) -> np.ndarray:
-    """Window indices as their w base-d digits: row i of the (w, len(ix))
-    result holds every index's digit at cell i."""
-    out = np.empty((w, len(ix)), dtype=np.int64)
-    rest = np.asarray(ix, dtype=np.int64)
-    for pos in range(w - 1, 0, -1):
-        rest, out[pos] = np.divmod(rest, d)
-    out[0] = rest
-    return out
-
-
-def _split_digits(digits: np.ndarray, d: int, region) -> tuple[np.ndarray, np.ndarray]:
-    """Digit rows (_digits) as (region digits, complement digits), each read
-    as a base-d number in cell order."""
-    numbers = (np.zeros(digits.shape[1], dtype=np.int64),
-               np.zeros(digits.shape[1], dtype=np.int64))
-    for pos, row in enumerate(digits):
-        number = numbers[0] if pos in region else numbers[1]
-        number *= d
-        number += row
-    return numbers
-
-
-def _row_rotation(d: int, w: int, steps: int) -> np.ndarray:
-    """Window index map of the cyclic shift by ``steps`` cells: row y of a
-    window moves to row rot[y] (content moves left for steps > 0)."""
-    rot = np.arange(d ** w, dtype=np.int64)
-    for _ in range(steps % w):
-        rot = (rot % d ** (w - 1)) * d + rot // d ** (w - 1)
-    return rot
-
 
 def is_injective(idx: np.ndarray) -> bool:
     """Whether the nonnegative integers ``idx`` are pairwise distinct, so a
@@ -169,7 +140,7 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
 
     if op.is_one_hot:
         f, phases = op.matrix
-        rot = _row_rotation(d, w, shift)
+        rot = window_rotation(d, w, shift)
         img = rot[f[interior]]
         img_shift = rot[f[shifted_cols]]
         ok_support = np.all(img % d == 0)
@@ -181,7 +152,7 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
 
     mat = op.dense()
     # the rotated window's row r is the window's row src[r]
-    src = _row_rotation(d, w, -shift)
+    src = window_rotation(d, w, -shift)
     cols = mat[:, interior][src]
     cols_shift = mat[:, shifted_cols][src]
     leak = float(np.max(np.abs(cols[~movable, :]))) if np.any(~movable) else 0.0
@@ -309,13 +280,13 @@ def _coo_localization_residual(rows, cols, vals, d: int, w: int,
     vals = np.asarray(vals, dtype=np.complex128)
     if len(vals) == 0:
         return [(0.0, 0.0) for _ in regions]
-    row_digits, col_digits = _digits(rows, d, w), _digits(cols, d, w)
+    row_digits, col_digits = window_digits(rows, d, w), window_digits(cols, d, w)
     out = []
     for region in regions:
         dk = d ** len(set(region))
         dc = d**w // dk
-        rk, rc = _split_digits(row_digits, d, region)
-        ck, cc = _split_digits(col_digits, d, region)
+        rk, rc = window_split(row_digits, d, region)
+        ck, cc = window_split(col_digits, d, region)
         diag = rc == cc
         # the entries on the complement diagonal, grouped by region pattern
         inverse = _group_ids(rk[diag] * dk + ck[diag])
@@ -479,12 +450,13 @@ def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
 
 # ------------------------------------------------------- witness machinery
 
-def _window_state(alphabet: Alphabet, d: int, w: int, amps: dict[int, complex]) -> SparseState:
-    terms = {}
-    for ix, amp in amps.items():
-        word = [(ix // d ** (w - 1 - i)) % d for i in range(w)]
-        terms[Configuration.make(0, word)] = amp
-    return SparseState(alphabet, terms)
+def _window_state(alphabet: Alphabet, w: int, amps: dict[int, complex]) -> SparseState:
+    """The state sum amps[ix] |ix> of window basis vectors, cell 0 at
+    position 0."""
+    return SparseState._from_arrays(
+        alphabet, np.zeros(len(amps), dtype=np.int64),
+        window_digits(list(amps), alphabet.d, w).T,
+        np.array(list(amps.values()), dtype=np.complex128))
 
 
 def _entries_to_blocks(entry, d, w, region):
@@ -492,8 +464,8 @@ def _entries_to_blocks(entry, d, w, region):
     pattern, in order of first entry; values are dicts over the complement
     indices."""
     rows, cols, vals = entry
-    rk, rc = _split_digits(_digits(rows, d, w), d, region)
-    ck, cc = _split_digits(_digits(cols, d, w), d, region)
+    rk, rc = window_split(window_digits(rows, d, w), d, region)
+    ck, cc = window_split(window_digits(cols, d, w), d, region)
     blocks: dict[tuple[int, int], dict[tuple[int, int], complex]] = defaultdict(dict)
     for a, b, c, e, v in zip(rk.tolist(), rc.tolist(), ck.tolist(), cc.tolist(), vals):
         blocks[(a, c)][(b, e)] = blocks[(a, c)].get((b, e), 0.0) + v
@@ -545,22 +517,15 @@ def _hermitian_probes(unit, d: int):
                 yield probe
 
 
-def _comp_index_to_window(index: int, comp: list[int], region, d: int, w: int,
-                          kept_index: int) -> int:
-    """Window basis index with the given complement and region digit values."""
-    digits = np.zeros(w, dtype=np.int64)
-    digits[list(region)] = np.unravel_index(kept_index, (d,) * len(region))
-    digits[comp] = np.unravel_index(index, (d,) * len(comp))
-    return int(np.ravel_multi_index(digits, (d,) * w))
-
-
 def _nonlocality_witness(op: WindowOperator, cc: int, unit, region,
                          tol: float) -> Witness | None:
     """Construct a state pair with equal restrictions on the tested region
     whose images differ at the probed cell, from a block of a conjugated
     Hermitian probe that is not a multiple of the identity.  ``unit`` maps
     (k, l) to the backward-conjugated matrix unit (_unit_conjugation); the
-    probes are built from it one at a time (_hermitian_probes)."""
+    probes are built from it one at a time (_hermitian_probes).  A state's
+    window indices are joined from its region and complement indices by
+    the model's window-basis codec."""
     d, w = op.alphabet.d, op.width
     region = tuple(sorted(region))
     comp = [i for i in range(w) if i not in region]
@@ -574,14 +539,18 @@ def _nonlocality_witness(op: WindowOperator, cc: int, unit, region,
                 continue
             states = []
             for vec in cand:
+                # the window index of each (complement m, region kept) pair,
+                # m in the order of vec, kept running over (rk, ck)
+                digits = np.empty((w, 2 * len(vec)), dtype=np.int64)
+                digits[list(region)] = window_digits([rk, ck] * len(vec), d, len(region))
+                digits[comp] = window_digits(np.repeat(list(vec), 2), d, len(comp))
                 amps = {}
-                for m_idx, amp in vec.items():
-                    for kept in (rk, ck):
-                        ix = _comp_index_to_window(m_idx, comp, region, d, w, kept)
-                        amps[ix] = amps.get(ix, 0.0) + amp / np.sqrt(2)
+                for ix, amp in zip(window_index(digits, d).tolist(),
+                                   (a for a in vec.values() for _ in range(2))):
+                    amps[ix] = amps.get(ix, 0.0) + amp / np.sqrt(2)
                 if rk == ck:
                     amps = {k2: v * np.sqrt(2) / 2 for k2, v in amps.items()}
-                states.append(_window_state(op.alphabet, d, w, amps).normalized())
+                states.append(_window_state(op.alphabet, w, amps).normalized())
             state_a, state_b = states
             context = tuple(region)
             ra = restrict_state(state_a, context)

@@ -148,3 +148,18 @@ def ungroup_state(terms, base_d: int, s: int) -> dict:
         word = [x for t in config.word for x in _digits(t, base_d, s)]
         pairs.append((Configuration.make(config.start * s, word), amp))
     return merged(pairs)
+
+
+def grouped_table(table, d: int, s: int) -> np.ndarray:
+    """Supercell rule table of a classical rule on s-cell supercells, one
+    pair of supercells at a time: output supercell x holds
+    table[c_k, c_(k+1)] for k < s over the 2s cells of (x, y)."""
+    dg = d**s
+    out = np.zeros((dg, dg), dtype=np.int64)
+    for x in range(dg):
+        xs = _digits(x, d, s)
+        for y in range(dg):
+            cells = xs + _digits(y, d, s)
+            word = [int(table[cells[k], cells[k + 1]]) for k in range(s)]
+            out[x, y] = int(np.dot(word, [d ** (s - 1 - k) for k in range(s)]))
+    return out

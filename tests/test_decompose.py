@@ -14,7 +14,6 @@ from qcablocks.decompose import (
     _one_hot_unit_rows,
     cell_algebra_images,
     certify,
-    decompose,
     decompose_certified,
     derive_u,
     derive_v,
@@ -41,6 +40,7 @@ from qcablocks.model import (
     group_cells,
     quantize,
     shift,
+    window_digits,
     window_matrix,
 )
 from qcablocks.rand import default_alphabet, random_block_qca
@@ -151,7 +151,7 @@ def test_images_shift_qca_land_on_left_cell():
 
 def test_images_reject_xor():
     with pytest.raises(NotLocal):
-        decompose(quantize(xor_ca(), 4), seed=0)
+        decompose_certified(quantize(xor_ca(), 4), seed=0)[0]
 
 
 def test_images_window_too_small():
@@ -495,7 +495,7 @@ def test_gauge_fixing_rejects_entangled_quiescent_preimage():
 def test_gauge_conditions_hold_after_fixing():
     for seed in range(3):
         g = random_block_qca(6, 3, 2, seed=seed + 230)
-        qca = decompose(window_matrix(g, 4), seed=seed)
+        qca = decompose_certified(window_matrix(g, 4), seed=seed)[0]
         assert la.max_norm(qca.gauge_residuals()) <= 1e-10
 
 
@@ -527,8 +527,8 @@ def test_grouped_toffoli_decomposes():
 def test_decompose_gauge_stability_across_seeds():
     g = random_block_qca(4, 2, 2, seed=400)
     op = window_matrix(g, 4)
-    qca1 = decompose(op, seed=1)
-    qca2 = decompose(op, seed=2)
+    qca1 = decompose_certified(op, seed=1)[0]
+    qca2 = decompose_certified(op, seed=2)[0]
     w1 = window_matrix(qca1, 4).dense()
     w2 = window_matrix(qca2, 4).dense()
     overlap = np.vdot(w2, w1)
@@ -539,9 +539,9 @@ def test_decompose_gauge_stability_across_seeds():
 def test_decompose_idempotent_at_window_level():
     g = random_block_qca(4, 2, 2, seed=410)
     op = window_matrix(g, 4)
-    once = decompose(op, seed=5)
+    once = decompose_certified(op, seed=5)[0]
     op2 = window_matrix(once, 4)
-    twice = decompose(op2, seed=6)
+    twice = decompose_certified(op2, seed=6)[0]
     w1 = op2.dense()
     w2 = window_matrix(twice, 4).dense()
     overlap = np.vdot(w2, w1)
@@ -568,7 +568,7 @@ def test_certificate_refuses_what_the_unit_stack_cannot_see():
     # it, and the window passes the shift-invariance check; it is no block
     # automaton, and the certificate against the whole window refuses it
     op = window_matrix(random_block_qca(4, 2, 2, seed=5), 4)
-    digits = op.column_digits()
+    digits = window_digits(np.arange(op.dim), op.alphabet.d, op.width).T
     phase = np.where((digits[:, 3] != 0) & (digits[:, 0] != 0), -1.0, 1.0)
     bad = WindowOperator(op.alphabet, 4, op.dense() * phase[None, :], op.boundary)
     assert check_shift_invariance(bad, 1e-9)
@@ -590,7 +590,7 @@ def test_transfer_certificate_bounds_the_dense_one():
     for p, q, s in CERT_CROSS_CHECK:
         rule = partitioned_rule(p, q, seed=10 * p + q)
         op = quantize(group_cells(rule, s) if s > 1 else rule, 4, "periodic")
-        qca = decompose(op)
+        qca = decompose_certified(op)[0]
         for steps in ((0, -1, 1) if op.alphabet.d <= 6 else (0,)):
             hot = _rotate_rows(op, steps)
             densified = WindowOperator(op.alphabet, 4, hot.dense(), "periodic")
@@ -637,7 +637,7 @@ def test_certify_one_hot_peak_memory():
     # the pure shift on d = 8 (q = 8) is the costliest transfer case at
     # n = 4096; densified, the comparison held three n x n complex arrays
     op = quantize(partitioned_rule(1, 8, seed=18), 4, "periodic")
-    qca = decompose(op)
+    qca = decompose_certified(op)[0]
     tracemalloc.start()
     try:
         cert = certify(qca, op)

@@ -5,6 +5,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcablocks import linalg as la
 from qcablocks.errors import (
@@ -29,7 +31,11 @@ from qcablocks.model import (
     restrict_state,
     shift,
     ungroup_cells,
+    window_digits,
+    window_index,
     window_matrix,
+    window_rotation,
+    window_split,
 )
 from qcablocks.rand import default_alphabet, random_block_qca, random_sparse_state
 from qcablocks.verify import detect_signalling
@@ -218,6 +224,39 @@ def test_apply_block_refuses_oversized_support_before_allocating():
     assert peak <= 1 << 20
 
 
+# ------------------------------------------------------------ window basis
+
+@st.composite
+def window_bases(draw):
+    """(d, w, indices): d in 1 ... 20 and w in 1 ... 8, or the narrow-dtype
+    boundary d = 256, 257 at w <= 3; up to 40 indices in [0, d^w)."""
+    d, w = draw(st.one_of(st.tuples(st.integers(1, 20), st.integers(1, 8)),
+                          st.tuples(st.sampled_from([256, 257]), st.integers(1, 3))))
+    idx = draw(st.lists(st.integers(0, d**w - 1), min_size=1, max_size=40))
+    return d, w, np.array(idx, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_bases())
+def test_window_codec_matches_numpy_index_order(basis):
+    d, w, idx = basis
+    digits = window_digits(idx, d, w)
+    assert digits.dtype == np.min_scalar_type(d - 1)
+    assert np.array_equal(digits, np.unravel_index(idx, (d,) * w))
+    assert np.array_equal(window_index(digits, d), idx)
+    assert np.array_equal(window_digits(idx, d, w, np.int64), digits)
+    region = [i for i in range(w) if i % 3 == 1]
+    comp = [i for i in range(w) if i % 3 != 1]
+    kept, rest = window_split(digits, d, region)
+    assert np.array_equal(kept, window_index(digits[region], d))
+    assert np.array_equal(rest, window_index(digits[comp], d))
+    if d**w <= 1 << 16:
+        every = window_digits(np.arange(d**w), d, w)
+        for k in range(-w, w + 1):
+            assert np.array_equal(window_rotation(d, w, k),
+                                  window_index(np.roll(every, -k, axis=0), d))
+
+
 # ---------------------------------------------------------- window matrix
 
 def test_window_matrix_identity_blocks():
@@ -352,6 +391,21 @@ def test_window_operator_rejects_malformed_column_maps():
                 (rows.astype(float), phases)]:            # rows not integers
         with pytest.raises(DimensionMismatch):
             WindowOperator(BITS, 2, bad)
+
+
+@pytest.mark.parametrize("d, w", [(16, 8), (2, 27)])
+def test_quantize_refuses_oversized_window_before_allocating(d, w):
+    # d^w basis words exceed DENSE_WINDOW_CAP² = 2^26 entries (2^26 itself
+    # is the largest window quantize builds)
+    rule = ClassicalRule(default_alphabet(d), np.zeros((d, d), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="largest dense window"):
+            quantize(rule, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_quantize_rejects_nonquiescent_rule():

@@ -157,6 +157,17 @@ def test_grouping_matches_oracle(data, d, s):
         grouped.terms, d, s)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_grouped_rule_table_matches_oracle(d, s):
+    rng = np.random.default_rng(100 * d + s)
+    for _ in range(3):
+        table = rng.integers(0, d, size=(d, d))
+        table[0, 0] = 0
+        rule = ClassicalRule(default_alphabet(d), table)
+        assert np.array_equal(rule.grouped(s).table, oracle.grouped_table(table, d, s))
+
+
 def test_far_apart_terms_allocate_no_hull():
     # two terms 10^9 cells apart: every operation works on the two words,
     # never on an array spanning the gap
