@@ -75,9 +75,6 @@ class GeneratedAlgebra:
         approx = np.tensordot(coeffs, self.basis, axes=(0, 0))
         return max_norm(np.asarray(m) - approx)
 
-    def contains(self, m: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.projection_residual(m) <= tol
-
     def random_hermitian(self, rng: np.random.Generator) -> np.ndarray:
         """A Gaussian random Hermitian element of the algebra."""
         coeff = rng.standard_normal(self.dimension) + 1j * rng.standard_normal(self.dimension)

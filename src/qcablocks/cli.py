@@ -140,7 +140,7 @@ def cmd_decompose(args) -> int:
             # the configurations supported on the window are the columns of
             # a one-cell-wider truncated window with a quiescent last cell;
             # their rows hold every cell of the image, both spills included
-            rows = quantize(spec, args.window + 1).matrix[0][::spec.alphabet.d]
+            rows = quantize(spec, args.window + 1).matrix[::spec.alphabet.d]
             if not is_injective(rows):
                 raise NotLocal(
                     "the rule is not injective on finite configurations of a "

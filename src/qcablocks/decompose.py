@@ -28,9 +28,10 @@ quiescent-complement rows with the verifier's dense unit primitive;
 one-hot windows are conjugated by reindexing and never densified, with
 the verifier's exact generator check for localization on the patch.  A
 one-hot row is not a dense array but its entries (l, patch_row,
-patch_col, value), read off the preimages of the patch rows alone (about
-d per unit): both passes work on the entries, the partial traces by
-scatter-adds and u's conjugations as products of d columns of W ⊗ W.
+patch_col), each of value 1, read off the preimages of the patch rows
+alone (about d per unit): both passes work on the entries, the partial
+traces by scatter-adds and u's conjugations as products of d columns of
+W ⊗ W.
 Whatever a gate cannot see, the end-to-end certificate against the whole
 window refuses.
 """
@@ -98,26 +99,26 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     # new matrix rows: h[rot(y), :] = g[y, :]
     rot = window_rotation(op.alphabet.d, op.width, steps)
     if op.is_one_hot:
-        mat = (rot[op.matrix[0]], op.matrix[1])
+        mat = rot[op.matrix]
     else:
         mat = op.matrix[np.argsort(rot)]
     return WindowOperator(op.alphabet, op.width, mat, op.boundary, op.out_shift)
 
 
-def _one_hot_unit_rows(rows: np.ndarray, phases: np.ndarray, d: int,
+def _one_hot_unit_rows(rows: np.ndarray, d: int,
                        w: int) -> Callable[[int], tuple[np.ndarray, ...]]:
-    """Row builder k -> entries (l, patch_row, patch_col, value) of the
-    compressed cell-1 unit images T_k0, ..., T_k(d-1) of the one-hot window
-    G|x> = phases[x] |rows[x]>, in coordinate form: T_kl is the sum of
-    value·|patch_row><patch_col| over the entries with that l.
+    """Row builder k -> entries (l, patch_row, patch_col) of the compressed
+    cell-1 unit images T_k0, ..., T_k(d-1) of the one-hot window
+    G|x> = |rows[x]>, in coordinate form: T_kl is the sum of
+    |patch_row><patch_col| over the entries with that l.
 
     An entry of T_kl on the patch comes from an input x with cell-1 digit l
     whose image has a quiescent complement, and its partner x_k = x + (k-l)
-    digit places, if that image's complement is quiescent too: the value
-    phases[x_k] conj(phases[x]) at (patch of rows[x_k], patch of rows[x]).
-    Only those inputs are touched (d² for a bijective map, so about d
-    entries per unit), never the whole window; a merging map repeats a
-    position, and every consumer sums repeated entries."""
+    digit places, if that image's complement is quiescent too: a 1 at
+    (patch of rows[x_k], patch of rows[x]).  Only those inputs are touched
+    (d² for a bijective map, so about d entries per unit), never the whole
+    window; a merging map repeats a position, and every consumer sums
+    repeated entries."""
     # cell 1's digit place is also the size of the output complement (cells
     # 2 ... w-1), so one divmod splits a row into patch and complement
     pw = d ** (w - 2)
@@ -128,18 +129,17 @@ def _one_hot_unit_rows(rows: np.ndarray, phases: np.ndarray, d: int,
     def row(k: int) -> tuple[np.ndarray, ...]:
         xk = xs + (k - digit) * pw
         sel = rest[xk] == 0
-        x, xk = xs[sel], xk[sel]
-        return digit[sel], kept[xk], kept[x], phases[xk] * np.conj(phases[x])
+        return digit[sel], kept[xk[sel]], kept[xs[sel]]
 
     return row
 
 
 def _entry_unit(entries: tuple[np.ndarray, ...], l: int, d: int) -> np.ndarray:
     """Dense d² x d² unit T_kl from the entries of its row."""
-    ls, i, j, c = entries
+    ls, i, j = entries
     sel = ls == l
     out = np.zeros((d * d, d * d), dtype=np.complex128)
-    np.add.at(out, (i[sel], j[sel]), c[sel])
+    np.add.at(out, (i[sel], j[sel]), 1.0)
     return out
 
 
@@ -170,7 +170,7 @@ def _unit_images(op: WindowOperator, tol: float,
         if _first_localized(_unit_conjugation(op, 1, forward=True), d, w, [patch], tol) is None:
             raise NotLocal(f"image of the cell-1 algebra is not localized on "
                            f"cells {patch}")
-        return _one_hot_unit_rows(*op.matrix, d, w)
+        return _one_hot_unit_rows(op.matrix, d, w)
 
     # rows with a quiescent complement (cells 2 ... w-1 all 0), in patch
     # order: the rotated window's row r is the window's row src[r]
@@ -189,9 +189,9 @@ class CellImages:
 
     ``row(k)`` rebuilds row k, T_k0 ... T_k(d-1): a dense (d, d², d²)
     array, or for a one-hot window the tuple of entries (l, patch_row,
-    patch_col, value).  ``a1`` and ``b1`` are the (d, d, d, d) partial
-    traces of every T_kl over patch leg 0 and over patch leg 1, taken while
-    the rows went by."""
+    patch_col), each of value 1.  ``a1`` and ``b1`` are the (d, d, d, d)
+    partial traces of every T_kl over patch leg 0 and over patch leg 1,
+    taken while the rows went by."""
 
     row: Callable[[int], np.ndarray | tuple]
     a1: np.ndarray
@@ -225,11 +225,11 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
     for k in range(d):
         r = row(k)
         if isinstance(r, tuple):
-            ls, i, j, c = r
+            ls, i, j = r
             (i0, i1), (j0, j1) = np.divmod(i, d), np.divmod(j, d)
             on0, on1 = i0 == j0, i1 == j1
-            np.add.at(a1[k], (ls[on0], i1[on0], j1[on0]), c[on0])
-            np.add.at(b1[k], (ls[on1], i0[on1], j0[on1]), c[on1])
+            np.add.at(a1[k], (ls[on0], i1[on0], j1[on0]), 1.0)
+            np.add.at(b1[k], (ls[on1], i0[on1], j0[on1]), 1.0)
             sampled.update({key: _entry_unit(r, key[1], d) for key in sampled if key[0] == k})
         else:
             a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
@@ -286,10 +286,10 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     with its rows in (middle q p, outer p q) order of the (p, q, p, q)
     patch, so each conjugated unit is already split into region and
     complement, and phi(E_kl) is its outer-(0, 0) block.  A dense row takes
-    two matmuls; a unit of m entries takes one (d², m)(m, d²) product of
-    columns of W ⊗ W, never a dense d² x d² operand.  One row is held at a
-    time.  Each unit's middle-factor residual and u's isomorphism residual
-    are checked."""
+    two matmuls; a unit of m entries, each 1, is the (d², m)(m, d²) product
+    of the columns of W ⊗ W and the rows of its adjoint they name, never a
+    dense d² x d² operand.  One row is held at a time.  Each unit's
+    middle-factor residual and u's isomorphism residual are checked."""
     p, q = fact.p, fact.q
     d = p * q
     ww = la.kron(fact.u, fact.u).reshape(p, q, p, q, d * d)
@@ -300,9 +300,9 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
         r = images.row(k)
         for l in range(d):
             if isinstance(r, tuple):
-                ls, i, j, c = r
+                ls, i, j = r
                 sel = ls == l
-                x = (ww[:, i[sel]] * c[sel]) @ ww_h[j[sel]]
+                x = ww[:, i[sel]] @ ww_h[j[sel]]
             else:
                 x = ww @ r[l] @ ww_h
             resid, _ = la.localization_defect(x, (d, d), {0})
@@ -367,46 +367,46 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
     rotated by ``shift`` cells, minimized over a global phase.
 
     Dense windows are compared entry by entry (exact) without the
-    reconstruction ever existing whole: each column block of it is rebuilt
-    from its basis inputs (model._window_columns) and compared with the same
-    columns of the input, their rows gathered at that rotation, in two
-    passes, the overlap that fixes the phase and then the residual.  One-hot
-    windows are never densified: _transfer_certify bounds their residual
-    through per-column overlaps, traces of rings of q x q transfer matrices
-    in extended precision."""
+    reconstruction ever existing whole, in one pass: each column block of
+    it is rebuilt from its basis inputs (model._window_columns) and compared
+    with the same columns of the input, their rows gathered at that
+    rotation.  The gauge maps the quiescent column to itself, so its one
+    entry fixes the phase, conj(G[src[0], 0]) R[0, 0] normalized, before
+    the first block is scored; a residual at any fixed phase bounds the
+    phase-minimized one from above, so the certificate never understates
+    it.  One-hot windows are never densified: _transfer_certify bounds
+    their residual through per-column overlaps, traces of rings of q x q
+    transfer matrices in extended precision."""
     if op.is_one_hot:
         return _transfer_certify(qca, op, shift)
     d, w, n = op.alphabet.d, op.width, op.dim
     g = op.dense()
     # the rotated input's row r is the input's row src[r]
     src = window_rotation(d, w, -shift)
-
-    def pairs():
-        for cols in la.row_blocks(n):
-            yield _window_columns(qca, w, cols), g[src, cols]
-
-    overlap = sum(complex(np.vdot(target, rec)) for rec, target in pairs())
+    quiescent = _window_columns(qca, w, slice(0, 1))[0, 0]
+    overlap = complex(np.conj(g[src[0], 0]) * quiescent)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    resid = []
-    for rec, target in pairs():
+    resid = 0.0
+    for cols in la.row_blocks(n):
+        rec, target = _window_columns(qca, w, cols), g[src, cols]
         target *= phase
         rec -= target
-        resid.append(la.max_norm(rec))
-    return Certification(float(np.max(resid)), shift, complex(phase))
+        resid = max(resid, la.max_norm(rec))
+    return Certification(float(resid), shift, complex(phase))
 
 
 def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certification:
     """Certify a one-hot window, rotated by ``shift`` cells, without
     expanding reconstruction columns.
 
-    For each basis column x with target entry phi_x at row r(x), the
+    For each basis column x, whose target is a 1 at row r(x), the
     reconstruction's element <r(x)| (⊗v) P (⊗u) |x> is the trace of a ring
     of per-cell q x q transfer matrices M_i[a, a'] = sum_b u[(a,b), x_i]
     v[r_i, (b, a')], and the column's squared norm is the trace of the ring
     of doubled transfers D_i = sum_r M_i(r) ⊗ conj(M_i(r)).  Every entry of
     the column then differs from the target column by at most
 
-        sqrt(|col|^2 - |t_x|^2) + |t_x - phase phi_x|,
+        sqrt(|col|^2 - |t_x|^2) + |t_x - phase|,
 
     the first term bounding all off-target entries, the second the target
     itself.  Both traces are evaluated in extended precision, putting the
@@ -416,7 +416,6 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
     row cell digits come from window_digits, one narrow row per cell."""
     d, w, n = op.alphabet.d, op.width, op.dim
     p, q = qca.p, qca.q
-    rows, phases = op.matrix
     u3 = np.ascontiguousarray(qca.u.reshape(q, p, d).astype(np.clongdouble))
     v3 = np.ascontiguousarray(qca.v.reshape(d, p, q).astype(np.clongdouble))
     # transfer lookup: M[x, r, a, a'] = sum_b u[(a,b), x] v[r, (b, a')]
@@ -435,15 +434,15 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
             prod = np.matmul(prod[:, None], doubled[None]).reshape(-1, q * q, q * q)
         halves.append(prod)
     col_norm2 = np.einsum("xij,yji->xy", *halves).real.ravel()
-    row_digits = window_digits(window_rotation(d, w, shift)[rows], d, w)
+    row_digits = window_digits(window_rotation(d, w, shift)[op.matrix], d, w)
     t = lookup[col_digits[0], row_digits[0]]
     for i in range(1, w):
         t = np.matmul(t, lookup[col_digits[i], row_digits[i]])
     t_x = np.trace(t, axis1=1, axis2=2)
-    z = complex(np.sum(np.conj(phases.astype(np.clongdouble)) * t_x))
+    z = complex(np.sum(t_x))
     phase = z / abs(z) if abs(z) > 1e-12 else 1.0
     off_mass = np.sqrt(np.maximum(0.0, col_norm2 - np.abs(t_x) ** 2))
-    target_dev = np.abs(t_x - np.clongdouble(phase) * phases.astype(np.clongdouble))
+    target_dev = np.abs(t_x - np.clongdouble(phase))
     return Certification(float(np.max(off_mass + target_dev)), shift, complex(phase))
 
 

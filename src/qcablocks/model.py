@@ -652,9 +652,10 @@ class WindowOperator:
     finite presentation of a global evolution.
 
     ``matrix`` is a dense (n, n) array, n = d^w, or the one-hot column map
-    ``(rows, phases)`` of G|x> = phases[x] |rows[x]>: int rows in [0, n)
-    and complex phases, 1-D of length n.  Quantized classical rules use
-    the map, so windows far beyond the dense cap stay cheap.
+    ``rows`` of G|x> = |rows[x]>: a 1-D int64 array of length n with
+    entries in [0, n).  Quantized classical rules use the map (their linear
+    extension permutes the basis, with no phases), so windows far beyond
+    the dense cap stay cheap.
 
     ``boundary`` records how the window was closed off: ``"periodic"``
     windows (built from block automata) wrap the last half-cell onto the
@@ -672,7 +673,7 @@ class WindowOperator:
 
     alphabet: Alphabet
     width: int
-    matrix: object  # dense (n, n) array or one-hot (rows, phases)
+    matrix: np.ndarray  # dense (n, n) or one-hot column map (n,)
     boundary: str = "truncated"
     out_shift: int = 0
 
@@ -682,18 +683,18 @@ class WindowOperator:
         if self.boundary not in ("periodic", "truncated"):
             raise PreconditionViolated(f"unknown boundary kind {self.boundary!r}")
         n = self.dim
-        if self.is_one_hot:
-            rows, phases = (np.asarray(a) for a in self.matrix)
-            if (rows.shape != (n,) or phases.shape != (n,) or rows.dtype.kind not in "iu"
-                    or rows.min() < 0 or rows.max() >= n):
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim == 1:
+            if (matrix.shape != (n,) or matrix.dtype.kind not in "iu"
+                    or matrix.min() < 0 or matrix.max() >= n):
                 raise DimensionMismatch(
-                    f"a one-hot column map needs integer rows in [0, {n}) and phases, "
-                    f"both of shape ({n},); got {rows.shape} and {phases.shape}")
-            object.__setattr__(self, "matrix", (rows.astype(np.int64, copy=False),
-                                                phases.astype(np.complex128, copy=False)))
-        elif self.matrix.shape != (n, n):
+                    f"a one-hot column map needs integer rows in [0, {n}) of shape "
+                    f"({n},); got {matrix.dtype} rows of shape {matrix.shape}")
+            matrix = matrix.astype(np.int64, copy=False)
+        elif matrix.shape != (n, n):
             raise DimensionMismatch(
-                f"window matrix shape {self.matrix.shape}, expected ({n}, {n})")
+                f"window matrix shape {matrix.shape}, expected ({n}, {n})")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -701,16 +702,15 @@ class WindowOperator:
 
     @property
     def is_one_hot(self) -> bool:
-        return isinstance(self.matrix, tuple)
+        return self.matrix.ndim == 1
 
     def dense(self) -> np.ndarray:
         if self.is_one_hot:
             if self.dim > DENSE_WINDOW_CAP:
                 raise DimensionMismatch(
                     f"refusing to densify a {self.dim}-dimensional window")
-            rows, phases = self.matrix
             out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            out[rows, np.arange(self.dim)] = phases
+            out[self.matrix, np.arange(self.dim)] = 1.0
             return out
         return np.asarray(self.matrix, dtype=np.complex128)
 
@@ -751,12 +751,12 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
     the decomposer wants; rules that are bijective only through unbounded
     borders (the non-locally-quantizable class) lose unitarity here.
 
-    Either way the matrix is the one-hot column map (rows, ones) and
-    unitarity is *not* guaranteed; checking it is the verifier's job.  The
-    rows are read one output cell at a time off the window's digits
-    (window_digits) in the narrowest dtype.  DimensionMismatch is raised
-    before anything is allocated when d^w exceeds DENSE_WINDOW_CAP², the
-    entry count of the largest dense window."""
+    Either way the matrix is the one-hot column map rows and unitarity
+    is *not* guaranteed; checking it is the verifier's job.  The rows are
+    read one output cell at a time off the window's digits (window_digits)
+    in the narrowest dtype.  DimensionMismatch is raised before anything is
+    allocated when d^w exceeds DENSE_WINDOW_CAP², the entry count of the
+    largest dense window."""
     if w < 2:
         raise WindowTooSmall("quantize needs a window of at least 2 cells")
     d = rule.alphabet.d
@@ -774,8 +774,7 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
     else:
         pairs, out_shift = zip(digits, digits[1:] + digits[:1]), 0
     rows = window_index([table[a, b] for a, b in pairs], d)
-    return WindowOperator(rule.alphabet, w, (rows, np.ones(n)),
-                          boundary=boundary, out_shift=out_shift)
+    return WindowOperator(rule.alphabet, w, rows, boundary=boundary, out_shift=out_shift)
 
 
 def window_matrix(g: BlockQCA, w: int) -> WindowOperator:
@@ -853,8 +852,7 @@ def apply_window(op: WindowOperator, state: SparseState, offset: int = 0,
     # window columns
     cols = _cells_at(state.starts, state.words, offset + np.arange(w), d)[0]
     if op.is_one_hot:
-        rows, phases = op.matrix
-        rows, data = rows[cols], phases[cols] * state.amps
+        rows, data = op.matrix[cols], state.amps
     else:
         vec = np.zeros(op.dim, dtype=np.complex128)
         vec[cols] = state.amps

@@ -18,10 +18,11 @@ whose cell digit is k, so neither direction copies or conjugates the whole
 window.  A dense unit is never held whole either: it is produced one row
 block at a time and scored on every candidate region in the same pass
 (linalg.localization_defects), so T_00 is formed once for all regions.
-One-hot windows (quantized classical rules) only reindex entries, so
-windows far beyond the dense cap stay cheap; their backward direction is
-the forward one on the adjoint, the inverse column map with conjugated
-phases.  fast_localization_residual is the one residual entry point for
+One-hot windows (quantized classical rules) are basis permutations: their
+conjugations only reindex, with every value 1, and read just the n/d
+inputs a unit needs, so windows far beyond the dense cap stay cheap; their
+backward direction is the forward one on the adjoint, the inverse column
+map.  fast_localization_residual is the one residual entry point for
 both formats, and takes a list of regions for both.
 
 Locality on R needs every unit T_kl = S_k S_l† (backward S_k = R_k†)
@@ -109,10 +110,7 @@ def is_injective(idx: np.ndarray) -> bool:
 def check_unitary(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
     """Whether the window matrix is unitary within tol."""
     if op.is_one_hot:
-        rows, phases = op.matrix
-        if np.max(np.abs(np.abs(phases) - 1.0)) > tol:
-            return False
-        return is_injective(rows)
+        return is_injective(op.matrix)
     return la.is_unitary(op.dense(), tol)
 
 
@@ -131,26 +129,18 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
     w, d = op.width, op.alphabet.d
     if w < 3:
         raise WindowTooSmall("shift invariance needs a window of at least 3 cells")
-    n = op.dim
     interior = np.arange(d ** (w - 2), dtype=np.int64) * d  # words on cells [1, w-2]
     shifted_cols = interior // d  # same words moved one cell right
-    rows = np.arange(n, dtype=np.int64)
-    last_digit = rows % d
-    movable = last_digit == 0
 
     if op.is_one_hot:
-        f, phases = op.matrix
         rot = window_rotation(d, w, shift)
-        img = rot[f[interior]]
-        img_shift = rot[f[shifted_cols]]
-        ok_support = np.all(img % d == 0)
-        if not ok_support:
-            return False
-        if not np.array_equal(img // d, img_shift):
-            return False
-        return float(np.max(np.abs(phases[interior] - phases[shifted_cols]))) <= tol
+        img = rot[op.matrix[interior]]
+        return bool(np.all(img % d == 0)) and np.array_equal(
+            img // d, rot[op.matrix[shifted_cols]])
 
     mat = op.dense()
+    rows = np.arange(op.dim, dtype=np.int64)
+    movable = rows % d == 0
     # the rotated window's row r is the window's row src[r]
     src = window_rotation(d, w, -shift)
     cols = mat[:, interior][src]
@@ -165,23 +155,23 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
 
 # ------------------------------------------------- conjugated cell units
 
-def _one_hot_conjugation(rows: np.ndarray, phases: np.ndarray, d: int, w: int,
-                         cell: int, k: int, l: int):
-    """COO triple of G (E_kl ⊗ I) G† for the one-hot window
-    G|x> = phases[x] |rows[x]>.  Conjugation only reindexes: the inputs with
-    cell digit k come in rest order, and each one's partner with digit l
-    is the same index moved by (l - k) digit places."""
+def _one_hot_conjugation(rows: np.ndarray, d: int, w: int, cell: int, k: int, l: int):
+    """COO triple of G (E_kl ⊗ I) G† for the one-hot window G|x> = |rows[x]>:
+    entries 1 at (rows[x], rows[x']) for each input x with cell digit k and
+    its partner x' with digit l, the same index moved by (l - k) digit
+    places.  The n/d inputs with digit k are generated from their place
+    values in increasing order (higher cells, then lower ones), so no
+    window-length array is built."""
     pw = d ** (w - 1 - cell)
-    idx = np.arange(d**w, dtype=np.int64)
-    src_k = idx[(idx // pw) % d == k]
+    src_k = ((np.arange(d**cell, dtype=np.int64)[:, None] * d + k) * pw
+             + np.arange(pw, dtype=np.int64)).ravel()
     src_l = src_k + (l - k) * pw
-    return rows[src_k], rows[src_l], phases[src_k] * np.conj(phases[src_l])
+    return rows[src_k], rows[src_l], np.ones(len(src_k), dtype=np.complex128)
 
 
-def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
-    """The adjoint of a one-hot window in the same (rows, phases) form: the
-    inverse column map with conjugated phases.  Exists only for a bijective
-    column map."""
+def _one_hot_adjoint(rows: np.ndarray) -> np.ndarray:
+    """The adjoint of a one-hot window, again a column map: the inverse of
+    ``rows``.  Exists only for a bijective column map."""
     n = len(rows)
     if not is_injective(rows):
         raise PreconditionViolated(
@@ -189,7 +179,7 @@ def _one_hot_adjoint(rows: np.ndarray, phases: np.ndarray):
             "operator is not injective")
     inv = np.empty(n, dtype=np.int64)
     inv[rows] = np.arange(n, dtype=np.int64)
-    return inv, np.conj(phases[inv])
+    return inv
 
 
 def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
@@ -240,20 +230,15 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     d, w = op.alphabet.d, op.width
     if not op.is_one_hot:
         return _dense_units(op.dense(), d, d**cell, forward)
-    rows, phases = op.matrix if forward else _one_hot_adjoint(*op.matrix)
+    rows = op.matrix if forward else _one_hot_adjoint(op.matrix)
 
     @cache
     def norms():
-        # an injective map has S_k† S_k = diag |phases|² over the inputs
-        # with cell digit k, so the norms are exact; others get no bound
-        if not is_injective(rows):
-            return None
-        digit = (np.arange(d**w, dtype=np.int64) // d ** (w - 1 - cell)) % d
-        s = np.zeros(d)
-        np.maximum.at(s, digit, np.abs(phases))
-        return s, float(np.max(np.abs(np.abs(phases[digit == 0]) ** 2 - 1.0)))
+        # a permutation has S_k† S_k = I for every k, so s = 1 and η = 0
+        # exactly; a merging map gets no bound
+        return (np.ones(d), 0.0) if is_injective(rows) else None
 
-    return (lambda k, l: _one_hot_conjugation(rows, phases, d, w, cell, k, l)), norms
+    return (lambda k, l: _one_hot_conjugation(rows, d, w, cell, k, l)), norms
 
 
 def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, float]]:

@@ -1,6 +1,7 @@
 """Reference implementations of dense kernels that the library now computes
-without scratch copies or in row blocks, kept as oracles for the property
-tests in ``test_linalg.py`` and ``test_verify.py``.
+without scratch copies, in row blocks or in one pass, kept as oracles for
+the property tests in ``test_linalg.py``, ``test_verify.py`` and
+``test_decompose.py``.
 """
 from __future__ import annotations
 
@@ -28,6 +29,28 @@ def transposed_localization_defect(a: np.ndarray, dims, region) -> tuple[float, 
     dev = np.abs(x)
     dev[:, ii, :, ii] = np.abs(diag - diag.sum(axis=0) / dc)
     return float(np.max(dev)), float(np.linalg.norm(dev))
+
+
+def two_pass_certify(qca, op, shift: int = 0):
+    """The dense certificate in two passes over the column blocks of the
+    reconstruction: the overlap of all columns fixes the phase, then the
+    max-norm residual at that phase (decompose.certify before its phase
+    came from the quiescent column alone)."""
+    from qcablocks.decompose import Certification
+    from qcablocks.model import _window_columns, window_rotation
+
+    d, w, n = op.alphabet.d, op.width, op.dim
+    g = op.dense()
+    src = window_rotation(d, w, -shift)
+
+    def pairs():
+        for cols in la.row_blocks(n):
+            yield _window_columns(qca, w, cols), g[src, cols]
+
+    overlap = sum(complex(np.vdot(target, rec)) for rec, target in pairs())
+    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
+    resid = max(la.max_norm(rec - phase * target) for rec, target in pairs())
+    return Certification(float(resid), shift, complex(phase))
 
 
 def unitary_verdict(m: np.ndarray, tol: float) -> bool:

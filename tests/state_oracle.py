@@ -115,8 +115,7 @@ def apply_window(op, terms, offset: int = 0) -> dict:
     cols = np.fromiter(entries.keys(), dtype=np.int64)
     vals = np.fromiter((entries[c] for c in cols), dtype=np.complex128)
     if op.is_one_hot:
-        rows, phases = op.matrix
-        rows, data = rows[cols], phases[cols] * vals
+        rows, data = op.matrix[cols], vals
     else:
         vec = np.zeros(op.dim, dtype=np.complex128)
         vec[cols] = vals

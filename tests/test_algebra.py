@@ -75,10 +75,10 @@ def test_close_basis_is_orthonormal_and_star_closed():
     k = alg.dimension
     gram = alg.basis.conj().reshape(k, -1) @ alg.basis.reshape(k, -1).T
     assert np.allclose(gram, np.eye(k), atol=1e-10)
-    assert alg.contains(np.eye(6))
+    assert alg.projection_residual(np.eye(6)) <= 1e-8
     for b in alg.basis[:3]:
-        assert alg.contains(la.dagger(b))
-        assert alg.contains(b @ alg.basis[0])
+        assert alg.projection_residual(la.dagger(b)) <= 1e-8
+        assert alg.projection_residual(b @ alg.basis[0]) <= 1e-8
 
 
 def test_close_dimension_mismatch():
@@ -382,7 +382,7 @@ def test_restrict_matches_generatorwise_oracle():
     oracle = close(traced, 2)
     assert res.dimension == oracle.dimension
     for b in res.basis:
-        assert oracle.contains(b)
+        assert oracle.projection_residual(b) <= 1e-8
 
 
 def test_restriction_of_commuting_algebras_commutes():

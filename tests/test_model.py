@@ -375,20 +375,18 @@ def test_quantize_xor_window_example():
 def test_quantize_xor_injective_w6():
     # Exhaustive enumeration over all 3^6 window words.
     op = quantize(xor_rule(), 6)
-    rows, _ = op.matrix
-    assert len(set(rows.tolist())) == 3**6
+    assert len(set(op.matrix.tolist())) == 3**6
 
 
 def test_window_operator_rejects_malformed_column_maps():
     n = BITS.d ** 2
-    rows, phases = np.arange(n)[::-1], np.ones(n, dtype=complex)
-    assert WindowOperator(BITS, 2, (rows, phases)).is_one_hot
-    for bad in [(rows[:-1], phases[:-1]),                 # wrong length
-                (rows, phases[:-1]),                      # lengths disagree
-                (rows + 1, phases),                       # row n out of range
-                (rows - 1, phases),                       # row -1 out of range
-                (rows.reshape(3, 3), phases.reshape(3, 3)),  # not 1-D
-                (rows.astype(float), phases)]:            # rows not integers
+    rows = np.arange(n)[::-1]
+    assert WindowOperator(BITS, 2, rows).is_one_hot
+    for bad in [rows[:-1],              # wrong length
+                rows + 1,               # row n out of range
+                rows - 1,               # row -1 out of range
+                rows.reshape(3, 3),     # not 1-D
+                rows.astype(float)]:    # rows not integers
         with pytest.raises(DimensionMismatch):
             WindowOperator(BITS, 2, bad)
 
@@ -480,14 +478,13 @@ def test_apply_window_requires_slack():
 
 
 def test_apply_window_one_hot_matches_densified():
-    # random phases, and a column map that is a permutation or merges
-    # columns: the reindexed image equals the dense product, with the
-    # amplitudes of merged rows summed
+    # a column map that is a permutation or merges columns: the reindexed
+    # image equals the dense product, with the amplitudes of merged rows
+    # summed
     rng = np.random.default_rng(31)
     n = BITS.d ** 4
-    phases = np.exp(2j * np.pi * rng.random(n))
     for rows in (rng.permutation(n), rng.integers(0, 9, size=n)):
-        op = WindowOperator(BITS, 4, (rows, phases))
+        op = WindowOperator(BITS, 4, rows)
         dense = WindowOperator(BITS, 4, op.dense())
         s = random_sparse_state(BITS, range(0, 4), 6, seed=32)
         got = apply_window(op, s, strict=False)
