@@ -97,11 +97,11 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     if steps == 0:
         return op
     # new matrix rows: h[rot(y), :] = g[y, :]
-    rot = window_rotation(op.alphabet.d, op.width, steps)
+    d, w = op.alphabet.d, op.width
     if op.is_one_hot:
-        mat = rot[op.matrix]
+        mat = window_rotation(d, w, steps, op.matrix)
     else:
-        mat = op.matrix[np.argsort(rot)]
+        mat = op.matrix[window_rotation(d, w, -steps)]
     return WindowOperator(op.alphabet, op.width, mat, op.boundary, op.out_shift)
 
 
@@ -118,18 +118,18 @@ def _one_hot_unit_rows(rows: np.ndarray, d: int,
     (patch of rows[x_k], patch of rows[x]).  Only those inputs are touched
     (d² for a bijective map, so about d entries per unit), never the whole
     window; a merging map repeats a position, and every consumer sums
-    repeated entries."""
+    repeated entries.  Only the preimages and their digits are kept: each
+    call splits the images it reads."""
     # cell 1's digit place is also the size of the output complement (cells
-    # 2 ... w-1), so one divmod splits a row into patch and complement
+    # 2 ... w-1), so a row splits into patch (//) and complement (%) by it
     pw = d ** (w - 2)
-    kept, rest = np.divmod(rows, pw)
-    xs = np.flatnonzero(rest == 0)
+    xs = np.flatnonzero(rows % pw == 0)
     digit = (xs // pw) % d
 
     def row(k: int) -> tuple[np.ndarray, ...]:
-        xk = xs + (k - digit) * pw
-        sel = rest[xk] == 0
-        return digit[sel], kept[xk[sel]], kept[xs[sel]]
+        img = rows[xs + (k - digit) * pw]
+        sel = img % pw == 0
+        return digit[sel], img[sel] // pw, rows[xs[sel]] // pw
 
     return row
 
@@ -175,7 +175,7 @@ def _unit_images(op: WindowOperator, tol: float,
     # rows with a quiescent complement (cells 2 ... w-1 all 0), in patch
     # order: the rotated window's row r is the window's row src[r]
     src = window_rotation(d, w, -shift)
-    unit, _ = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)
+    unit = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)[0]
 
     def row(k: int) -> np.ndarray:
         return np.stack([unit(k, l)() for l in range(d)])
@@ -434,7 +434,7 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
             prod = np.matmul(prod[:, None], doubled[None]).reshape(-1, q * q, q * q)
         halves.append(prod)
     col_norm2 = np.einsum("xij,yji->xy", *halves).real.ravel()
-    row_digits = window_digits(window_rotation(d, w, shift)[op.matrix], d, w)
+    row_digits = window_digits(window_rotation(d, w, shift, op.matrix), d, w)
     t = lookup[col_digits[0], row_digits[0]]
     for i in range(1, w):
         t = np.matmul(t, lookup[col_digits[i], row_digits[i]])

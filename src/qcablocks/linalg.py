@@ -119,37 +119,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return out.reshape(dk, dk)
 
 
-def embed_on_factors(op: np.ndarray, dims: Sequence[int], region: Iterable[int]) -> np.ndarray:
-    """Embed an operator acting on the listed factors (in increasing position
-    order) into the full space, identity on the complement."""
-    op = as_matrix(op)
-    dims = tuple(int(d) for d in dims)
-    region = _normalize_region(dims, region)
-    kept_dims = tuple(dims[i] for i in region)
-    dk = int(np.prod(kept_dims)) if kept_dims else 1
-    if op.shape != (dk, dk):
-        raise DimensionMismatch(f"operator shape {op.shape} does not match region dims {kept_dims}")
-    comp = [i for i in range(len(dims)) if i not in region]
-    t = op.reshape(kept_dims + kept_dims)
-    # Axis bookkeeping: after the outer products the axes are
-    # (kept rows..., kept cols..., r_j, c_j for each complement factor j).
-    for j in comp:
-        t = np.tensordot(t, np.eye(dims[j]), axes=0)
-    w = len(dims)
-    k = len(region)
-    row_axis = {}
-    col_axis = {}
-    for a, i in enumerate(region):
-        row_axis[i] = a
-        col_axis[i] = k + a
-    for a, j in enumerate(comp):
-        row_axis[j] = 2 * k + 2 * a
-        col_axis[j] = 2 * k + 2 * a + 1
-    order = [row_axis[i] for i in range(w)] + [col_axis[i] for i in range(w)]
-    n = int(np.prod(dims))
-    return t.transpose(order).reshape(n, n)
-
-
 def localization_residual(a: np.ndarray, dims: Sequence[int], region: Iterable[int]) -> float:
     """Max-norm distance of ``a`` from the set of operators supported on
     ``region`` (identity elsewhere): ``max_norm(a - embed(partial_trace(a) /
@@ -243,15 +212,6 @@ class _RegionDefect:
         dev = np.abs(blocks)
         return (float(np.maximum(self.off_max, np.max(dev))),
                 sqrt(self.off_ssq + float(np.vdot(dev, dev))))
-
-
-def matrix_units(n: int):
-    """Yield ``(k, l, E_kl)`` over the standard matrix units of M_n."""
-    for k in range(n):
-        for l in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[k, l] = 1.0
-            yield k, l, e
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -83,11 +83,13 @@ def window_index(digits, d: int) -> np.ndarray:
     return index
 
 
-def window_rotation(d: int, w: int, steps: int) -> np.ndarray:
+def window_rotation(d: int, w: int, steps: int, idx=None) -> np.ndarray:
     """Basis index map of the cyclic shift of a w-cell window by ``steps``
     cells: index y moves to rot[y], the index of y's digits rolled by
-    -steps (content moves left for steps > 0)."""
-    idx = np.arange(d**w, dtype=np.int64)
+    -steps (content moves left for steps > 0).  Given indices ``idx``, their
+    images alone, rot[idx], with no window-length map built."""
+    if idx is None:
+        idx = np.arange(d**w, dtype=np.int64)
     if steps % w == 0:
         return idx
     low = d ** (w - steps % w)
@@ -212,12 +214,6 @@ class Configuration:
         if self.is_vacuum or pos < self.start or pos > self.end:
             return 0
         return self.word[pos - self.start]
-
-    def shifted(self, k: int) -> "Configuration":
-        """Relabel positions i -> i - k (contents move left for k > 0)."""
-        if self.is_vacuum:
-            return self
-        return Configuration(self.start - k, self.word)
 
     def cells(self, alphabet: Alphabet) -> dict[int, str]:
         """Non-quiescent cells as a position -> symbol mapping."""

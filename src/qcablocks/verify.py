@@ -17,7 +17,8 @@ of G whose cell digit is k, backward T_kl = R_k† R_l with R_k its rows
 whose cell digit is k, so neither direction copies or conjugates the whole
 window.  A dense unit is never held whole either: it is produced one row
 block at a time and scored on every candidate region in the same pass
-(linalg.localization_defects), so T_00 is formed once for all regions.
+(linalg.localization_defects), so T_00 is formed once for all regions;
+the other generators are bounded from the parts of G alone (below).
 One-hot windows (quantized classical rules) are basis permutations: their
 conjugations only reindex, with every value 1, and read just the n/d
 inputs a unit needs, so windows far beyond the dense cap stay cheap; their
@@ -28,9 +29,28 @@ both formats, and takes a list of regions for both.
 Locality on R needs every unit T_kl = S_k S_l† (backward S_k = R_k†)
 within tol of P(T_kl) in the max-norm, P the
 diagonal-block mean (a contraction and an M_R-bimodule map), yet only the
-d generators T_0l are conjugated.  With ε_l the HS norm of T_0l - P(T_0l),
-s_k = ||S_k|| and η = ||S_0† S_0 - I||, the identity T_kl = T_k0 T_0l +
-S_k (I - S_0† S_0) S_l† gives, without assuming unitarity,
+d generators T_0l are examined, and of those a dense window forms only
+T_00 whole.  Write T_kl = P_k† P_l, P_k = S_k† (backward R_k) an (n/d) x n
+matrix whose columns are the window words.  With C the complement of R
+and d_C its dimension, the intertwiner of generator l is Y_l = Tr_C(T_0l)/d_C and Δ_l = P_l -
+P_0 (Y_l ⊗ I_C), again (n/d) x n; then T_0l = P_0† Δ_l + T_00 (Y_l ⊗
+I_C), and as P(X (Y ⊗ I)) = P(X)(Y ⊗ I), with E_0 = T_00 - P(T_00),
+
+    T_0l - P(T_0l) = (F - P(F)) + E_0 (Y_l ⊗ I_C),   F = P_0† Δ_l.
+
+No unitarity is assumed.  By Cauchy-Schwarz and ||P(F)||_max <= ||F||_max,
+
+    ||T_0l - P(T_0l)||_max <= 2 c_0 δ_l + ε_0 y_l,
+    ||T_0l - P(T_0l)||_HS  <= s_0 ||Δ_l||_HS + ε_0 ||Y_l||,
+
+with c_0, δ_l and y_l the largest column 2-norms of P_0, Δ_l and Y_l, ε_0
+the HS norm of E_0 (the T_00 pass returns it) and s_0 = ||P_0||.  Both
+cost n·d_R·n/d per generator where forming T_0l costs n³/d; a generator
+whose max-norm bound exceeds tol is formed and scored exactly, so
+refutations stay exact.  A local window has Δ_l = 0, since P_l = P_0 T_0l
+when P_0 P_0† = I.  With ε_l the HS norm of T_0l - P(T_0l) (or its
+bound), s_k = ||S_k|| and η = ||S_0† S_0 - I||, the identity T_kl = T_k0
+T_0l + S_k (I - S_0† S_0) S_l† gives, again without assuming unitarity,
 
     ||T_kl - P(T_kl)|| <= s_0 (s_k ε_l + s_l ε_k) + 2 ε_k ε_l + 2 s_k s_l η,
 
@@ -133,10 +153,10 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
     shifted_cols = interior // d  # same words moved one cell right
 
     if op.is_one_hot:
-        rot = window_rotation(d, w, shift)
-        img = rot[op.matrix[interior]]
+        # the rotation is applied to the n/d² images compared, not built
+        img = window_rotation(d, w, shift, op.matrix[interior])
         return bool(np.all(img % d == 0)) and np.array_equal(
-            img // d, rot[op.matrix[shifted_cols]])
+            img // d, window_rotation(d, w, shift, op.matrix[shifted_cols]))
 
     mat = op.dense()
     rows = np.arange(op.dim, dtype=np.int64)
@@ -190,16 +210,26 @@ def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
     whose digit is k and P_k = R_k.  ``unit(k, l)`` copies P_l once (forward:
     the conjugate of S_l, used transposed) and returns rows -> those rows of
     T_kl, P_k[:, rows]† P_l, each call reading its slice of P_k from ``mat``
-    (no argument: the whole unit).  Also the bound's norms: η = ||S_0† S_0 -
-    I|| and s_0 = ||S_0|| from the one Gram P_0 P_0† = S_0† S_0, and for
-    k > 0 the Frobenius norm of P_k, which bounds ||S_k||."""
+    (no argument: the whole unit).  ``norms()`` gives the unit bound's
+    norms: η = ||S_0† S_0 - I|| and s_0 = ||S_0|| from the one Gram P_0 P_0†
+    = S_0† S_0, and for k > 0 the Frobenius norm of P_k, which bounds
+    ||S_k||, summed over row blocks of P_k.  ``bounds(w, region, ε_0)``
+    bounds the generators' defects on a region without forming them
+    (_generator_bounds)."""
     r, c = mat.shape
     split = mat.reshape(r, lead, d, -1) if forward else mat.reshape(lead, d, -1, c)
+    tail = (c if forward else r) // (lead * d)
+    blocks = la.row_blocks(lead * tail)
 
     def part(k):  # P_k
         if forward:
             return np.conj(split[:, :, k]).reshape(r, -1).T
         return np.ascontiguousarray(split[:, k]).reshape(-1, c)
+
+    def parts_rows(rows):  # P_k[rows] for every k, as (d, rows, columns)
+        i = np.arange(rows.start, rows.stop)
+        at = (i // tail * d + np.arange(d)[:, None]) * tail + i % tail
+        return np.conj(mat[:, at].transpose(1, 2, 0)) if forward else mat[at]
 
     def adjoint_rows(k, rows):  # P_k[:, rows]†
         if forward:
@@ -214,11 +244,58 @@ def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
     def norms():
         p0 = part(0)
         eig = np.linalg.eigvalsh(p0 @ la.dagger(p0))
-        s = np.array([np.linalg.norm(part(k)) for k in range(d)])
+        s = np.sqrt(sum(np.sum(p.real**2 + p.imag**2, axis=(1, 2))
+                        for p in map(parts_rows, blocks)))
         s[0] = np.sqrt(max(eig[-1], 0.0))
         return s, float(np.max(np.abs(eig - 1.0)))
 
-    return unit, norms
+    def bounds(w, region, eps0):
+        return _generator_bounds(parts_rows, blocks, d, w, region, eps0, norms()[0][0])
+
+    return unit, norms, bounds
+
+
+def _generator_bounds(parts_rows, blocks, d: int, w: int, region,
+                      eps0: float, s0: float) -> list[tuple[float, float]]:
+    """Upper bounds (max-norm, HS norm) on the defect T_0l - P(T_0l) of each
+    generator l = 1 ... d-1 on ``region``, without forming T_0l: the
+    intertwiner identity of the module docstring, from Y_l = Tr_C(T_0l)/d_C
+    and Δ_l = P_l - P_0 (Y_l ⊗ I_C), with ε_0 = ``eps0`` T_00's HS defect
+    and s_0 = ||P_0||.  ``parts_rows(rows)`` gathers the rows of every P_k
+    in one of ``blocks``; the columns of P are the d^w window words.  Two
+    passes over the row blocks, the first summing every Y_l, the second
+    Δ_l's column norms, so no (n/d) x n array is held; a block is read with
+    its columns ordered (region, complement), and n·d_R·n/d multiply-adds
+    per pass and generator do what forming T_0l does in n³/d."""
+    region = sorted(set(region))
+    comp = [i for i in range(w) if i not in region]
+    dr, dc = d ** len(region), d ** len(comp)
+    axes = [0, *(2 + i for i in region), 1, *(2 + i for i in comp)]
+
+    def gather(rows):  # P_k[rows] as (k, region column, row · complement column)
+        return parts_rows(rows).reshape(d, -1, *(d,) * w).transpose(axes).reshape(d, dr, -1)
+
+    def column_sq(a):  # squared column norms of such rows, (..., region, complement)
+        return np.sum((a.real**2 + a.imag**2).reshape(*a.shape[:-1], -1, dc), axis=-2)
+
+    yt = np.zeros((d - 1, dr, dr), dtype=np.complex128)  # Y_l^T
+    col0 = np.zeros((dr, dc))  # of P_0
+    for rows in blocks:
+        p = gather(rows)
+        col0 += column_sq(p[0])
+        yt += p[1:] @ np.conj(p[0]).T
+    yt /= dc
+    dsq = np.zeros((d - 1, dr, dc))  # of Δ_l
+    for rows in blocks:
+        p = gather(rows)
+        dsq += column_sq(p[1:] - yt @ p[0])
+    c0 = np.sqrt(np.max(col0))
+    out = []
+    for y, dl in zip(yt, dsq):
+        y_col = np.sqrt(np.max(np.sum(y.real**2 + y.imag**2, axis=1)))  # columns of Y_l
+        out.append((float(2 * c0 * np.sqrt(np.max(dl)) + eps0 * y_col),
+                    float(s0 * np.sqrt(np.sum(dl)) + eps0 * np.linalg.norm(y, 2))))
+    return out
 
 
 def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
@@ -238,7 +315,8 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
         # exactly; a merging map gets no bound
         return (np.ones(d), 0.0) if is_injective(rows) else None
 
-    return (lambda k, l: _one_hot_conjugation(rows, d, w, cell, k, l)), norms
+    # its generators are n/d entries each: formed, not bounded
+    return (lambda k, l: _one_hot_conjugation(rows, d, w, cell, k, l)), norms, None
 
 
 def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, float]]:
@@ -302,22 +380,27 @@ def _group_ids(keys: np.ndarray) -> np.ndarray:
 
 def _first_localized(units, d: int, w: int, regions, tol: float) -> int | None:
     """Index of the first region on which every conjugated unit is
-    localized within tol, or None; ``units`` is a (unit, norms) pair from
-    _unit_conjugation.  T_00 is formed once and tested on every region in
-    one pass, then each survivor in turn on T_01 ... T_0(d-1), one
-    generator alive at a time; the bound or, where it exceeds tol, the
-    units with 1 <= k <= l decide the rest."""
-    unit, norms = units
+    localized within tol, or None; ``units`` is a (unit, norms, bounds)
+    triple from _unit_conjugation.  T_00 is formed once and tested on every
+    region in one pass.  On each survivor in turn, a dense window's
+    generators T_01 ... T_0(d-1) are bounded from the intertwiner
+    (_generator_bounds) and only a generator whose max-norm bound exceeds
+    tol is formed, one alive at a time, and scored exactly; one-hot
+    generators are always formed.  The unit bound or, where it exceeds
+    tol, the units with 1 <= k <= l decide the rest."""
+    unit, norms, bounds = units
     eps0 = {i: hs for i, (resid, hs)
             in enumerate(fast_localization_residual(unit(0, 0), d, w, regions))
             if resid <= tol}
     for i, e0 in eps0.items():
         survivor = [regions[i]]
         eps = [e0]
-        for l in range(1, d):
-            [(resid, hs)] = fast_localization_residual(unit(0, l), d, w, survivor)
-            if resid > tol:
-                break  # a generator is itself a unit: the region fails
+        for l, (resid, hs) in enumerate(bounds(w, regions[i], e0) if bounds
+                                        else [(np.inf, np.inf)] * (d - 1), 1):
+            if not resid <= tol:  # not proved by the bound: form T_0l
+                [(resid, hs)] = fast_localization_residual(unit(0, l), d, w, survivor)
+                if resid > tol:
+                    break  # a generator is itself a unit: the region fails
             eps.append(hs)
         if len(eps) == d and (_unit_bound(norms(), np.array(eps)) <= tol or all(
                 fast_localization_residual(unit(k, l), d, w, survivor)[0][0] <= tol
@@ -373,8 +456,9 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
     (the operator's out_shift relabel is compensated).  Only proper
     subintervals of the window count: localization on the whole window is
     vacuous and can never support a locality claim.  _first_localized
-    decides, with d residual passes when the bound holds; only the witness
-    of a non-local verdict needs whole units, built one probe at a time.
+    decides: on a local dense window one residual pass, over T_00, when
+    the bounds hold; only the witness of a non-local verdict needs whole
+    units, built one probe at a time.
     """
     cc = default_center(op) if cell is None else cell
     if max_radius < 0:
@@ -416,8 +500,10 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
 def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
                            tol: float = la.DEFAULT_TOL, cell: int | None = None) -> bool:
     """Mirror property: if backward conjugation lands in N, forward
-    conjugation of every unit must land in -N (true-cell offsets); d
-    residuals and the bound of _first_localized when it holds."""
+    conjugation of every unit must land in -N (true-cell offsets), decided
+    by _first_localized on that one region: for a dense window one residual
+    pass over T_00 and the generator bounds when they hold, for a one-hot
+    window d residuals and the unit bound."""
     cc = default_center(op) if cell is None else cell
     d, w = op.alphabet.d, op.width
     lo, hi = interval

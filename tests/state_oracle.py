@@ -51,8 +51,15 @@ def support(terms):
     return min(c.start for c in live), max(c.end for c in live)
 
 
+def shifted(c: Configuration, k: int) -> Configuration:
+    """Relabel positions i -> i - k (contents move left for k > 0)."""
+    if c.is_vacuum:
+        return c
+    return Configuration(c.start - k, c.word)
+
+
 def shift(terms, k: int) -> dict:
-    return merged((c.shifted(k), a) for c, a in terms.items())
+    return merged((shifted(c, k), a) for c, a in terms.items())
 
 
 def restrict_state(terms, cells, d: int) -> np.ndarray:

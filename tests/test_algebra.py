@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import embed_on_factors, matrix_units
 from qcablocks import linalg as la
 from qcablocks.algebra import (
     close,
@@ -264,7 +265,7 @@ def direct_sum_generators(blocks, rng):
     w = random_unitary(n, rng)
     gens, start = [], 0
     for m, r in blocks:
-        for _, _, e in la.matrix_units(m):
+        for _, _, e in matrix_units(m):
             g = np.zeros((n, n), dtype=complex)
             g[start : start + m * r, start : start + m * r] = la.kron(e, np.eye(r))
             gens.append(w @ g @ la.dagger(w))
@@ -394,9 +395,9 @@ def test_restriction_of_commuting_algebras_commutes():
     w = random_unitary(p * q, rng)
     for trial in range(3):
         m = rng.standard_normal((p * q, p * q)) + 1j * rng.standard_normal((p * q, p * q))
-        a_gens = [la.embed_on_factors(np.diag(rng.standard_normal(p * q)).astype(complex),
+        a_gens = [embed_on_factors(np.diag(rng.standard_normal(p * q)).astype(complex),
                                       dims, {0, 1})]
-        b_gens = [la.embed_on_factors(np.diag(rng.standard_normal(q * r)).astype(complex),
+        b_gens = [embed_on_factors(np.diag(rng.standard_normal(q * r)).astype(complex),
                                       dims, {1, 2})]
         a = close(a_gens, 8)
         b = close(b_gens, 8)
@@ -415,10 +416,10 @@ def test_restriction_of_generating_algebras_generates():
     rng = np.random.default_rng(15)
     p, q, r = 2, 2, 2
     dims = (p, q, r)
-    a_gens = [la.embed_on_factors(
+    a_gens = [embed_on_factors(
         rng.standard_normal((p * q, p * q)) + 1j * rng.standard_normal((p * q, p * q)),
         dims, {0, 1})]
-    b_gens = [la.embed_on_factors(
+    b_gens = [embed_on_factors(
         rng.standard_normal((q * r, q * r)) + 1j * rng.standard_normal((q * r, q * r)),
         dims, {1, 2})]
     a = close(a_gens, 8)
@@ -433,7 +434,7 @@ def test_restriction_of_generating_algebras_generates():
 def test_span_algebra_matches_close_for_unit_images():
     rng = np.random.default_rng(14)
     w = random_unitary(4, rng)
-    images = [w @ e @ la.dagger(w) for _, _, e in la.matrix_units(4)]
+    images = [w @ e @ la.dagger(w) for _, _, e in matrix_units(4)]
     spanned = span_algebra(images, 4)
     assert spanned.dimension == 16
     closed = close(images, 4)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracle import two_pass_certify
+from kernel_oracle import embed_on_factors, matrix_units, two_pass_certify
 from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_pair, restrict, span_algebra
 from qcablocks.decompose import (
@@ -226,7 +226,7 @@ def dense_compressed_image(op, cell, k, l):
                   if all((i // d ** (w - 1 - c)) % d == 0
                          for c in range(w) if c not in (cell - 1, cell))]
     g_patch = g[patch_rows, :]
-    return g_patch @ la.embed_on_factors(e, (d,) * w, {cell}) @ la.dagger(g_patch)
+    return g_patch @ embed_on_factors(e, (d,) * w, {cell}) @ la.dagger(g_patch)
 
 
 def test_unit_stack_is_every_cells_image():
@@ -284,6 +284,27 @@ def test_one_hot_rows_match_full_window_route():
         row = _one_hot_unit_rows(rows, d, w)
         stack = np.stack([dense_row(row(k), d) for k in range(d)])
         assert np.array_equal(stack, full_window_unit_stack(rows, d, w))
+
+
+def test_one_hot_unit_rows_keep_only_the_patch_preimages():
+    # grouped Toffoli at w = 4 (d = 16, n = 65536), in int64 rows arrays (8n
+    # bytes): the row builder keeps the d² preimages of the rows with a
+    # quiescent complement and their digits, and each row splits only the
+    # images it reads, so the scan that finds the preimages is the one
+    # transient rows array (the n-length divmod results it used to keep
+    # for both passes of the decomposer took 2.13)
+    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
+    d, rows_array = op.alphabet.d, 8 * op.dim
+    tracemalloc.start()
+    try:
+        row = _one_hot_unit_rows(op.matrix, d, op.width)
+        kept = tracemalloc.get_traced_memory()[0]
+        assert all(len(row(k)[0]) == d * d for k in range(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 0.05 * rows_array, kept / rows_array
+    assert peak <= 1.2 * rows_array, peak / rows_array
 
 
 def test_cell_algebra_images_peak_memory():

@@ -32,10 +32,7 @@ ALLOWED = {
     "conjugated_commuting_pair",  # rand.py: random test inputs
     "random_block_qca",
     "random_sparse_state",
-    "embed_on_factors",  # linalg.py: oracles of the residual kernels
-    "matrix_units",
-    "shifted",  # model.py: used by tests/state_oracle.py
-    "step_config",
+    "step_config",  # model.py
     "ungroup_cells",
     "write_gallery_specs",  # gallery.py: regenerates specs/
 }

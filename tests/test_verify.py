@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import kernel_oracle as oracle
 from qcablocks import linalg as la
 from qcablocks import verify
+from qcablocks.decompose import _rotate_rows
 from qcablocks.errors import PreconditionViolated, WindowTooSmall
 from qcablocks.gallery import (
     phase_qca,
@@ -87,14 +88,14 @@ def test_one_hot_stages_hold_at_most_one_rows_array_of_scratch():
     # grouped Toffoli at w = 4 (d = 16, n = 65536), traced scratch in units
     # of one int64 rows array (8n bytes): a permutation window carries no
     # phase array, and a unit reads only the n/d inputs it needs, so the
-    # injectivity count (unitarity, the norms) and the rotation map of the
-    # shift-invariance check are each one rows array; neighborhood adds the
-    # adjoint map to them
+    # injectivity count (unitarity, the norms) is one rows array, the
+    # shift-invariance check reads only the images it compares, and
+    # neighborhood adds the adjoint map to them
     op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
     rows_array = 8 * op.dim
 
     def forward_unit():
-        unit, norms = _unit_conjugation(op, 1, forward=True)
+        unit, norms, _ = _unit_conjugation(op, 1, forward=True)
         return norms() is not None and len(unit(0, 1)[0]) == op.dim // 16
 
     for stage, bound in ((lambda: check_unitary(op), 1.1),
@@ -104,6 +105,23 @@ def test_one_hot_stages_hold_at_most_one_rows_array_of_scratch():
         ok, peak = _traced_peak(stage)
         assert ok
         assert peak <= bound * rows_array, (peak / rows_array, bound)
+
+
+def test_rotated_shift_invariance_rotates_only_the_compared_images():
+    # grouped Toffoli at w = 4 (d = 16, n = 65536), and the same window
+    # rotated by -1 cell: at every shift the rotation is applied to the n/d²
+    # compared images alone (the whole rotation map and its temporaries
+    # took 3.01 rows arrays at shift ±1, and 1.02 at 0), and the verdict is
+    # that of the explicitly rotated window
+    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
+    rows_array = 8 * op.dim
+    for base in (op, _rotate_rows(op, -1)):
+        for shift in (0, 1, -1):
+            want = check_shift_invariance(_rotate_rows(base, shift))
+            ok, peak = _traced_peak(lambda: check_shift_invariance(base, shift=shift))
+            assert ok == want
+            assert peak <= 0.1 * rows_array, (shift, peak / rows_array)
+    assert check_shift_invariance(_rotate_rows(op, -1), shift=1)
 
 
 def test_block_window_is_unitary():
@@ -228,7 +246,7 @@ def test_neighborhood_monotone_under_superset():
     rep = neighborhood(op, max_radius=1)
     lo, hi = rep.neighborhood
     cc = 2
-    unit, _ = _unit_conjugation(op, cc, forward=False)
+    unit, _, _ = _unit_conjugation(op, cc, forward=False)
     for k in range(4):
         for l in range(4):
             entry = unit(k, l)
@@ -313,8 +331,8 @@ def _oracle_units(op, cell, forward):
     g = op.dense()
     d, w = op.alphabet.d, op.width
     out = []
-    for _, _, e in la.matrix_units(d):
-        emb = la.embed_on_factors(e, (d,) * w, {cell})
+    for _, _, e in oracle.matrix_units(d):
+        emb = oracle.embed_on_factors(e, (d,) * w, {cell})
         out.append(g @ emb @ la.dagger(g) if forward else la.dagger(g) @ emb @ g)
     return out
 
@@ -514,6 +532,91 @@ def test_generator_check_matches_oracle(case):
     _assert_matches_oracle(op, radius, make_witness)
 
 
+@st.composite
+def intertwiner_cases(draw):
+    """A dense window: a random block window, a Haar-random unitary (not
+    local), or a random block window G (I + eps H), H = X ⊗ X on the probed
+    cell and the cell two to its right (X swapping symbols 0 and 1), with
+    eps 0.3 or 3 times tol: off the neighborhood, and not unitary."""
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["block", "haar", "perturbed"]))
+    if kind == "haar":
+        d, w = draw(st.sampled_from([(2, 4), (2, 5), (3, 4)]))
+        return WindowOperator(default_alphabet(d), w, random_unitary(d**w, seed=seed),
+                              "periodic")
+    (d, p, q), w = draw(st.sampled_from([((2, 1, 2), 5), ((2, 2, 1), 5), ((4, 2, 2), 4),
+                                         ((6, 2, 3), 4), ((6, 3, 2), 4)]))
+    op = window_matrix(random_block_qca(d, p, q, seed=seed), w)
+    if kind == "block":
+        return op
+    eps = draw(st.sampled_from([0.3, 3.0])) * la.DEFAULT_TOL
+    cc = (w - 1) // 2
+    x = np.zeros((d, d))
+    x[0, 1] = x[1, 0] = 1.0
+    h = oracle.embed_on_factors(np.kron(x, x), (d,) * w, {cc, cc + 2})
+    return WindowOperator(op.alphabet, w, op.dense() @ (np.eye(op.dim) + eps * h),
+                          op.boundary)
+
+
+@settings(max_examples=12, deadline=None)
+@given(intertwiner_cases())
+def test_intertwiner_bounds_hold_and_verdicts_match_oracle(op):
+    # on every T_00 survivor, in both directions, each generator's (max, HS)
+    # bound from the intertwiner is at least its exact defect from the
+    # formed unit, up to that unit's rounding; and the verdicts, which form
+    # a generator only where its bound exceeds tol, are the whole-unit
+    # oracle's
+    d, w = op.alphabet.d, op.width
+    cc = (w - 1) // 2
+    tol = la.DEFAULT_TOL
+    cands = sorted(((a, b) for a in range(-1, 3) for b in range(a, 3)
+                    if cc + a >= 0 and cc + b <= w - 1 and b - a + 1 < w),
+                   key=lambda c: (c[1] - c[0], c[0]))
+    regions = [range(cc + a, cc + b + 1) for a, b in cands]
+    for forward in (False, True):
+        unit, _, bounds = _unit_conjugation(op, cc, forward)
+        for region, (resid0, eps0) in zip(regions, fast_localization_residual(
+                unit(0, 0), d, w, regions)):
+            if resid0 > tol:
+                continue
+            for l, bound in enumerate(bounds(w, region, eps0), 1):
+                [exact] = fast_localization_residual(unit(0, l), d, w, [region])
+                assert all(b >= e - 1e-13 for b, e in zip(bound, exact)), (l, bound, exact)
+    rep = neighborhood(op, max_radius=1, make_witness=False)
+    found = oracle.whole_unit_first_localized(op, cc, False, regions, tol)
+    assert rep.neighborhood == (None if found is None else cands[found])
+    interval = rep.neighborhood or (0, 1)
+    wlo, whi = -interval[1] + op.out_shift, -interval[0] + op.out_shift
+    if cc + wlo >= 0 and cc + whi <= w - 1:
+        want = oracle.whole_unit_first_localized(
+            op, cc, True, [range(cc + wlo, cc + whi + 1)], tol) is not None
+        assert check_inverse_locality(op, interval) == want
+
+
+def test_local_dense_windows_form_only_t00(monkeypatch):
+    # on local Haar block windows every generator T_0l is proved by its
+    # intertwiner bound and the unit bound holds, so each direction streams
+    # one whole unit, T_00, scored on all its candidate regions at once
+    calls = []
+    real = verify.fast_localization_residual
+
+    def counted(t, *args):
+        assert not isinstance(t, tuple)  # a dense unit
+        calls.append(args)
+        return real(t, *args)
+
+    monkeypatch.setattr(verify, "fast_localization_residual", counted)
+    for seed, ((d, p, q), w) in enumerate([((6, 2, 3), 4), ((6, 3, 2), 4),
+                                           ((4, 2, 2), 5), ((2, 2, 1), 5)]):
+        op = window_matrix(random_block_qca(d, p, q, seed=seed + 6100), w)
+        calls.clear()
+        rep = neighborhood(op, max_radius=1)
+        assert rep.is_local and len(calls) == 1
+        calls.clear()
+        assert check_inverse_locality(op, rep.neighborhood)
+        assert len(calls) == 1
+
+
 def _diagonal_window(f, d, w):
     """The window G = diag(f(word)) over the d^w words (cell 0 first)."""
     words = np.array(np.unravel_index(np.arange(d**w), (d,) * w)).T
@@ -529,7 +632,7 @@ def test_one_non_generator_unit_above_tol_is_refused():
     cc, tol = 2, la.DEFAULT_TOL
     for theta, local in ((0.6 * tol, False), (0.45 * tol, True)):
         op = _diagonal_window(lambda x: np.exp(1j * theta * a[x[cc]] * z[x[0]]), 3, 5)
-        unit, _ = _unit_conjugation(op, cc, forward=False)
+        unit, _, _ = _unit_conjugation(op, cc, forward=False)
         # generators within tol, the non-generator unit (1, 2) on either side
         assert max(fast_localization_residual(unit(0, l), 3, 5, [[cc]])[0][0]
                    for l in range(3)) <= tol
@@ -544,7 +647,7 @@ def test_non_unitary_window_with_vanishing_generators_is_nonlocal():
     # diag(|f|²) on digit 1 reads cell 4, outside every candidate.  Only
     # the η = ||S_0† S_0 - I|| = 1 term of the bound sees it.
     op = _diagonal_window(lambda x: 0.0 if x[2] == 0 else 1.0 + x[4], 2, 5)
-    unit, _ = _unit_conjugation(op, 2, forward=False)
+    unit, _, _ = _unit_conjugation(op, 2, forward=False)
     assert all(la.max_norm(unit(0, l)()) == 0.0 for l in range(2))
     rep = _assert_matches_oracle(op, 0, make_witness=False)
     assert not rep.is_local and rep.neighborhood is None
@@ -554,12 +657,12 @@ def test_one_hot_bound_norms_are_exact():
     # a bijective map: S_k† S_k = I exactly
     op = quantize(toffoli_ca(), 4, "periodic")
     for forward in (False, True):
-        _, norms = _unit_conjugation(op, 1, forward)
+        _, norms, _ = _unit_conjugation(op, 1, forward)
         s, eta = norms()
         assert eta == 0.0 and np.all(s == 1.0)
     # a merging map has no bound: its units take the exhaustive path
     rule = ClassicalRule(Alphabet(("0", "1"), "q"), np.zeros((3, 3), dtype=np.int64))
-    _, norms = _unit_conjugation(quantize(rule, 4), 1, forward=True)
+    _, norms, _ = _unit_conjugation(quantize(rule, 4), 1, forward=True)
     assert norms() is None
 
 
@@ -630,12 +733,12 @@ def test_block_conjugated_unit_matches_window_conjugation():
     g = random_block_qca(4, 2, 2, seed=70)
     op = window_matrix(g, 4)
     d, w, cc = 4, 4, 1
-    unit, _ = _unit_conjugation(op, cc, forward=False)
-    native, _ = _block_patch_units(g)
+    unit, _, _ = _unit_conjugation(op, cc, forward=False)
+    native, _, _ = _block_patch_units(g)
     for k, l in [(0, 0), (1, 2), (3, 1)]:
         t_native = native(k, l)()
         t_window = unit(k, l)()
-        embedded = la.embed_on_factors(t_native, (d,) * w, {cc, cc + 1})
+        embedded = oracle.embed_on_factors(t_native, (d,) * w, {cc, cc + 1})
         assert la.max_norm(t_window - embedded) <= 1e-10
 
 
