@@ -502,15 +502,6 @@ class ClassicalRule:
             raise PreconditionViolated("rule table is not total on all symbol pairs")
         return cls(alphabet, t)
 
-    def step_config(self, config: Configuration) -> Configuration:
-        """One classical step of a basis configuration."""
-        if config.is_vacuum:
-            return config
-        lo, hi = config.start - 1, config.end
-        word = [int(self.table[config.cell(i), config.cell(i + 1)])
-                for i in range(lo, hi + 1)]
-        return Configuration.make(lo, word)
-
     def apply(self, state: SparseState) -> SparseState:
         """Linear extension of the rule to superpositions (exact; the rule
         need not be injective, in which case amplitudes merge).  Output

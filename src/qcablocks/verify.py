@@ -26,43 +26,40 @@ backward direction is the forward one on the adjoint, the inverse column
 map.  fast_localization_residual is the one residual entry point for
 both formats, and takes a list of regions for both.
 
-Locality on R needs every unit T_kl = S_k S_l† (backward S_k = R_k†)
-within tol of P(T_kl) in the max-norm, P the
-diagonal-block mean (a contraction and an M_R-bimodule map), yet only the
-d generators T_0l are examined, and of those a dense window forms only
-T_00 whole.  Write T_kl = P_k† P_l, P_k = S_k† (backward R_k) an (n/d) x n
-matrix whose columns are the window words.  With C the complement of R
-and d_C its dimension, the intertwiner of generator l is Y_l = Tr_C(T_0l)/d_C and Δ_l = P_l -
-P_0 (Y_l ⊗ I_C), again (n/d) x n; then T_0l = P_0† Δ_l + T_00 (Y_l ⊗
-I_C), and as P(X (Y ⊗ I)) = P(X)(Y ⊗ I), with E_0 = T_00 - P(T_00),
+Locality on R needs every unit T_kl = P_k† P_l within tol of P(T_kl) in
+the max-norm, with P_k = S_k† (backward R_k) an (n/d) x n matrix whose
+columns are the window words and P the diagonal-block mean over the
+complement C of R (a contraction and an M_R-bimodule map); T_lk = T_kl†
+has the same defect, so the units with k <= l suffice.  T_00 is formed
+once and tested on every region.  On a survivor, a dense window bounds
+every other unit without forming it, from the intertwiners Y_k =
+Tr_C(T_0k)/d_C and the remainders Δ_k = P_k - P_0 (Y_k ⊗ I_C), with Y_0 = I
+and Δ_0 = 0, both (n/d) x n:
 
-    T_0l - P(T_0l) = (F - P(F)) + E_0 (Y_l ⊗ I_C),   F = P_0† Δ_l.
+    T_kl = (Y_k ⊗ I)† T_00 (Y_l ⊗ I) + (P_0 (Y_k ⊗ I))† Δ_l
+           + Δ_k† P_0 (Y_l ⊗ I) + Δ_k† Δ_l.
 
-No unitarity is assumed.  By Cauchy-Schwarz and ||P(F)||_max <= ||F||_max,
+P takes the first term to (Y_k ⊗ I)† P(T_00) (Y_l ⊗ I), and ||X - P(X)||_max
+<= 2 ||X||_max, so by Cauchy-Schwarz, without assuming unitarity,
 
-    ||T_0l - P(T_0l)||_max <= 2 c_0 δ_l + ε_0 y_l,
-    ||T_0l - P(T_0l)||_HS  <= s_0 ||Δ_l||_HS + ε_0 ||Y_l||,
+    ||T_kl - P(T_kl)||_max <= y_k y_l ε_0 + 2 (a_k δ_l + a_l δ_k + δ_k δ_l),
 
-with c_0, δ_l and y_l the largest column 2-norms of P_0, Δ_l and Y_l, ε_0
-the HS norm of E_0 (the T_00 pass returns it) and s_0 = ||P_0||.  Both
-cost n·d_R·n/d per generator where forming T_0l costs n³/d; a generator
-whose max-norm bound exceeds tol is formed and scored exactly, so
-refutations stay exact.  A local window has Δ_l = 0, since P_l = P_0 T_0l
-when P_0 P_0† = I.  With ε_l the HS norm of T_0l - P(T_0l) (or its
-bound), s_k = ||S_k|| and η = ||S_0† S_0 - I||, the identity T_kl = T_k0
-T_0l + S_k (I - S_0† S_0) S_l† gives, again without assuming unitarity,
-
-    ||T_kl - P(T_kl)|| <= s_0 (s_k ε_l + s_l ε_k) + 2 ε_k ε_l + 2 s_k s_l η,
-
-which bounds the max-norm.  A generator above tol refutes R, a bound
-within tol proves it, and otherwise the units with k <= l decide (T_lk =
-T_kl† has the same residual), so every verdict is the exhaustive one.
+with y_k, a_k and δ_k the largest column 2-norms of Y_k, P_0 (Y_k ⊗ I) and
+Δ_k, and ε_0 the HS norm of T_00 - P(T_00) (the T_00 pass returns it).
+This costs n·d_R·n/d multiply-adds per k where forming T_0k costs n³/d.  A
+local window has Δ_k = 0, since P_k = P_0 T_0k when P_0 P_0† = I.  A
+one-hot window forms its generators T_0l instead, n/d entries each, and
+the first above tol refutes R; a permutation has S_0† S_0 = I, so T_kl =
+T_k0 T_0l, and splitting each factor X into P(X) and X - P(X) bounds every
+unit by 2e + 2e², e the largest generator HS defect.  A bound within tol
+proves R; otherwise, and for a merging one-hot map, which has no bound,
+the units with k <= l, generators first, decide, so every verdict is the
+exhaustive one.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -204,27 +201,19 @@ def _one_hot_adjoint(rows: np.ndarray) -> np.ndarray:
 
 def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
     """Unit conjugation from the parts of ``mat`` split by one digit of size
-    d, with ``lead`` the size of the index before it.  Both directions are
-    T_kl = P_k† P_l: forward T_kl = S_k S_l† with S_k the columns whose
-    digit is k and P_k = S_k†; backward T_kl = R_k† R_l with R_k the rows
-    whose digit is k and P_k = R_k.  ``unit(k, l)`` copies P_l once (forward:
-    the conjugate of S_l, used transposed) and returns rows -> those rows of
-    T_kl, P_k[:, rows]† P_l, each call reading its slice of P_k from ``mat``
-    (no argument: the whole unit).  ``norms()`` gives the unit bound's
-    norms: η = ||S_0† S_0 - I|| and s_0 = ||S_0|| from the one Gram P_0 P_0†
-    = S_0† S_0, and for k > 0 the Frobenius norm of P_k, which bounds
-    ||S_k||, summed over row blocks of P_k.  ``bounds(w, region, ε_0)``
-    bounds the generators' defects on a region without forming them
-    (_generator_bounds)."""
+    d, with ``lead`` the size of the index before it, as _unit_conjugation's
+    (unit, verdict) pair.  Both directions are T_kl = P_k† P_l: forward
+    T_kl = S_k S_l† with S_k the columns whose digit is k and P_k = S_k†;
+    backward T_kl = R_k† R_l with R_k the rows whose digit is k and P_k =
+    R_k.  ``unit(k, l)`` copies P_l once (forward: the conjugate of S_l,
+    used transposed) and returns rows -> those rows of T_kl, P_k[:, rows]†
+    P_l, each call reading its slice of P_k from ``mat`` (no argument: the
+    whole unit).  The verdict proves a region where the intertwiner bound
+    (_intertwiner_bound) is within tol and leaves it undecided otherwise."""
     r, c = mat.shape
     split = mat.reshape(r, lead, d, -1) if forward else mat.reshape(lead, d, -1, c)
     tail = (c if forward else r) // (lead * d)
     blocks = la.row_blocks(lead * tail)
-
-    def part(k):  # P_k
-        if forward:
-            return np.conj(split[:, :, k]).reshape(r, -1).T
-        return np.ascontiguousarray(split[:, k]).reshape(-1, c)
 
     def parts_rows(rows):  # P_k[rows] for every k, as (d, rows, columns)
         i = np.arange(rows.start, rows.stop)
@@ -237,36 +226,27 @@ def _dense_units(mat: np.ndarray, d: int, lead: int, forward: bool):
         return np.conj(split[:, k, :, rows]).reshape(r // d, -1).T
 
     def unit(k, l):
-        right = part(l)
+        right = (np.conj(split[:, :, l]).reshape(r, -1).T if forward
+                 else np.ascontiguousarray(split[:, l]).reshape(-1, c))  # P_l
         return lambda rows=slice(None): adjoint_rows(k, rows) @ right
 
-    @cache
-    def norms():
-        p0 = part(0)
-        eig = np.linalg.eigvalsh(p0 @ la.dagger(p0))
-        s = np.sqrt(sum(np.sum(p.real**2 + p.imag**2, axis=(1, 2))
-                        for p in map(parts_rows, blocks)))
-        s[0] = np.sqrt(max(eig[-1], 0.0))
-        return s, float(np.max(np.abs(eig - 1.0)))
+    def verdict(w, region, eps0, tol):
+        return _intertwiner_bound(parts_rows, blocks, d, w, region, eps0) <= tol or None
 
-    def bounds(w, region, eps0):
-        return _generator_bounds(parts_rows, blocks, d, w, region, eps0, norms()[0][0])
-
-    return unit, norms, bounds
+    return unit, verdict
 
 
-def _generator_bounds(parts_rows, blocks, d: int, w: int, region,
-                      eps0: float, s0: float) -> list[tuple[float, float]]:
-    """Upper bounds (max-norm, HS norm) on the defect T_0l - P(T_0l) of each
-    generator l = 1 ... d-1 on ``region``, without forming T_0l: the
-    intertwiner identity of the module docstring, from Y_l = Tr_C(T_0l)/d_C
-    and Δ_l = P_l - P_0 (Y_l ⊗ I_C), with ε_0 = ``eps0`` T_00's HS defect
-    and s_0 = ||P_0||.  ``parts_rows(rows)`` gathers the rows of every P_k
-    in one of ``blocks``; the columns of P are the d^w window words.  Two
-    passes over the row blocks, the first summing every Y_l, the second
-    Δ_l's column norms, so no (n/d) x n array is held; a block is read with
-    its columns ordered (region, complement), and n·d_R·n/d multiply-adds
-    per pass and generator do what forming T_0l does in n³/d."""
+def _intertwiner_bound(parts_rows, blocks, d: int, w: int, region, eps0: float) -> float:
+    """Upper bound on the max-norm defect T_kl - P(T_kl) on ``region`` of
+    every unit but T_00, without forming any: the bound of the module
+    docstring, from Y_k = Tr_C(T_0k)/d_C and Δ_k = P_k - P_0 (Y_k ⊗ I_C), with
+    ε_0 = ``eps0`` T_00's HS defect.  ``parts_rows(rows)`` gathers the rows
+    of every P_k in one of ``blocks``; the columns of P are the d^w window
+    words.  Two passes over the row blocks, the first summing every Y_k, the
+    second the column norms of P_0 (Y_k ⊗ I) and Δ_k, so no (n/d) x n array
+    is held; a block is read with its columns ordered (region, complement),
+    and n·d_R·n/d multiply-adds per pass and k do what forming T_0k does in
+    n³/d."""
     region = sorted(set(region))
     comp = [i for i in range(w) if i not in region]
     dr, dc = d ** len(region), d ** len(comp)
@@ -278,45 +258,63 @@ def _generator_bounds(parts_rows, blocks, d: int, w: int, region,
     def column_sq(a):  # squared column norms of such rows, (..., region, complement)
         return np.sum((a.real**2 + a.imag**2).reshape(*a.shape[:-1], -1, dc), axis=-2)
 
-    yt = np.zeros((d - 1, dr, dr), dtype=np.complex128)  # Y_l^T
-    col0 = np.zeros((dr, dc))  # of P_0
+    yt = np.zeros((d, dr, dr), dtype=np.complex128)  # Y_k^T
     for rows in blocks:
         p = gather(rows)
-        col0 += column_sq(p[0])
-        yt += p[1:] @ np.conj(p[0]).T
+        yt[1:] += p[1:] @ np.conj(p[0]).T
     yt /= dc
-    dsq = np.zeros((d - 1, dr, dc))  # of Δ_l
+    yt[0] = np.eye(dr)
+    asq, dsq = np.zeros((2, d, dr, dc))  # of P_0 (Y_k ⊗ I) and Δ_k
     for rows in blocks:
         p = gather(rows)
-        dsq += column_sq(p[1:] - yt @ p[0])
-    c0 = np.sqrt(np.max(col0))
-    out = []
-    for y, dl in zip(yt, dsq):
-        y_col = np.sqrt(np.max(np.sum(y.real**2 + y.imag**2, axis=1)))  # columns of Y_l
-        out.append((float(2 * c0 * np.sqrt(np.max(dl)) + eps0 * y_col),
-                    float(s0 * np.sqrt(np.sum(dl)) + eps0 * np.linalg.norm(y, 2))))
-    return out
+        p0y = yt @ p[0]
+        asq += column_sq(p0y)
+        dsq += column_sq(p - p0y)
+    y = np.sqrt(np.max(np.sum(yt.real**2 + yt.imag**2, axis=2), axis=1))  # columns of Y_k
+    a, dl = np.sqrt(np.max(asq, axis=(1, 2))), np.sqrt(np.max(dsq, axis=(1, 2)))
+    bound = eps0 * np.outer(y, y) + 2 * (np.outer(a, dl) + np.outer(dl, a) + np.outer(dl, dl))
+    bound[0, 0] = 0.0  # T_00's own defect is known exactly
+    return float(np.max(bound))
 
 
 def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
-    """Conjugated matrix units at ``cell`` as a function (k, l) -> T_kl,
-    forward G (E_kl ⊗ I) G† or backward G† (E_kl ⊗ I) G, and the norms of
-    the generator bound.  One-hot windows give COO triples, others a
-    function of a row slice (_dense_units) that yields the unit's rows, so
-    no dense unit need exist whole."""
+    """Conjugated matrix units at ``cell`` as a pair (unit, verdict).
+    ``unit`` maps (k, l) to T_kl, forward G (E_kl ⊗ I) G† or backward G†
+    (E_kl ⊗ I) G: a COO triple for a one-hot window, otherwise a function of
+    a row slice (_dense_units) that yields the unit's rows, so no dense unit
+    need exist whole.  ``verdict(w, region, ε_0, tol)`` decides a region on
+    which T_00 is localized with HS defect ε_0: True when every unit is
+    within tol, False when one is not, None when the units must decide."""
     d, w = op.alphabet.d, op.width
     if not op.is_one_hot:
         return _dense_units(op.dense(), d, d**cell, forward)
     rows = op.matrix if forward else _one_hot_adjoint(op.matrix)
+    bijective = not forward or is_injective(rows)  # _one_hot_adjoint admits only bijections
 
-    @cache
-    def norms():
-        # a permutation has S_k† S_k = I for every k, so s = 1 and η = 0
-        # exactly; a merging map gets no bound
-        return (np.ones(d), 0.0) if is_injective(rows) else None
+    def unit(k, l):
+        t = _one_hot_conjugation(rows, d, w, cell, k, l)
+        if bijective:
+            return t
+        # a merging map sends several input pairs to one entry: add them up
+        keys = t[0] * len(rows) + t[1]
+        ids = _group_ids(keys)
+        entry = np.empty(ids.max() + 1, dtype=np.int64)
+        entry[ids] = keys
+        return *np.divmod(entry, len(rows)), np.bincount(ids).astype(np.complex128)
 
-    # its generators are n/d entries each: formed, not bounded
-    return (lambda k, l: _one_hot_conjugation(rows, d, w, cell, k, l)), norms, None
+    def verdict(w, region, eps0, tol):
+        if not bijective:
+            return None  # a merging map has no bound
+        # the generators are n/d entries each: formed, not bounded
+        e = eps0
+        for l in range(1, d):
+            [(resid, hs)] = fast_localization_residual(unit(0, l), d, w, [region])
+            if resid > tol:
+                return False  # a generator is itself a unit: the region fails
+            e = max(e, hs)
+        return 2 * e + 2 * e * e <= tol or None
+
+    return unit, verdict
 
 
 def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, float]]:
@@ -380,44 +378,21 @@ def _group_ids(keys: np.ndarray) -> np.ndarray:
 
 def _first_localized(units, d: int, w: int, regions, tol: float) -> int | None:
     """Index of the first region on which every conjugated unit is
-    localized within tol, or None; ``units`` is a (unit, norms, bounds)
-    triple from _unit_conjugation.  T_00 is formed once and tested on every
-    region in one pass.  On each survivor in turn, a dense window's
-    generators T_01 ... T_0(d-1) are bounded from the intertwiner
-    (_generator_bounds) and only a generator whose max-norm bound exceeds
-    tol is formed, one alive at a time, and scored exactly; one-hot
-    generators are always formed.  The unit bound or, where it exceeds
-    tol, the units with 1 <= k <= l decide the rest."""
-    unit, norms, bounds = units
-    eps0 = {i: hs for i, (resid, hs)
-            in enumerate(fast_localization_residual(unit(0, 0), d, w, regions))
-            if resid <= tol}
-    for i, e0 in eps0.items():
-        survivor = [regions[i]]
-        eps = [e0]
-        for l, (resid, hs) in enumerate(bounds(w, regions[i], e0) if bounds
-                                        else [(np.inf, np.inf)] * (d - 1), 1):
-            if not resid <= tol:  # not proved by the bound: form T_0l
-                [(resid, hs)] = fast_localization_residual(unit(0, l), d, w, survivor)
-                if resid > tol:
-                    break  # a generator is itself a unit: the region fails
-            eps.append(hs)
-        if len(eps) == d and (_unit_bound(norms(), np.array(eps)) <= tol or all(
-                fast_localization_residual(unit(k, l), d, w, survivor)[0][0] <= tol
-                for k in range(1, d) for l in range(k, d))):
+    localized within tol, or None; ``units`` is a (unit, verdict) pair from
+    _unit_conjugation.  T_00 is formed once and tested on every region in
+    one pass.  On each survivor in turn the verdict decides, and where it
+    cannot, the units T_kl with k <= l, generators first, are formed one
+    alive at a time and scored until one fails."""
+    unit, verdict = units
+    rest = [(k, l) for k in range(d) for l in range(max(k, 1), d)]
+    for i, (resid, eps0) in enumerate(fast_localization_residual(unit(0, 0), d, w, regions)):
+        local = resid <= tol and verdict(w, regions[i], eps0, tol)
+        if local is None:
+            local = all(fast_localization_residual(unit(k, l), d, w, [regions[i]])[0][0] <= tol
+                        for k, l in rest)
+        if local:
             return i
     return None
-
-
-def _unit_bound(norms, eps: np.ndarray) -> float:
-    """The bound of the module docstring, maximized over all units, from the
-    norms (s, η) and the generator defects ε; infinite without norms."""
-    if norms is None:
-        return np.inf
-    s, eta = norms
-    se = np.outer(s, eps)
-    return float(np.max(s[0] * (se + se.T) + 2 * np.outer(eps, eps)
-                        + 2 * eta * np.outer(s, s)))
 
 
 # ------------------------------------------------------------ neighborhood
@@ -456,9 +431,10 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
     (the operator's out_shift relabel is compensated).  Only proper
     subintervals of the window count: localization on the whole window is
     vacuous and can never support a locality claim.  _first_localized
-    decides: on a local dense window one residual pass, over T_00, when
-    the bounds hold; only the witness of a non-local verdict needs whole
-    units, built one probe at a time.
+    decides: on a local window one residual pass over T_00 and the
+    intertwiner bound (dense) or d residual passes (one-hot permutation);
+    only the witness of a non-local verdict needs whole units, built one
+    probe at a time.
     """
     cc = default_center(op) if cell is None else cell
     if max_radius < 0:
@@ -502,8 +478,8 @@ def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
     """Mirror property: if backward conjugation lands in N, forward
     conjugation of every unit must land in -N (true-cell offsets), decided
     by _first_localized on that one region: for a dense window one residual
-    pass over T_00 and the generator bounds when they hold, for a one-hot
-    window d residuals and the unit bound."""
+    pass over T_00 and the intertwiner bound when it holds, for a one-hot
+    permutation d residual passes, T_00 and the generators."""
     cc = default_center(op) if cell is None else cell
     d, w = op.alphabet.d, op.width
     lo, hi = interval
@@ -716,7 +692,7 @@ def _block_patch_units(g: BlockQCA):
 def block_neighborhood(g: BlockQCA, tol: float = la.DEFAULT_TOL) -> NeighborhoodReport:
     """Neighborhood of a block automaton from the two-cell patch
     conjugation: the first of {0}, {1}, {0, 1} (always localized) on which
-    every unit is, by the generator check of _first_localized."""
+    every unit is, by _first_localized."""
     cands = [(0, 0), (1, 1), (0, 1)]
     found = _first_localized(_block_patch_units(g), g.d, 2,
                              [range(lo, hi + 1) for lo, hi in cands], tol)

@@ -2,7 +2,10 @@
 without scratch copies, in row blocks or in one pass, kept as oracles for
 the property tests in ``test_linalg.py``, ``test_verify.py`` and
 ``test_decompose.py``, and the dense builders of those oracles: the matrix
-units of M_n and an operator embedded on some factors.
+units of M_n and an operator embedded on some factors.  The locality
+oracle ``whole_unit_first_localized`` proves regions by the (s, η) norm
+bound (``_unit_bound``), a route independent of the library's intertwiner
+bound.
 """
 from __future__ import annotations
 
@@ -106,10 +109,8 @@ def whole_unit_first_localized(op, cell: int, forward: bool, regions, tol: float
     is localized, by the generator check with each unit formed whole (the
     dense search before units were streamed in row blocks): T_0l = P_0† P_l
     from the parts of G split by the cell's digit, the transposed-copy
-    kernel on each region, the norm bound of verify's module docstring, and
+    kernel on each region, the (s, η) norm bound (_unit_bound), and
     every unit with 1 <= k <= l where the bound exceeds tol."""
-    from qcablocks.verify import _unit_bound
-
     g = op.dense()
     d, w, n = op.alphabet.d, op.width, op.dim
     lead = d**cell
@@ -138,3 +139,17 @@ def whole_unit_first_localized(op, cell: int, forward: bool, regions, tol: float
                 defect(k, l, region)[0] <= tol for k in range(1, d) for l in range(k, d))):
             return i
     return None
+
+
+def _unit_bound(norms, eps: np.ndarray) -> float:
+    """The (s, η) bound on every unit's defect, maximized over all units,
+    from the norms s_k = ||S_k||, η = ||S_0† S_0 - I|| and the generator HS
+    defects ε: with T_kl = T_k0 T_0l + S_k (I - S_0† S_0) S_l†,
+    ||T_kl - P(T_kl)|| <= s_0 (s_k ε_l + s_l ε_k) + 2 ε_k ε_l + 2 s_k s_l η,
+    again without assuming unitarity.  Infinite without norms."""
+    if norms is None:
+        return np.inf
+    s, eta = norms
+    se = np.outer(s, eps)
+    return float(np.max(s[0] * (se + se.T) + 2 * np.outer(eps, eps)
+                        + 2 * eta * np.outer(s, s)))

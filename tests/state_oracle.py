@@ -1,11 +1,12 @@
 """Dict-based reference implementations of the sparse-state operations.
 
 These are the per-term loops the array-backed ``SparseState`` replaced, kept
-as oracles for the property tests in ``test_state_arrays.py``.  A state here
-is a plain ``{Configuration: complex}`` mapping (a ``SparseState.terms``
-view, or a dict): equal configurations are merged by their canonical form
-and amplitudes at or below the prune threshold are dropped, as the
-library's constructor does.
+as oracles for the property tests in ``test_state_arrays.py``, and the
+per-configuration step of a classical rule (``step_config``), the oracle of
+``ClassicalRule.apply``.  A state here is a plain ``{Configuration:
+complex}`` mapping (a ``SparseState.terms`` view, or a dict): equal
+configurations are merged by their canonical form and amplitudes at or
+below the prune threshold are dropped, as the library's constructor does.
 """
 from __future__ import annotations
 
@@ -83,8 +84,18 @@ def restrict_state(terms, cells, d: int) -> np.ndarray:
     return rho
 
 
+def step_config(rule, config: Configuration) -> Configuration:
+    """One classical step of a basis configuration under ``rule``."""
+    if config.is_vacuum:
+        return config
+    lo, hi = config.start - 1, config.end
+    word = [int(rule.table[config.cell(i), config.cell(i + 1)])
+            for i in range(lo, hi + 1)]
+    return Configuration.make(lo, word)
+
+
 def classical_apply(rule, terms) -> dict:
-    return merged((rule.step_config(c), a) for c, a in terms.items())
+    return merged((step_config(rule, c), a) for c, a in terms.items())
 
 
 def apply_block(terms, g) -> dict:

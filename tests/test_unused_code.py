@@ -32,7 +32,6 @@ ALLOWED = {
     "conjugated_commuting_pair",  # rand.py: random test inputs
     "random_block_qca",
     "random_sparse_state",
-    "step_config",  # model.py
     "ungroup_cells",
     "write_gallery_specs",  # gallery.py: regenerates specs/
 }

@@ -88,15 +88,15 @@ def test_one_hot_stages_hold_at_most_one_rows_array_of_scratch():
     # grouped Toffoli at w = 4 (d = 16, n = 65536), traced scratch in units
     # of one int64 rows array (8n bytes): a permutation window carries no
     # phase array, and a unit reads only the n/d inputs it needs, so the
-    # injectivity count (unitarity, the norms) is one rows array, the
-    # shift-invariance check reads only the images it compares, and
-    # neighborhood adds the adjoint map to them
+    # injectivity count (unitarity, the verdict's bijection test) is one
+    # rows array, the shift-invariance check reads only the images it
+    # compares, and neighborhood adds the adjoint map to them
     op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
     rows_array = 8 * op.dim
 
     def forward_unit():
-        unit, norms, _ = _unit_conjugation(op, 1, forward=True)
-        return norms() is not None and len(unit(0, 1)[0]) == op.dim // 16
+        unit, _ = _unit_conjugation(op, 1, forward=True)
+        return len(unit(0, 1)[0]) == op.dim // 16
 
     for stage, bound in ((lambda: check_unitary(op), 1.1),
                          (lambda: check_shift_invariance(op), 1.1),
@@ -246,7 +246,7 @@ def test_neighborhood_monotone_under_superset():
     rep = neighborhood(op, max_radius=1)
     lo, hi = rep.neighborhood
     cc = 2
-    unit, _, _ = _unit_conjugation(op, cc, forward=False)
+    unit, _ = _unit_conjugation(op, cc, forward=False)
     for k in range(4):
         for l in range(4):
             entry = unit(k, l)
@@ -561,11 +561,12 @@ def intertwiner_cases(draw):
 @settings(max_examples=12, deadline=None)
 @given(intertwiner_cases())
 def test_intertwiner_bounds_hold_and_verdicts_match_oracle(op):
-    # on every T_00 survivor, in both directions, each generator's (max, HS)
-    # bound from the intertwiner is at least its exact defect from the
-    # formed unit, up to that unit's rounding; and the verdicts, which form
-    # a generator only where its bound exceeds tol, are the whole-unit
-    # oracle's
+    # on every T_00 survivor, in both directions, the intertwiner bound is
+    # at least the exact max defect of all d² formed units (those with
+    # k <= l: T_lk = T_kl† has the same defect), up to their rounding, so
+    # the verdict proves no survivor at a tol just below that defect; and
+    # the verdicts, which form the units only where the bound exceeds tol,
+    # are the whole-unit oracle's
     d, w = op.alphabet.d, op.width
     cc = (w - 1) // 2
     tol = la.DEFAULT_TOL
@@ -574,14 +575,14 @@ def test_intertwiner_bounds_hold_and_verdicts_match_oracle(op):
                    key=lambda c: (c[1] - c[0], c[0]))
     regions = [range(cc + a, cc + b + 1) for a, b in cands]
     for forward in (False, True):
-        unit, _, bounds = _unit_conjugation(op, cc, forward)
+        unit, verdict = _unit_conjugation(op, cc, forward)
         for region, (resid0, eps0) in zip(regions, fast_localization_residual(
                 unit(0, 0), d, w, regions)):
             if resid0 > tol:
                 continue
-            for l, bound in enumerate(bounds(w, region, eps0), 1):
-                [exact] = fast_localization_residual(unit(0, l), d, w, [region])
-                assert all(b >= e - 1e-13 for b, e in zip(bound, exact)), (l, bound, exact)
+            worst = max(fast_localization_residual(unit(k, l), d, w, [region])[0][0]
+                        for k in range(d) for l in range(k, d))
+            assert verdict(w, region, eps0, worst - 1e-13) is None, (forward, region, worst)
     rep = neighborhood(op, max_radius=1, make_witness=False)
     found = oracle.whole_unit_first_localized(op, cc, False, regions, tol)
     assert rep.neighborhood == (None if found is None else cands[found])
@@ -594,9 +595,9 @@ def test_intertwiner_bounds_hold_and_verdicts_match_oracle(op):
 
 
 def test_local_dense_windows_form_only_t00(monkeypatch):
-    # on local Haar block windows every generator T_0l is proved by its
-    # intertwiner bound and the unit bound holds, so each direction streams
-    # one whole unit, T_00, scored on all its candidate regions at once
+    # on local Haar block windows the intertwiner bound proves every unit
+    # on the first T_00 survivor, so each direction streams one whole unit,
+    # T_00, scored on all its candidate regions at once
     calls = []
     real = verify.fast_localization_residual
 
@@ -632,7 +633,7 @@ def test_one_non_generator_unit_above_tol_is_refused():
     cc, tol = 2, la.DEFAULT_TOL
     for theta, local in ((0.6 * tol, False), (0.45 * tol, True)):
         op = _diagonal_window(lambda x: np.exp(1j * theta * a[x[cc]] * z[x[0]]), 3, 5)
-        unit, _, _ = _unit_conjugation(op, cc, forward=False)
+        unit, _ = _unit_conjugation(op, cc, forward=False)
         # generators within tol, the non-generator unit (1, 2) on either side
         assert max(fast_localization_residual(unit(0, l), 3, 5, [[cc]])[0][0]
                    for l in range(3)) <= tol
@@ -644,26 +645,59 @@ def test_one_non_generator_unit_above_tol_is_refused():
 def test_non_unitary_window_with_vanishing_generators_is_nonlocal():
     # G = diag(f), f = 0 on digit 0 at the probed cell 2 and 1 + (cell 4)
     # elsewhere: every generator T_0l conjugates to 0, but T_11 =
-    # diag(|f|²) on digit 1 reads cell 4, outside every candidate.  Only
-    # the η = ||S_0† S_0 - I|| = 1 term of the bound sees it.
+    # diag(|f|²) on digit 1 reads cell 4, outside every candidate.  P_0 = 0
+    # makes Y_1 = 0 and Δ_1 = P_1, so the δ_1² term of the bound sees it.
     op = _diagonal_window(lambda x: 0.0 if x[2] == 0 else 1.0 + x[4], 2, 5)
-    unit, _, _ = _unit_conjugation(op, 2, forward=False)
+    unit, _ = _unit_conjugation(op, 2, forward=False)
     assert all(la.max_norm(unit(0, l)()) == 0.0 for l in range(2))
     rep = _assert_matches_oracle(op, 0, make_witness=False)
     assert not rep.is_local and rep.neighborhood is None
 
 
-def test_one_hot_bound_norms_are_exact():
-    # a bijective map: S_k† S_k = I exactly
-    op = quantize(toffoli_ca(), 4, "periodic")
-    for forward in (False, True):
-        _, norms, _ = _unit_conjugation(op, 1, forward)
-        s, eta = norms()
-        assert eta == 0.0 and np.all(s == 1.0)
-    # a merging map has no bound: its units take the exhaustive path
-    rule = ClassicalRule(Alphabet(("0", "1"), "q"), np.zeros((3, 3), dtype=np.int64))
-    _, norms, _ = _unit_conjugation(quantize(rule, 4), 1, forward=True)
-    assert norms() is None
+def _spied_residuals(monkeypatch):
+    """The list that collects the argument tuple of every residual call."""
+    calls = []
+    real = verify.fast_localization_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "fast_localization_residual", counted)
+    return calls
+
+
+def test_one_hot_permutation_is_decided_by_its_generators(monkeypatch):
+    # a bijective one-hot window (grouped Toffoli, d = 16): T_00 on every
+    # candidate in one pass, then the d - 1 generators on the first
+    # survivor, whose HS defects bound the other units, so no unit T_kl with
+    # k >= 1 is formed
+    calls = _spied_residuals(monkeypatch)
+    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
+    d = op.alphabet.d
+    rep = neighborhood(op, max_radius=1)
+    assert rep.is_local and len(calls) == d
+    calls.clear()
+    assert check_inverse_locality(op, rep.neighborhood)
+    assert len(calls) == d
+
+
+def test_one_hot_merging_map_takes_the_exhaustive_path(monkeypatch):
+    # G zeroes cell 3 (d = 2, w = 4): forward, T_kl = 2 E_kl at cell 1 ⊗
+    # |0><0| at cell 3, localized on a region holding both cells and on no
+    # other; a merging map has no bound, so every unit with k <= l is formed
+    calls = _spied_residuals(monkeypatch)
+    words = np.arange(16)
+    op = WindowOperator(default_alphabet(2), 4, words - words % 2, "periodic")
+    cc, tol = 1, la.DEFAULT_TOL
+    for interval, local in (((-2, 0), True), ((-1, 0), False), ((0, 0), False)):
+        region = range(cc - interval[1], cc - interval[0] + 1)
+        calls.clear()
+        assert check_inverse_locality(op, interval, cell=cc) == local
+        assert oracle.whole_unit_first_localized(op, cc, True, [region], tol) == (
+            0 if local else None)
+        if local:  # T_00, then the units T_01 and T_11
+            assert len(calls) == 3
 
 
 def test_locality_checks_make_generator_many_residual_calls(monkeypatch):
@@ -733,8 +767,8 @@ def test_block_conjugated_unit_matches_window_conjugation():
     g = random_block_qca(4, 2, 2, seed=70)
     op = window_matrix(g, 4)
     d, w, cc = 4, 4, 1
-    unit, _, _ = _unit_conjugation(op, cc, forward=False)
-    native, _, _ = _block_patch_units(g)
+    unit, _ = _unit_conjugation(op, cc, forward=False)
+    native, _ = _block_patch_units(g)
     for k, l in [(0, 0), (1, 2), (3, 1)]:
         t_native = native(k, l)()
         t_window = unit(k, l)()
