@@ -14,7 +14,7 @@ unitary v), reads the cell-splitting unitary u off the induced
 certifies the reconstruction against the whole input window up to a
 global phase, at the one cell shift the alignment chose.
 
-No step needs all d² images at once, so they are streamed one row
+No step needs all d² dense images at once, so they are streamed one row
 T_k0 ... T_k(d-1) at a time in two passes: the first takes the partial
 traces and the matrix-unit checks, the second (after the split) rebuilds
 each row for u.
@@ -30,8 +30,11 @@ the verifier's exact generator check for localization on the patch.  A
 one-hot row is not a dense array but its entries (l, patch_row,
 patch_col), each of value 1, read off the preimages of the patch rows
 alone (about d per unit): both passes work on the entries, the partial
-traces by scatter-adds and u's conjugations as products of d columns of
-W ⊗ W.
+traces by scatter-adds.  u's pass keeps every row's entries (about d³)
+and conjugates only the 2d - 1 generators E_k0 and E_0l, each as the
+product of d columns of W ⊗ W; every other unit is shown to be the
+product of its two generators on the entries, and its middle-factor
+defect is bounded from theirs.
 Whatever a gate cannot see, the end-to-end certificate against the whole
 window refuses.
 """
@@ -285,33 +288,33 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     anchor phi(E_00) and the columns phi(E_k0) u|0>.  W ⊗ W is formed once
     with its rows in (middle q p, outer p q) order of the (p, q, p, q)
     patch, so each conjugated unit is already split into region and
-    complement, and phi(E_kl) is its outer-(0, 0) block.  A dense row takes
-    two matmuls; a unit of m entries, each 1, is the (d², m)(m, d²) product
-    of the columns of W ⊗ W and the rows of its adjoint they name, never a
-    dense d² x d² operand.  One row is held at a time.  Each unit's
-    middle-factor residual and u's isomorphism residual are checked."""
+    complement, and phi(E_kl) is its outer-(0, 0) block.
+
+    A dense row takes two matmuls per unit, one row held at a time, and
+    every unit's middle-factor residual is checked.  One-hot rows, about d
+    entries per unit, are all kept: a *-isomorphism is fixed by the 2d - 1
+    generators E_k0 and E_0l, so _one_hot_phi forms and checks only those,
+    and every other unit only where the product identity T_kl = T_k0 T_0l
+    or the generators' bound (_product_bound) does not decide it.  u's
+    isomorphism residual is checked over all d² units."""
     p, q = fact.p, fact.q
     d = p * q
+    limit = max(tol, 1e-7)
     ww = la.kron(fact.u, fact.u).reshape(p, q, p, q, d * d)
     ww = ww.transpose(1, 2, 0, 3, 4).reshape(d * d, d * d)
     ww_h = la.dagger(ww)
-    phi = np.zeros((d, d, d, d), dtype=np.complex128)
-    for k in range(d):
-        r = images.row(k)
-        for l in range(d):
-            if isinstance(r, tuple):
-                ls, i, j = r
-                sel = ls == l
-                x = ww[:, i[sel]] @ ww_h[j[sel]]
-            else:
-                x = ww @ r[l] @ ww_h
-            resid, _ = la.localization_defect(x, (d, d), {0})
-            if resid > max(tol, 1e-7):
-                raise IsoSolveFailed(
-                    f"conjugated image ({k},{l}) misses the middle factors "
-                    f"(residual {resid:.2e})")
-            phi[k, l] = x.reshape(d, d, d, d)[:, 0, :, 0]
-        del r  # before the next row is built
+    rows = [images.row(0)]
+    if isinstance(rows[0], tuple):
+        phi = _one_hot_phi(rows + [images.row(k) for k in range(1, d)],
+                           fact.u, ww, ww_h, limit)
+    else:
+        phi = np.empty((d, d, d, d), dtype=np.complex128)
+        for k in range(d):
+            r = rows.pop() if k == 0 else images.row(k)
+            for l in range(d):
+                phi[k, l], resid, _ = _middle_factor(ww @ r[l] @ ww_h, d)
+                _check_middle(resid, k, l, limit)
+            del r  # before the next row is built
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
     if abs(vals[-1] - 1.0) > 1e-6:
@@ -323,9 +326,104 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     u = uu @ vvh
     # u E_kl u† = |u_k><u_l|
     worst = la.max_norm(phi - np.einsum("ik,jl->klij", u, u.conj()))
-    if worst > max(tol, 1e-7):
+    if worst > limit:
         raise IsoSolveFailed(f"isomorphism residual {worst:.2e} exceeds tolerance")
     return u
+
+
+def _middle_factor(x: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
+    """phi's block of a conjugated unit x = (W ⊗ W) T_kl (W ⊗ W)†, rows in
+    (middle, outer) order: its outer-(0, 0) block, and the max-norm and HS
+    defects of x off the middle factors."""
+    resid, hs = la.localization_defect(x, (d, d), {0})
+    return x[::d, ::d].copy(), resid, hs
+
+
+def _check_middle(resid: float, k: int, l: int, limit: float) -> None:
+    if resid > limit:
+        raise IsoSolveFailed(
+            f"conjugated image ({k},{l}) misses the middle factors "
+            f"(residual {resid:.2e})")
+
+
+def _product_bound(e: float, gram: float, d: int) -> float:
+    """Bound on the computed middle-factor max-norm defect of a one-hot unit
+    X_kl = V T_kl V†, V = W ⊗ W as held, whose T_kl = T_k0 T_0l exactly with
+    both factors partial permutations; e is the largest computed HS defect
+    of a generator, gram the computed ||W†W - I||_HS.
+
+    X_kl = X_k0 X_0l - V T_k0 (V†V - I) T_0l V†.  P, the block mean onto
+    the middle factors, is a contraction and a bimodule map over its range,
+    so with X = P(X) + D, P(P(X_k0) D_0l) = 0 and ||X_kl - P(X_kl)||_op <=
+    2 (1 + η)(ê + η) + 2 ê², for η >= ||V†V - I||_op (so ||X_k0||_op <=
+    1 + η) and ê >= every generator's ||D||_op.  Rounding, in units
+    ρ = 2 d (d + 2) ε of one computed Gram, Kronecker or unit entry:
+    η = 2f + f² + ρ with f = gram + ρ; a computed defect is off by at most
+    3ρ per entry, so ê = (1 + d⁴ ε) e + 3 d² ρ (the factor covers a sum of
+    d⁴ squares), and 3ρ more separates the exact defect from the computed
+    one the exhaustive check reads."""
+    eps = np.finfo(float).eps
+    rho = 2 * d * (d + 2) * eps
+    f = gram + rho
+    eta = 2 * f + f * f + rho
+    e_hat = (1 + d ** 4 * eps) * e + 3 * d * d * rho
+    return 2 * (1 + eta) * (e_hat + eta) + 2 * e_hat * e_hat + 3 * rho
+
+
+def _one_hot_phi(rows: list[tuple[np.ndarray, ...]], w: np.ndarray, ww: np.ndarray,
+                 ww_h: np.ndarray, limit: float) -> np.ndarray:
+    """phi(E_kl) of every one-hot unit, each unit's middle-factor defect
+    within limit (else IsoSolveFailed naming the first failing unit in (k,
+    l) order), from the entry rows of derive_u.
+
+    The 2d - 1 generators X_k0 and X_0l are formed whole, (d², m)(m, d²)
+    products of the columns of W ⊗ W and the rows of its adjoint that
+    their m entries name, and their defects checked.  Every other unit
+    whose T_kl equals T_k0 T_0l exactly (the column -> row maps of the two
+    generators composed, compared as sorted keys i·d² + j) is bounded by
+    _product_bound and only its phi block, a (d, m)(m, d) product of the
+    outer-0 rows, is formed; a unit that fails the identity is formed and
+    checked.  Where a generator is no partial permutation or the bound
+    exceeds limit, every unit is formed and checked, so each verdict is the
+    exhaustive one."""
+    d = len(rows)
+    n = d * d
+    units = {(k, l): (i[ls == l], j[ls == l])
+             for k, (ls, i, j) in enumerate(rows) for l in range(d)}
+    gens = [(0, l) for l in range(d)] + [(k, 0) for k in range(1, d)]
+    formed = {}
+    for k, l in gens:
+        i, j = units[k, l]
+        formed[k, l] = _middle_factor(ww[:, i] @ ww_h[j], d)
+    perm = all(np.bincount(a, minlength=n).max() <= 1
+               for key in gens for a in units[key])
+    e = max(hs for _, _, hs in formed.values())
+    gram = la.hs_norm(la.dagger(w) @ w - np.eye(d))
+    exact = not perm or _product_bound(e, gram, d) > limit
+    w0, w0_h = ww[::d], ww_h[:, ::d]
+    phi = np.empty((d, d, d, d), dtype=np.complex128)
+    for k in range(d):
+        if k and not exact:
+            # T_k0 as a map column -> row (-1 where its column is empty)
+            i0, j0 = units[k, 0]
+            to_row = np.full(n, -1)
+            to_row[j0] = i0
+        for l in range(d):
+            i, j = units[k, l]
+            if (k, l) in formed:
+                phi[k, l], resid, _ = formed[k, l]
+            else:
+                if not exact:
+                    # T_k0 T_0l: each entry (ib, jb) of T_0l moved to row to_row[ib]
+                    ib, jb = units[0, l]
+                    img = to_row[ib]
+                    hit = img >= 0
+                    if np.array_equal(np.sort(img[hit] * n + jb[hit]), np.sort(i * n + j)):
+                        phi[k, l] = w0[:, i] @ w0_h[j]
+                        continue
+                phi[k, l], resid, _ = _middle_factor(ww[:, i] @ ww_h[j], d)
+            _check_middle(resid, k, l, limit)
+    return phi
 
 
 def fix_quiescent_gauge(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from random_inputs import conjugated_commuting_pair, random_block_qca
 from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_one, factor_pair, factorization_residual, restrict
 from qcablocks.decompose import decompose_certified
@@ -33,11 +34,7 @@ from qcablocks.model import (
     ungroup_cells,
     window_matrix,
 )
-from qcablocks.rand import (
-    conjugated_commuting_pair,
-    conjugated_factor_generators,
-    random_block_qca,
-)
+from qcablocks.rand import conjugated_factor_generators
 from qcablocks.verify import (
     check_inverse_locality,
     detect_signalling,

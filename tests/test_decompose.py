@@ -1,5 +1,6 @@
 """Decomposer checks: cell-algebra images, the separation/recovery steps,
 gauge fixing, certification, and the error paths."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import embed_on_factors, matrix_units, two_pass_certify
+from random_inputs import random_block_qca
+from qcablocks import decompose as dec
 from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_pair, restrict, span_algebra
 from qcablocks.decompose import (
@@ -46,7 +49,7 @@ from qcablocks.model import (
     window_digits,
     window_matrix,
 )
-from qcablocks.rand import default_alphabet, random_block_qca
+from qcablocks.rand import default_alphabet
 from qcablocks.verify import _one_hot_conjugation, check_shift_invariance
 
 
@@ -448,30 +451,87 @@ def derive_u_cases():
     yield window_matrix(random_block_qca(6, 2, 3, seed=80), 4)
 
 
+def spied_derive_u(images, fact, monkeypatch, bound=None):
+    """derive_u's u, the middle-factor residuals of the units it formed
+    whole, in the order formed, and the one-hot product bound it computed
+    (None on a dense row); ``bound``, if given, replaces that bound."""
+    seen, bounds = [], []
+    defect, product_bound = la.localization_defect, dec._product_bound
+
+    def spy(a, dims, region):
+        seen.append(defect(a, dims, region)[0])
+        return defect(a, dims, region)
+
+    def spy_bound(e, gram, d):
+        bounds.append(product_bound(e, gram, d))
+        return bounds[-1] if bound is None else bound
+
+    with monkeypatch.context() as m:
+        m.setattr(la, "localization_defect", spy)
+        m.setattr(dec, "_product_bound", spy_bound)
+        u = derive_u(images, fact)
+    return u, seen, (bounds[0] if bounds else None)
+
+
+def generator_residuals(resid):
+    """The reference residuals of the generators X_0l and X_k0, in the order
+    derive_u forms them, and a mask of every other unit."""
+    rest = np.ones(resid.shape, dtype=bool)
+    rest[0, :] = rest[:, 0] = False
+    return np.concatenate([resid[0], resid[1:, 0]]), rest
+
+
+def assert_same_u(u, u_ref):
+    # u is fixed by phi up to the global phase of the anchor's
+    # eigenvector, which eigh picks afresh for each route
+    overlap = np.vdot(u_ref, u)
+    assert la.max_norm(u - u_ref * overlap / abs(overlap)) <= 1e-12
+
+
 def test_derive_u_matches_four_matmul_route(monkeypatch):
     # the entry route (one-hot) and the permuted dense route give the u of
-    # the leg-by-leg conjugation of dense rows, and every unit's
-    # middle-factor residual equals the one on the (p, q, p, q) patch
+    # the leg-by-leg conjugation of dense rows.  A dense row forms every
+    # unit, with the middle-factor residual of the (p, q, p, q) patch; a
+    # one-hot row forms only the 2d - 1 generators, with theirs, and its
+    # product bound covers every other unit's
     for op in derive_u_cases():
         images = cell_algebra_images(op)
         fact = derive_v(*shared_cell_algebras(images), seed=0)
         u_ref, resid_ref = four_matmul_derive_u(images, fact)
-        seen = []
-        defect = la.localization_defect
+        u, seen, bound = spied_derive_u(images, fact, monkeypatch)
+        assert_same_u(u, u_ref)
+        if op.is_one_hot:
+            gens, rest = generator_residuals(resid_ref)
+            assert np.allclose(seen, gens, rtol=0, atol=1e-12)
+            assert bound >= resid_ref[rest].max()
+        else:
+            assert bound is None
+            assert np.allclose(seen, resid_ref.ravel(), rtol=0, atol=1e-12)
 
-        def spy(a, dims, region):
-            seen.append(defect(a, dims, region)[0])
-            return defect(a, dims, region)
 
-        with monkeypatch.context() as m:
-            m.setattr(la, "localization_defect", spy)
-            u = derive_u(images, fact)
-        # u is fixed by phi up to the global phase of the anchor's
-        # eigenvector, which eigh picks afresh for each route
-        overlap = np.vdot(u_ref, u)
-        assert la.max_norm(u - u_ref * overlap / abs(overlap)) <= 1e-12
-        assert len(seen) == resid_ref.size
-        assert np.allclose(seen, resid_ref.ravel(), rtol=0, atol=1e-12)
+def grouped_toffoli_images(w):
+    op = quantize(relabelled(group_cells(toffoli_ca(), 2), np.random.default_rng(5)),
+                  w, "periodic")
+    images = cell_algebra_images(op)
+    return images, derive_v(*shared_cell_algebras(images), seed=0)
+
+
+def test_one_hot_derive_u_forms_only_the_generators(monkeypatch):
+    # grouped Toffoli, d = 16: the 2d - 1 = 31 generators of 256 units
+    images, fact = grouped_toffoli_images(4)
+    _, seen, bound = spied_derive_u(images, fact, monkeypatch)
+    assert len(seen) == 31
+    assert bound <= 1e-7
+
+
+def test_one_hot_derive_u_falls_back_to_every_unit(monkeypatch):
+    # a bound above the tolerance forms and checks all d² units, and u is
+    # the same: the anchor and the columns phi(E_k0) are generators, formed
+    # either way
+    images, fact = grouped_toffoli_images(4)
+    u_all, seen, _ = spied_derive_u(images, fact, monkeypatch, bound=np.inf)
+    assert len(seen) == 256
+    assert np.array_equal(u_all, derive_u(images, fact))
 
 
 @pytest.mark.parametrize("hot", [True, False])
@@ -744,12 +804,12 @@ def test_decompose_perturbed_window_certifies_or_refuses(case, eps, seed):
 
 
 @st.composite
-def partitioned_rules(draw):
+def partitioned_rules(draw, max_d=9):
     """A random partitioned rule (see partitioned_rule) grouped by s ∈ {1, 2}
-    into d^s ≤ 9 symbols; returns (q, grouped rule)."""
+    into d^s ≤ max_d symbols; returns (q, grouped rule)."""
     s = draw(st.sampled_from([1, 2]))
     p, q = draw(st.sampled_from([(p, q) for p in range(1, 10) for q in range(1, 10)
-                                 if 2 <= (p * q) ** s <= 9]))
+                                 if 2 <= (p * q) ** s <= max_d]))
     rule = partitioned_rule(p, q, seed=draw(st.integers(0, 2**16)))
     return q, (group_cells(rule, s) if s > 1 else rule)
 
@@ -774,6 +834,33 @@ def test_decompose_recovers_grouped_partitioned_rules(case, seed):
         expected = SparseState(rule.alphabet,
                                {c: cert.phase * a for c, a in expected.terms.items()})
         assert apply_block(state, qca).distance(expected) <= 1e-7
+
+
+@settings(max_examples=10, deadline=None)
+@given(partitioned_rules(max_d=8), st.sampled_from([0.0, 1e-10, 1e-8]),
+       st.integers(0, 2**16))
+def test_one_hot_derive_u_bound_covers_every_unit(case, eps, seed):
+    # one-hot windows up to n = 8^4, with W = dagger(v) moved off unitary
+    # by eps, which the bound's η must cover: u is the leg-by-leg route's,
+    # every unit is the product T_k0 T_0l of its generators (the identity
+    # the bound rests on), only the generators are formed unless the bound
+    # exceeds the tolerance, and the bound is at least every unit's residual
+    _, rule = case
+    images = cell_algebra_images(quantize(rule, 4, "periodic"))
+    fact = derive_v(*shared_cell_algebras(images), seed=0)
+    noise = np.random.default_rng(seed).standard_normal(fact.u.shape)
+    fact = dataclasses.replace(fact, u=fact.u + eps * noise)
+    u_ref, resid_ref = four_matmul_derive_u(images, fact)
+    with pytest.MonkeyPatch.context() as m:
+        u, seen, bound = spied_derive_u(images, fact, m)
+    assert_same_u(u, u_ref)
+    d = rule.alphabet.d
+    rows = [dense_row(images.row(k), d) for k in range(d)]
+    for k in range(d):
+        for l in range(d):
+            assert np.array_equal(rows[k][l], rows[k][0] @ rows[0][l])
+    assert len(seen) == (2 * d - 1 if bound <= 1e-7 else d * d)
+    assert bound >= resid_ref.max()
 
 
 # ------------------------------------------- alignment from the exact gates

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qcablocks import linalg as la
 from state_oracle import shifted, step_config
+from random_inputs import random_block_qca, random_sparse_state
 from qcablocks.errors import (
     DimensionMismatch,
     IndivisibleWidth,
@@ -38,7 +39,7 @@ from qcablocks.model import (
     window_rotation,
     window_split,
 )
-from qcablocks.rand import default_alphabet, random_block_qca, random_sparse_state
+from qcablocks.rand import default_alphabet
 from qcablocks.verify import detect_signalling
 
 BITS = Alphabet(("0", "1"), "q")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import state_oracle as oracle
+from random_inputs import random_block_qca
 from qcablocks.model import (
     ClassicalRule,
     Configuration,
@@ -24,7 +25,7 @@ from qcablocks.model import (
     ungroup_cells,
     window_matrix,
 )
-from qcablocks.rand import default_alphabet, random_block_qca
+from qcablocks.rand import default_alphabet
 
 SPLITS = {2: [(1, 2), (2, 1)], 4: [(2, 2)], 6: [(2, 3), (3, 2)]}
 WINDOW = {2: 5, 4: 4, 6: 3}

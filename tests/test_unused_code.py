@@ -29,9 +29,6 @@ ALLOWED = {
     "toffoli_probe_states",
     # test-only code still in the package; moving it to a tests/ helper
     # shrinks this list
-    "conjugated_commuting_pair",  # rand.py: random test inputs
-    "random_block_qca",
-    "random_sparse_state",
     "ungroup_cells",
     "write_gallery_specs",  # gallery.py: regenerates specs/
 }

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
+from random_inputs import random_block_qca, random_sparse_state
 from qcablocks import linalg as la
 from qcablocks import verify
 from qcablocks.decompose import _rotate_rows
@@ -33,12 +34,7 @@ from qcablocks.model import (
     restrict_state,
     window_matrix,
 )
-from qcablocks.rand import (
-    default_alphabet,
-    random_block_qca,
-    random_sparse_state,
-    random_unitary,
-)
+from qcablocks.rand import default_alphabet, random_unitary
 from qcablocks.verify import (
     _block_patch_units,
     _unit_conjugation,
