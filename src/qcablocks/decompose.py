@@ -37,6 +37,16 @@ product of its two generators on the entries, and its middle-factor
 defect is bounded from theirs.
 Whatever a gate cannot see, the end-to-end certificate against the whole
 window refuses.
+
+Unitarity of a dense window comes from the certificate, not from G†G:
+the certificate pass keeps the largest column norms of the reconstruction
+R and of its difference E from the phased, rotated window, and
+max |G†G - I| <= 2·a·e + e² + ((1 + δ_u)(1 + δ_v))^w - 1, with rounding
+terms (_unitarity_bound).  Within tolerance that proves unitarity, in
+O(n²) on top of the pass; otherwise, and before any refusal of the
+pipeline is re-raised, check_unitary forms the Gram's upper block
+triangle and decides.  A one-hot window is checked for injectivity
+first, which costs less than its pipeline.
 """
 from __future__ import annotations
 
@@ -59,6 +69,7 @@ from .errors import (
     NotLocal,
     NotSeparable,
     PreconditionViolated,
+    QCAError,
     ReconstructionMismatch,
     WindowTooSmall,
 )
@@ -87,11 +98,14 @@ ALIGNMENTS = (0, 1, -1)
 class Certification:
     """How well the reconstructed window matches the input rotated by
     ``shift`` cells (_rotate_rows): max-norm residual after aligning a
-    global phase."""
+    global phase.  ``unitarity_bound``, on a dense window, is an upper
+    bound on max |G†G - I| read off the same pass (_unitarity_bound);
+    None where the pass gives none."""
 
     residual: float
     shift: int
     phase: complex
+    unitarity_bound: float | None = None
 
 
 def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
@@ -472,9 +486,13 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
     entry fixes the phase, conj(G[src[0], 0]) R[0, 0] normalized, before
     the first block is scored; a residual at any fixed phase bounds the
     phase-minimized one from above, so the certificate never understates
-    it.  One-hot windows are never densified: _transfer_certify bounds
+    it.  The same pass keeps the largest column 2-norms of each rebuilt
+    block and of its difference from the target, two O(n·b) reductions
+    per block, from which _unitarity_bound bounds max |G†G - I| of the
+    input.  One-hot windows are never densified: _transfer_certify bounds
     their residual through per-column overlaps, traces of rings of q x q
-    transfer matrices in extended precision."""
+    transfer matrices in extended precision, and give no unitarity
+    bound."""
     if op.is_one_hot:
         return _transfer_certify(qca, op, shift)
     d, w, n = op.alphabet.d, op.width, op.dim
@@ -484,13 +502,86 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
     quiescent = _window_columns(qca, w, slice(0, 1))[0, 0]
     overlap = complex(np.conj(g[src[0], 0]) * quiescent)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    resid = 0.0
+    resid = rec_norm = err_norm = 0.0
     for cols in la.row_blocks(n):
         rec, target = _window_columns(qca, w, cols), g[src, cols]
+        rec_norm = max(rec_norm, _max_column_norm(rec))
         target *= phase
         rec -= target
         resid = max(resid, la.max_norm(rec))
-    return Certification(float(resid), shift, complex(phase))
+        err_norm = max(err_norm, _max_column_norm(rec))
+    bound = _unitarity_bound(qca, w, complex(phase), rec_norm, err_norm)
+    return Certification(float(resid), shift, complex(phase), bound)
+
+
+def _max_column_norm(a: np.ndarray) -> float:
+    """Largest column 2-norm of a C-contiguous complex (n, b) block, read
+    through its float view, whose columns alternate real and imaginary
+    parts, without a temporary of the block's size."""
+    sq = np.einsum("ij,ij->j", a.view(np.float64), a.view(np.float64))
+    return float(np.sqrt(np.max(sq[0::2] + sq[1::2])))
+
+
+def _unitarity_bound(qca: BlockQCA, w: int, phase: complex, rec_norm: float,
+                     err_norm: float) -> float:
+    """Upper bound on max |G†G - I| of the dense window G that certify
+    compared with the reconstruction of qca, from the largest computed
+    column norms of the rebuilt blocks (rec_norm) and of their differences
+    from the phased target (err_norm).
+
+    Let G' be G with its rows rotated, c the phase, R the exact w-cell
+    window of the stored u and v, and E = cG' - R, with a and e their
+    largest column 2-norms.  A row permutation leaves G†G alone, so
+    |c|² G†G = (R + E)†(R + E), and entrywise |<R_i, E_j>| <= a·e and
+    |<E_i, E_j>| <= e².  R = (v^⊗w) Π (u^⊗w) with Π a permutation of
+    tensor legs; with δ_u = ||u†u - I||_op, (u†u)^⊗w - I and ||u^⊗w||²_op
+    are within (1 + δ_u)^w - 1 and (1 + δ_u)^w, likewise for v, so
+
+        max |G†G - I| <= (Δ + 2·a·e + e²) / |c|² + |1/|c|² - 1|,
+        Δ = ((1 + δ_u)(1 + δ_v))^w - 1 >= ||R†R - I||_op.
+
+    Rounding, with μ = 2ε for one complex add, multiply or multiply-add and
+    γ(k) = kμ / (1 - kμ):
+    - each entry of the computed R̂ is a sum of products through at most
+      m = (w - 1) + w·d rounded operations (w - 1 Kronecker multiplies, w
+      d-term v layers), so |R̂ - R| <= γ(m) |v|^⊗w Π |u|^⊗w entrywise and
+      every column of R̂ - R has norm at most ρ = γ(m) (||v||_F ·
+      max_x ||u e_x||)^w, with ||v||_F bounding || |v| ||_op;
+    - a computed column norm is within a factor κ = 1 + (n + 8)ε of the
+      true norm of the computed column (n - 1 additions, the squares and
+      the root);
+    - Ê = fl(R̂ - fl(cG')) gives ||R̂_x - cG'_x|| <= ê + μ t, with
+      ê = κ·err_norm / (1 - ε/2) and t >= ||cG'_x|| solving t <= r̂ + ê + μt,
+      r̂ = κ·rec_norm, so e <= ê + μt + ρ and a <= r̂ + ρ;
+    - δ from the computed Frobenius norm of fl(u†u) - I plus the Gram's
+      own error, γ(d + 1) ||u||_F², each inflated by 1 + d²ε for its norm;
+    - |c| lies within 2ε of its computed modulus.
+    The factor 2 on ρ covers the rounding of its own norms, and the final
+    factor 1 + 32ε that of the bound's arithmetic."""
+    eps = float(np.finfo(float).eps)
+    mu = 2 * eps
+    d = qca.d
+    n = d ** w
+
+    def gamma(k: int) -> float:
+        return k * mu / (1 - k * mu)
+
+    def defect(m: np.ndarray) -> float:
+        gram = la.hs_norm(la.dagger(m) @ m - np.eye(d))
+        return (1 + d * d * eps) * (gram + gamma(d + 1) * la.hs_norm(m) ** 2)
+
+    spread = float(np.expm1(w * (np.log1p(defect(qca.u)) + np.log1p(defect(qca.v)))))
+    col_u = float(np.max(np.linalg.norm(qca.u, axis=0)))
+    rho = 2 * gamma(w - 1 + w * d) * (la.hs_norm(qca.v) * col_u) ** w
+    kappa = 1 + (n + 8) * eps
+    r_hat = kappa * rec_norm
+    e_hat = kappa * err_norm / (1 - eps / 2)
+    t = (r_hat + e_hat) / (1 - mu)
+    e = e_hat + mu * t + rho
+    a = r_hat + rho
+    lo, hi = (abs(phase) - 2 * eps) ** 2, (abs(phase) + 2 * eps) ** 2
+    bound = (spread + 2 * a * e + e * e) / lo + max(1 / lo - 1, 1 - 1 / hi)
+    return bound * (1 + 32 * eps)
 
 
 def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certification:
@@ -546,27 +637,50 @@ def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certific
 
 def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
                         cert_tol: float = DEFAULT_CERT_TOL) -> tuple[BlockQCA, Certification]:
-    """Full pipeline with the certification attached: unitarity, then the
-    first window alignment whose exact gates pass (_aligned_images), the
-    split of the shared cell, u, the quiescent gauge, and the certificate
-    against the input window at the shift that alignment chose.  A failure
-    after the alignment is chosen propagates as raised."""
+    """Full pipeline with the certification attached: unitarity, the first
+    window alignment whose exact gates pass (_aligned_images), the split of
+    the shared cell, u, the quiescent gauge, and the certificate against
+    the input window at the shift that alignment chose.
+
+    A one-hot window is checked for unitarity (injectivity) first.  A dense
+    window runs the pipeline first, and its certificate pass bounds max
+    |G†G - I| (_unitarity_bound): within max(tol, 1e-9), unitarity is
+    proven and the n x n Gram check is skipped; otherwise, and before any
+    refusal of the pipeline (a QCAError, a LinAlgError, or a certificate
+    above cert_tol) is re-raised, check_unitary decides, so a non-unitary
+    window is refused as such whichever stage noticed first.  Every
+    verdict is the one of checking unitarity first, but for a window whose
+    Gram defect lies within the Gram check's own rounding of the
+    tolerance."""
     if op.width < 4:
         raise WindowTooSmall("decomposition needs a window of at least 4 cells")
-    if not check_unitary(op, max(tol, 1e-9)):
-        raise PreconditionViolated("window operator is not unitary")
-    steps, images = _aligned_images(op, tol)
-    a1, b1 = shared_cell_algebras(images)
-    fact = derive_v(a1, b1, seed=seed, tol=tol)
-    u = derive_u(images, fact, tol=tol)
-    v = la.dagger(fact.u)
-    qca = fix_quiescent_gauge(u, v, op.alphabet, fact.p, fact.q, tol=tol)
-    cert = certify(qca, op, shift=steps)
-    if cert.residual > cert_tol:
-        raise ReconstructionMismatch(
-            f"certification residual {cert.residual:.2e} exceeds {cert_tol:.1e} "
-            f"(at shift {cert.shift})")
+    limit = max(tol, 1e-9)
+    if op.is_one_hot:
+        _require_unitary(op, limit)
+    try:
+        steps, images = _aligned_images(op, tol)
+        a1, b1 = shared_cell_algebras(images)
+        fact = derive_v(a1, b1, seed=seed, tol=tol)
+        u = derive_u(images, fact, tol=tol)
+        v = la.dagger(fact.u)
+        qca = fix_quiescent_gauge(u, v, op.alphabet, fact.p, fact.q, tol=tol)
+        cert = certify(qca, op, shift=steps)
+        if cert.residual > cert_tol:
+            raise ReconstructionMismatch(
+                f"certification residual {cert.residual:.2e} exceeds {cert_tol:.1e} "
+                f"(at shift {cert.shift})")
+    except (QCAError, np.linalg.LinAlgError):
+        if not op.is_one_hot:
+            _require_unitary(op, limit)
+        raise
+    if not op.is_one_hot and not cert.unitarity_bound <= limit:
+        _require_unitary(op, limit)
     return qca, cert
+
+
+def _require_unitary(op: WindowOperator, tol: float) -> None:
+    if not check_unitary(op, tol):
+        raise PreconditionViolated("window operator is not unitary") from None
 
 
 def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, CellImages]:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from gallery_specs import xor_signalling_pair
 from random_inputs import conjugated_commuting_pair, random_block_qca
 from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_one, factor_pair, factorization_residual, restrict
@@ -22,7 +23,6 @@ from qcablocks.gallery import (
     toffoli_ca,
     toffoli_probe_states,
     xor_ca,
-    xor_signalling_pair,
 )
 from qcablocks.model import (
     Configuration,

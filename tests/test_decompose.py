@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import embed_on_factors, matrix_units, two_pass_certify
@@ -30,6 +30,7 @@ from qcablocks.errors import (
     NotCommuting,
     NotLocal,
     NotSeparable,
+    PreconditionViolated,
     QCAError,
     ReconstructionMismatch,
     WindowTooSmall,
@@ -50,7 +51,7 @@ from qcablocks.model import (
     window_matrix,
 )
 from qcablocks.rand import default_alphabet
-from qcablocks.verify import _one_hot_conjugation, check_shift_invariance
+from qcablocks.verify import _one_hot_conjugation, check_shift_invariance, check_unitary
 
 
 def identity_qca(d):
@@ -400,8 +401,8 @@ def test_derive_u_recovers_splitter_up_to_phase():
 def four_matmul_derive_u(images, fact):
     """Reference for derive_u: each row densified and conjugated by
     W = dagger(v) one patch leg at a time (four matmuls), every unit's
-    middle-factor residual taken on the (p, q, p, q) patch; returns u and
-    the (d, d) residuals."""
+    middle-factor residual taken on the (p, q, p, q) patch; returns u, the
+    (d, d) residuals and u's isomorphism residual over every unit."""
     p, q = fact.p, fact.q
     d = p * q
     w, wh = fact.u, la.dagger(fact.u)
@@ -419,7 +420,8 @@ def four_matmul_derive_u(images, fact):
     _, vecs = np.linalg.eigh(phi[0, 0])
     u = (phi[:, 0] @ vecs[:, -1]).T
     uu, _, vvh = np.linalg.svd(u)
-    return uu @ vvh, resid
+    u = uu @ vvh
+    return u, resid, la.max_norm(phi - np.einsum("ik,jl->klij", u, u.conj()))
 
 
 def with_cell_phases(op, seed):
@@ -497,7 +499,7 @@ def test_derive_u_matches_four_matmul_route(monkeypatch):
     for op in derive_u_cases():
         images = cell_algebra_images(op)
         fact = derive_v(*shared_cell_algebras(images), seed=0)
-        u_ref, resid_ref = four_matmul_derive_u(images, fact)
+        u_ref, resid_ref, _ = four_matmul_derive_u(images, fact)
         u, seen, bound = spied_derive_u(images, fact, monkeypatch)
         assert_same_u(u, u_ref)
         if op.is_one_hot:
@@ -839,20 +841,30 @@ def test_decompose_recovers_grouped_partitioned_rules(case, seed):
 @settings(max_examples=10, deadline=None)
 @given(partitioned_rules(max_d=8), st.sampled_from([0.0, 1e-10, 1e-8]),
        st.integers(0, 2**16))
+# the pure shift on d = 2, split (1, 2): this noise carries u's isomorphism
+# residual to 1.12e-7, past the 1e-7 limit, on both routes
+@example(case=(2, ClassicalRule(default_alphabet(2), np.array([[0, 1], [0, 1]]))),
+         eps=1e-8, seed=235)
 def test_one_hot_derive_u_bound_covers_every_unit(case, eps, seed):
     # one-hot windows up to n = 8^4, with W = dagger(v) moved off unitary
     # by eps, which the bound's η must cover: u is the leg-by-leg route's,
     # every unit is the product T_k0 T_0l of its generators (the identity
     # the bound rests on), only the generators are formed unless the bound
-    # exceeds the tolerance, and the bound is at least every unit's residual
+    # exceeds the tolerance, and the bound is at least every unit's residual.
+    # The noise may also move u's isomorphism residual past the limit; then
+    # derive_u refuses, and so must the leg-by-leg route's residual
     _, rule = case
     images = cell_algebra_images(quantize(rule, 4, "periodic"))
     fact = derive_v(*shared_cell_algebras(images), seed=0)
     noise = np.random.default_rng(seed).standard_normal(fact.u.shape)
     fact = dataclasses.replace(fact, u=fact.u + eps * noise)
-    u_ref, resid_ref = four_matmul_derive_u(images, fact)
+    u_ref, resid_ref, iso_ref = four_matmul_derive_u(images, fact)
     with pytest.MonkeyPatch.context() as m:
-        u, seen, bound = spied_derive_u(images, fact, m)
+        try:
+            u, seen, bound = spied_derive_u(images, fact, m)
+        except IsoSolveFailed as err:
+            assert "isomorphism residual" in str(err) and iso_ref > 1e-7
+            return
     assert_same_u(u, u_ref)
     d = rule.alphabet.d
     rows = [dense_row(images.row(k), d) for k in range(d)]
@@ -941,10 +953,10 @@ def test_alignment_failures_name_the_image_checks():
 
 @pytest.mark.parametrize("steps", [-1, 0, 1])
 def test_decompose_dense_peak_memory(steps):
-    # check_unitary, the alignment, both passes over the unit rows and the
-    # certificate stay within one window copy, also for a rotated input:
-    # the alignment reads the rotation off gathered rows and columns, and
-    # certify rebuilds the reconstruction one column block at a time
+    # the alignment, both passes over the unit rows and the certificate,
+    # whose pass also proves unitarity, stay within one window copy, also
+    # for a rotated input: the alignment reads the rotation off gathered
+    # rows and columns, and certify rebuilds the reconstruction one column block at a time
     # against the input's columns gathered at the certified shift (0.28
     # copies; holding the reconstruction and a rotated copy took 2.03, and
     # with a full m† m, probes and a full difference buffer 3.6)
@@ -958,3 +970,115 @@ def test_decompose_dense_peak_memory(steps):
         tracemalloc.stop()
     assert (qca.p, qca.q) == (2, 3) and cert.shift == -steps and cert.residual <= 1e-9
     assert peak <= 1.0 * op.dim ** 2 * 16
+
+
+# ------------------------------------------ unitarity from the certificate
+
+def reference_decompose(op, seed, tol=1e-8):
+    """decompose_certified with unitarity checked first, by check_unitary
+    on the whole window, and every stage after it."""
+    if not check_unitary(op, max(tol, 1e-9)):
+        raise PreconditionViolated("window operator is not unitary")
+    steps, images = dec._aligned_images(op, tol)
+    fact = derive_v(*shared_cell_algebras(images), seed=seed, tol=tol)
+    u = derive_u(images, fact, tol=tol)
+    qca = fix_quiescent_gauge(u, la.dagger(fact.u), op.alphabet, fact.p, fact.q, tol=tol)
+    cert = certify(qca, op, shift=steps)
+    if cert.residual > dec.DEFAULT_CERT_TOL:
+        raise ReconstructionMismatch(
+            f"certification residual {cert.residual:.2e} exceeds "
+            f"{dec.DEFAULT_CERT_TOL:.1e} (at shift {cert.shift})")
+    return qca, cert
+
+
+def outcome(route, op, seed):
+    """What a decomposition route gives: the split, u, v and the
+    certificate, or the refusal's type and message."""
+    try:
+        qca, cert = route(op, seed)
+    except (QCAError, np.linalg.LinAlgError) as err:
+        return type(err), str(err)
+    return (qca.p, qca.q), qca.u.tobytes(), qca.v.tobytes(), cert
+
+
+def spied_unitary_calls(monkeypatch):
+    """The shapes of the matrices la.is_unitary is called on, appended as
+    the calls happen."""
+    shapes, is_unitary = [], la.is_unitary
+
+    def spy(m, tol=la.DEFAULT_TOL):
+        shapes.append(np.shape(m))
+        return is_unitary(m, tol)
+
+    monkeypatch.setattr(la, "is_unitary", spy)
+    return shapes
+
+
+def hermitian_kick(op, eps, support, seed):
+    """The window G(I + eps·H), with H a random Hermitian of operator norm
+    1 acting on ``support`` random basis vectors (all of them for None)."""
+    rng = np.random.default_rng(seed)
+    n = op.dim
+    k = n if support is None else support
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    h = a + la.dagger(a)
+    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+    cols = rng.choice(n, size=k, replace=False)
+    g = op.dense().copy()
+    g[:, cols] += eps * (g[:, cols] @ h)
+    return WindowOperator(op.alphabet, op.width, g, op.boundary)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(ALIGNMENT_SPLITS), st.sampled_from([-1, 0, 1]),
+       st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.sampled_from([1, 4, None]),
+       st.integers(0, 2**16))
+def test_unitarity_from_the_certificate_matches_checking_first(split, steps, scale,
+                                                               support, seed):
+    # Haar block windows (w = 4, n <= 1296), rotated, and kicked off
+    # unitary by eps = scale·tol around tol = 1e-8: a kick on one basis
+    # vector moves one diagonal entry of G†G by ~2·eps, a spread one moves
+    # many entries by less.  The outcome is the one of checking unitarity
+    # first, and where the n x n check was skipped the certificate's bound
+    # covers the Gram defect
+    from qcablocks.decompose import _rotate_rows
+    d, p, q = split
+    op = _rotate_rows(window_matrix(random_block_qca(d, p, q, seed=seed), 4), steps)
+    if scale:
+        op = hermitian_kick(op, scale * 1e-8, support, seed)
+    with pytest.MonkeyPatch.context() as m:
+        shapes = spied_unitary_calls(m)
+        got = outcome(decompose_certified, op, seed)
+    assert got == outcome(reference_decompose, op, seed)
+    if (op.dim, op.dim) not in shapes:
+        g = op.dense()
+        assert got[-1].unitarity_bound >= la.max_norm(la.dagger(g) @ g - np.eye(op.dim))
+
+
+@pytest.mark.parametrize("case, tol", [("unitary", 1e-8), ("unitary", 1e-9),
+                                       ("loose", 1e-9), ("looser", 1e-8), ("doubled", 1e-8)])
+def test_dense_decompose_checks_the_gram_only_to_refuse(case, tol):
+    # a Haar (6, 2, 3) window is proven unitary by its certificate, and
+    # la.is_unitary never sees the n x n window.  Windows off unitary are
+    # checked whole and refused as not unitary, whichever step noticed:
+    # u's column 1 scaled by 1 + 1e-9 passes every gate and the certificate,
+    # and its bound (1.3e-8) hands over to check_unitary; scaled by 1 + 1e-7,
+    # or the window doubled, the trace gate refuses it first
+    g = random_block_qca(6, 2, 3, seed=11)
+    if case in ("loose", "looser"):
+        u = g.u.copy()
+        u[:, 1] *= 1 + (1e-9 if case == "loose" else 1e-7)
+        g = BlockQCA(g.alphabet, g.p, g.q, u, g.v, g.q1, g.q2)
+    op = window_matrix(g, 4)
+    if case == "doubled":
+        op = WindowOperator(op.alphabet, 4, 2 * op.matrix, op.boundary)
+    with pytest.MonkeyPatch.context() as m:
+        shapes = spied_unitary_calls(m)
+        if case == "unitary":
+            qca, cert = decompose_certified(op, tol=tol)
+            assert (qca.p, qca.q) == (2, 3) and cert.unitarity_bound <= 1e-11
+            assert (op.dim, op.dim) not in shapes
+            return
+        with pytest.raises(PreconditionViolated, match="window operator is not unitary"):
+            decompose_certified(op, tol=tol)
+    assert (op.dim, op.dim) in shapes

@@ -3,6 +3,7 @@ and the probe/state fixtures."""
 import numpy as np
 import pytest
 
+from gallery_specs import xor_signalling_pair
 from qcablocks import linalg as la
 from qcablocks.gallery import (
     BIT,
@@ -14,7 +15,6 @@ from qcablocks.gallery import (
     toffoli_ca,
     toffoli_probe_states,
     xor_ca,
-    xor_signalling_pair,
 )
 from qcablocks.model import (
     SparseState,

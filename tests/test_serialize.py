@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from gallery_specs import write_gallery_specs
 from random_inputs import random_block_qca, random_sparse_state
 from qcablocks import serialize as ser
 from qcablocks.errors import DimensionMismatch, PreconditionViolated
-from qcablocks.gallery import swap_qca, toffoli_ca, write_gallery_specs, xor_ca
+from qcablocks.gallery import swap_qca, toffoli_ca, xor_ca
 from qcablocks.model import BlockQCA, ClassicalRule, WindowOperator, window_matrix
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")

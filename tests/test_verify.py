@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
+from gallery_specs import xor_signalling_pair
 from random_inputs import random_block_qca, random_sparse_state
 from qcablocks import linalg as la
 from qcablocks import verify
@@ -20,7 +21,6 @@ from qcablocks.gallery import (
     swap_qca,
     toffoli_ca,
     xor_ca,
-    xor_signalling_pair,
 )
 from qcablocks.model import (
     Alphabet,
