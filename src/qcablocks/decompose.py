@@ -14,10 +14,10 @@ unitary v), reads the cell-splitting unitary u off the induced
 certifies the reconstruction against the whole input window up to a
 global phase, at the one cell shift the alignment chose.
 
-No step needs all d² dense images at once, so they are streamed one row
-T_k0 ... T_k(d-1) at a time in two passes: the first takes the partial
-traces and the matrix-unit checks, the second (after the split) rebuilds
-each row for u.
+No step needs all d² dense images at once, so a dense window's are
+streamed one row T_k0 ... T_k(d-1) at a time in two passes: the first
+takes the partial traces and the matrix-unit checks, the second (after
+the split) rebuilds each row for u.
 
 The window's alignment is chosen by exact gates alone: of the window
 rotations by 0, +1 and -1 cells, the first that is shift invariant and
@@ -29,14 +29,49 @@ one-hot windows are conjugated by reindexing and never densified, with
 the verifier's exact generator check for localization on the patch.  A
 one-hot row is not a dense array but its entries (l, patch_row,
 patch_col), each of value 1, read off the preimages of the patch rows
-alone (about d per unit): both passes work on the entries, the partial
-traces by scatter-adds.  u's pass keeps every row's entries (about d³)
-and conjugates only the 2d - 1 generators E_k0 and E_0l, each as the
-product of d columns of W ⊗ W; every other unit is shown to be the
-product of its two generators on the entries, and its middle-factor
-defect is bounded from theirs.
+alone (about d per unit), and the partial traces add them up.
 Whatever a gate cannot see, the end-to-end certificate against the whole
 window refuses.
+
+A one-hot window that passed the gates is a block permutation (Kari,
+"Representation of reversible cellular automata with block
+permutations", Math. Systems Theory 29, 1996), and its block form is read
+off the integer diagonals of the first pass (permutation_blocks), with no
+split, no second pass and no floating-point factor.  Why the diagonals
+hold it, for the window G rotated to the neighborhood {0, 1}, inputs x
+and outputs y = G x:
+
+- T_kk is the diagonal 0/1 projector onto S_k = {(y_0, y_1) : x_1 = k, y
+  quiescent off the patch}.
+- Every T_kl is localized on the patch, so x_1 moves only y_0 and y_1,
+  and by shift invariance y_i = δ(x_i, x_{i+1}) for one rule δ; T_kk
+  localized makes x_1 a function of (y_0, y_1).  A quiescent complement
+  then fixes x_3 ... x_{w-1} to quiescent, and x_0 and x_2 each to a set
+  of its own, δ(0, x_0) = 0 and δ(x_2, 0) = 0.  At w >= 4 these are
+  different cells, so they vary independently: S_k = A_k × B_k with A_k
+  = {δ(x_0, k)} and B_k = {δ(k, x_2)}, and a1[k, k] = |A_k|·1_{B_k},
+  b1[k, k] = |B_k|·1_{A_k}, |A_k|·|B_k| = Tr T_kk = d.
+- Shift invariance makes the image of E_mm at cell 2 the projector onto
+  A_m × B_m on cells (1, 2).  Its product with the image of E_kk at cell
+  1 projects onto {x_1 = k, x_2 = m}, of rank n/d², and has cell-1 factor
+  B_k ∩ A_m, so B_k ∩ A_m = {δ(k, m)}, one symbol.  Each B_k is a union
+  of a1 atoms and each A_m of b1 atoms, and every symbol lies in some
+  B_k and some A_m (the T_kk sum to the identity); so a symbol's pair of
+  atoms identifies it, and (#a1 atoms)·(#b1 atoms) >= d.
+- The one step that leans on the paper's theorem: the atoms' indicators
+  span abelian subalgebras of the two shared-cell algebras, which the
+  theorem makes the commuting factors M_p ⊗ I_q and I_p ⊗ M_q of the
+  cell, so there are at most p a1 atoms and at most q b1 atoms.
+- Hence the atoms form a p × q grid of the symbols.  Each B_k is then
+  one a1 atom (two would put two symbols of one b1 atom into some
+  B_k ∩ A_m), so |B_k| = q, |A_k| = p, and y_1 = v(b(x_1), a(x_2)) with
+  b(k) the a1 atom B_k and a(m) the b1 atom A_m.
+
+The route does not rest on this derivation: permutation_blocks refuses
+atoms that form no grid, and the certificate then compares the whole
+window's column map with the reconstruction's, which is the periodic
+quantization of the rule (x, x') -> v(b(x), a(x')), in integers.  Its
+residual is exactly 0 or 1, so a one-hot verdict holds at any tol.
 
 Unitarity of a dense window comes from the certificate, not from G†G:
 the certificate pass keeps the largest column norms of the reconstruction
@@ -76,9 +111,10 @@ from .errors import (
 from .model import (
     Alphabet,
     BlockQCA,
+    ClassicalRule,
     WindowOperator,
     _window_columns,
-    window_digits,
+    quantize,
     window_rotation,
 )
 from .verify import (
@@ -87,6 +123,7 @@ from .verify import (
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
+    is_injective,
 )
 
 DEFAULT_CERT_TOL = 1e-7
@@ -208,7 +245,9 @@ class CellImages:
     array, or for a one-hot window the tuple of entries (l, patch_row,
     patch_col), each of value 1.  ``a1`` and ``b1`` are the (d, d, d, d)
     partial traces of every T_kl over patch leg 0 and over patch leg 1,
-    taken while the rows went by."""
+    taken while the rows went by.  For a one-hot window their entries are
+    sums of ones, so the diagonals a1[k, k] and b1[k, k], from which
+    permutation_blocks reads the block form, are exact integers."""
 
     row: Callable[[int], np.ndarray | tuple]
     a1: np.ndarray
@@ -293,42 +332,38 @@ def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
 
 
 def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
-    """Cell-splitting unitary from the induced *-isomorphism: the second
-    pass over the unit rows, each rebuilt by ``images.row``.
+    """Cell-splitting unitary of a dense window from the induced
+    *-isomorphism: the second pass over the dense unit rows, each rebuilt
+    by ``images.row`` and held one at a time.
 
     Conjugating the cell-1 units by W = dagger(v) on both patch cells gives
     I_p ⊗ phi(E_kl) ⊗ I_q, and phi is a *-isomorphism of M_d onto the middle
     factors M_q ⊗ M_p: conjugation by a unitary u, read off the rank-one
     anchor phi(E_00) and the columns phi(E_k0) u|0>.  W ⊗ W is formed once
     with its rows in (middle q p, outer p q) order of the (p, q, p, q)
-    patch, so each conjugated unit is already split into region and
-    complement, and phi(E_kl) is its outer-(0, 0) block.
-
-    A dense row takes two matmuls per unit, one row held at a time, and
-    every unit's middle-factor residual is checked.  One-hot rows, about d
-    entries per unit, are all kept: a *-isomorphism is fixed by the 2d - 1
-    generators E_k0 and E_0l, so _one_hot_phi forms and checks only those,
-    and every other unit only where the product identity T_kl = T_k0 T_0l
-    or the generators' bound (_product_bound) does not decide it.  u's
-    isomorphism residual is checked over all d² units."""
+    patch, so each conjugated unit, two matmuls, is already split into
+    region and complement, and phi(E_kl) is its outer-(0, 0) block.  Every
+    unit's middle-factor residual and u's isomorphism residual over all d²
+    units are checked.  One-hot windows take no such pass: their block
+    form is read off the partial traces (permutation_blocks)."""
     p, q = fact.p, fact.q
     d = p * q
     limit = max(tol, 1e-7)
     ww = la.kron(fact.u, fact.u).reshape(p, q, p, q, d * d)
     ww = ww.transpose(1, 2, 0, 3, 4).reshape(d * d, d * d)
     ww_h = la.dagger(ww)
-    rows = [images.row(0)]
-    if isinstance(rows[0], tuple):
-        phi = _one_hot_phi(rows + [images.row(k) for k in range(1, d)],
-                           fact.u, ww, ww_h, limit)
-    else:
-        phi = np.empty((d, d, d, d), dtype=np.complex128)
-        for k in range(d):
-            r = rows.pop() if k == 0 else images.row(k)
-            for l in range(d):
-                phi[k, l], resid, _ = _middle_factor(ww @ r[l] @ ww_h, d)
-                _check_middle(resid, k, l, limit)
-            del r  # before the next row is built
+    phi = np.empty((d, d, d, d), dtype=np.complex128)
+    for k in range(d):
+        r = images.row(k)
+        for l in range(d):
+            x = ww @ r[l] @ ww_h
+            resid = la.localization_defect(x, (d, d), {0})[0]
+            if resid > limit:
+                raise IsoSolveFailed(
+                    f"conjugated image ({k},{l}) misses the middle factors "
+                    f"(residual {resid:.2e})")
+            phi[k, l] = x[::d, ::d]
+        del r  # before the next row is built
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
     if abs(vals[-1] - 1.0) > 1e-6:
@@ -345,99 +380,43 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     return u
 
 
-def _middle_factor(x: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
-    """phi's block of a conjugated unit x = (W ⊗ W) T_kl (W ⊗ W)†, rows in
-    (middle, outer) order: its outer-(0, 0) block, and the max-norm and HS
-    defects of x off the middle factors."""
-    resid, hs = la.localization_defect(x, (d, d), {0})
-    return x[::d, ::d].copy(), resid, hs
+def permutation_blocks(images: CellImages, alphabet: Alphabet) -> BlockQCA:
+    """Block form of a one-hot window that passed the gates, read off the
+    integer diagonals of its partial traces, as 0/1 permutations u and v.
+
+    a1[k, k] = p·1_{B_k} and b1[k, k] = q·1_{A_k} (module docstring).  The
+    symbols whose diagonal values agree for every k are one atom: the a1
+    atoms are the p classes b of v's right input, the b1 atoms the q
+    classes a of its left input, and each symbol is the one in its pair
+    (b, a), so v(b, a) is that symbol.  u sends x to (a(x), b(x)), the
+    atoms holding the supports of b1[x, x] and a1[x, x].  Atoms are
+    numbered by their first symbol, so the quiescent symbol splits as
+    (0, 0) and the gauge leaves u and v as they are.  ReconstructionMismatch
+    unless the atoms form a grid and u is a permutation; the certificate
+    decides the rest."""
+    d = alphabet.d
+    diag_a = np.einsum("kkyy->ky", images.a1).real
+    diag_b = np.einsum("kkyy->ky", images.b1).real
+    right, left = _atoms(diag_a), _atoms(diag_b)
+    p, q = int(right.max()) + 1, int(left.max()) + 1
+    pair = right * q + left
+    split = left[np.argmax(diag_b, axis=1)] * p + right[np.argmax(diag_a, axis=1)]
+    if p * q != d or not (is_injective(pair) and is_injective(split)):
+        raise ReconstructionMismatch(
+            f"the {p} x {q} atoms of the partial traces form no block "
+            f"permutation of the {d} symbols")
+    u = np.zeros((d, d), dtype=np.complex128)
+    u[split, np.arange(d)] = 1.0
+    v = np.zeros((d, d), dtype=np.complex128)
+    v[np.arange(d), pair] = 1.0
+    return fix_quiescent_gauge(u, v, alphabet, p, q)
 
 
-def _check_middle(resid: float, k: int, l: int, limit: float) -> None:
-    if resid > limit:
-        raise IsoSolveFailed(
-            f"conjugated image ({k},{l}) misses the middle factors "
-            f"(residual {resid:.2e})")
-
-
-def _product_bound(e: float, gram: float, d: int) -> float:
-    """Bound on the computed middle-factor max-norm defect of a one-hot unit
-    X_kl = V T_kl V†, V = W ⊗ W as held, whose T_kl = T_k0 T_0l exactly with
-    both factors partial permutations; e is the largest computed HS defect
-    of a generator, gram the computed ||W†W - I||_HS.
-
-    X_kl = X_k0 X_0l - V T_k0 (V†V - I) T_0l V†.  P, the block mean onto
-    the middle factors, is a contraction and a bimodule map over its range,
-    so with X = P(X) + D, P(P(X_k0) D_0l) = 0 and ||X_kl - P(X_kl)||_op <=
-    2 (1 + η)(ê + η) + 2 ê², for η >= ||V†V - I||_op (so ||X_k0||_op <=
-    1 + η) and ê >= every generator's ||D||_op.  Rounding, in units
-    ρ = 2 d (d + 2) ε of one computed Gram, Kronecker or unit entry:
-    η = 2f + f² + ρ with f = gram + ρ; a computed defect is off by at most
-    3ρ per entry, so ê = (1 + d⁴ ε) e + 3 d² ρ (the factor covers a sum of
-    d⁴ squares), and 3ρ more separates the exact defect from the computed
-    one the exhaustive check reads."""
-    eps = np.finfo(float).eps
-    rho = 2 * d * (d + 2) * eps
-    f = gram + rho
-    eta = 2 * f + f * f + rho
-    e_hat = (1 + d ** 4 * eps) * e + 3 * d * d * rho
-    return 2 * (1 + eta) * (e_hat + eta) + 2 * e_hat * e_hat + 3 * rho
-
-
-def _one_hot_phi(rows: list[tuple[np.ndarray, ...]], w: np.ndarray, ww: np.ndarray,
-                 ww_h: np.ndarray, limit: float) -> np.ndarray:
-    """phi(E_kl) of every one-hot unit, each unit's middle-factor defect
-    within limit (else IsoSolveFailed naming the first failing unit in (k,
-    l) order), from the entry rows of derive_u.
-
-    The 2d - 1 generators X_k0 and X_0l are formed whole, (d², m)(m, d²)
-    products of the columns of W ⊗ W and the rows of its adjoint that
-    their m entries name, and their defects checked.  Every other unit
-    whose T_kl equals T_k0 T_0l exactly (the column -> row maps of the two
-    generators composed, compared as sorted keys i·d² + j) is bounded by
-    _product_bound and only its phi block, a (d, m)(m, d) product of the
-    outer-0 rows, is formed; a unit that fails the identity is formed and
-    checked.  Where a generator is no partial permutation or the bound
-    exceeds limit, every unit is formed and checked, so each verdict is the
-    exhaustive one."""
-    d = len(rows)
-    n = d * d
-    units = {(k, l): (i[ls == l], j[ls == l])
-             for k, (ls, i, j) in enumerate(rows) for l in range(d)}
-    gens = [(0, l) for l in range(d)] + [(k, 0) for k in range(1, d)]
-    formed = {}
-    for k, l in gens:
-        i, j = units[k, l]
-        formed[k, l] = _middle_factor(ww[:, i] @ ww_h[j], d)
-    perm = all(np.bincount(a, minlength=n).max() <= 1
-               for key in gens for a in units[key])
-    e = max(hs for _, _, hs in formed.values())
-    gram = la.hs_norm(la.dagger(w) @ w - np.eye(d))
-    exact = not perm or _product_bound(e, gram, d) > limit
-    w0, w0_h = ww[::d], ww_h[:, ::d]
-    phi = np.empty((d, d, d, d), dtype=np.complex128)
-    for k in range(d):
-        if k and not exact:
-            # T_k0 as a map column -> row (-1 where its column is empty)
-            i0, j0 = units[k, 0]
-            to_row = np.full(n, -1)
-            to_row[j0] = i0
-        for l in range(d):
-            i, j = units[k, l]
-            if (k, l) in formed:
-                phi[k, l], resid, _ = formed[k, l]
-            else:
-                if not exact:
-                    # T_k0 T_0l: each entry (ib, jb) of T_0l moved to row to_row[ib]
-                    ib, jb = units[0, l]
-                    img = to_row[ib]
-                    hit = img >= 0
-                    if np.array_equal(np.sort(img[hit] * n + jb[hit]), np.sort(i * n + j)):
-                        phi[k, l] = w0[:, i] @ w0_h[j]
-                        continue
-                phi[k, l], resid, _ = _middle_factor(ww[:, i] @ ww_h[j], d)
-            _check_middle(resid, k, l, limit)
-    return phi
+def _atoms(diag: np.ndarray) -> np.ndarray:
+    """Atom of each symbol y: symbols whose columns diag[:, y] agree
+    exactly share one, numbered in order of their first symbol."""
+    ids = {}
+    return np.array([ids.setdefault(col.tobytes(), len(ids)) for col in diag.T])
 
 
 def fix_quiescent_gauge(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
@@ -489,12 +468,25 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
     it.  The same pass keeps the largest column 2-norms of each rebuilt
     block and of its difference from the target, two O(n·b) reductions
     per block, from which _unitarity_bound bounds max |G†G - I| of the
-    input.  One-hot windows are never densified: _transfer_certify bounds
-    their residual through per-column overlaps, traces of rings of q x q
-    transfer matrices in extended precision, and give no unitarity
-    bound."""
+    input.
+
+    A one-hot window against 0/1 permutations u and v (permutation_blocks)
+    is never densified: the reconstruction then permutes the basis too, as
+    the periodic quantization of the rule (x, x') -> v(b(x), a(x')), and
+    its column map is compared with the rotated window's in O(n·w) integer
+    work, so the residual is exactly 0.0, or 1.0 where a column differs,
+    at phase 1, with no unitarity bound (injectivity is checked apart).
+    Against any other block pair a one-hot window is compared densely, as
+    a dense window would be."""
     if op.is_one_hot:
-        return _transfer_certify(qca, op, shift)
+        split, join = _column_map(qca.u), _column_map(qca.v)
+        if split is not None and join is not None:
+            a, b = np.divmod(split, qca.p)
+            rule = ClassicalRule(op.alphabet, join[b[:, None] * qca.q + a[None, :]])
+            rec = quantize(rule, op.width, "periodic").matrix
+            same = np.array_equal(rec, window_rotation(op.alphabet.d, op.width, shift, op.matrix))
+            return Certification(0.0 if same else 1.0, shift, 1.0 + 0j)
+        op = WindowOperator(op.alphabet, op.width, op.dense(), op.boundary, op.out_shift)
     d, w, n = op.alphabet.d, op.width, op.dim
     g = op.dense()
     # the rotated input's row r is the input's row src[r]
@@ -512,6 +504,15 @@ def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
         err_norm = max(err_norm, _max_column_norm(rec))
     bound = _unitarity_bound(qca, w, complex(phase), rec_norm, err_norm)
     return Certification(float(resid), shift, complex(phase), bound)
+
+
+def _column_map(m: np.ndarray) -> np.ndarray | None:
+    """Row of each column's one entry if m is exactly a 0/1 matrix with one
+    1 per column, else None."""
+    rows = np.argmax(np.abs(m), axis=0)
+    exact = np.zeros(m.shape, dtype=m.dtype)
+    exact[rows, np.arange(m.shape[1])] = 1
+    return rows if np.array_equal(m, exact) else None
 
 
 def _max_column_norm(a: np.ndarray) -> float:
@@ -584,57 +585,6 @@ def _unitarity_bound(qca: BlockQCA, w: int, phase: complex, rec_norm: float,
     return bound * (1 + 32 * eps)
 
 
-def _transfer_certify(qca: BlockQCA, op: WindowOperator, shift: int) -> Certification:
-    """Certify a one-hot window, rotated by ``shift`` cells, without
-    expanding reconstruction columns.
-
-    For each basis column x, whose target is a 1 at row r(x), the
-    reconstruction's element <r(x)| (⊗v) P (⊗u) |x> is the trace of a ring
-    of per-cell q x q transfer matrices M_i[a, a'] = sum_b u[(a,b), x_i]
-    v[r_i, (b, a')], and the column's squared norm is the trace of the ring
-    of doubled transfers D_i = sum_r M_i(r) ⊗ conj(M_i(r)).  Every entry of
-    the column then differs from the target column by at most
-
-        sqrt(|col|^2 - |t_x|^2) + |t_x - phase|,
-
-    the first term bounding all off-target entries, the second the target
-    itself.  Both traces are evaluated in extended precision, putting the
-    bound's floor orders of magnitude below the certification tolerance.
-    The reported residual is this rigorous upper bound on the max-norm
-    residual, slightly conservative compared to the dense path.  Column and
-    row cell digits come from window_digits, one narrow row per cell."""
-    d, w, n = op.alphabet.d, op.width, op.dim
-    p, q = qca.p, qca.q
-    u3 = np.ascontiguousarray(qca.u.reshape(q, p, d).astype(np.clongdouble))
-    v3 = np.ascontiguousarray(qca.v.reshape(d, p, q).astype(np.clongdouble))
-    # transfer lookup: M[x, r, a, a'] = sum_b u[(a,b), x] v[r, (b, a')]
-    lookup = np.einsum("abx,rbc->xrac", u3, v3)
-    # doubled transfer for column norms: D[x] = sum_r M(x,r) (x) conj(M(x,r))
-    doubled = np.einsum("xrac,xrbd->xabcd", lookup, lookup.conj()).reshape(d, q * q, q * q)
-    col_digits = window_digits(np.arange(n), d, w)
-    # split each ring at its middle: Tr(L R) = sum_ij L_ij R_ji, with L over
-    # all left half-words and R over all right half-words, so the column
-    # norms take d^h + d^(w-h) half-ring products and one contraction
-    # instead of n full rings
-    halves = []
-    for length in (w // 2, w - w // 2):
-        prod = doubled
-        for _ in range(length - 1):
-            prod = np.matmul(prod[:, None], doubled[None]).reshape(-1, q * q, q * q)
-        halves.append(prod)
-    col_norm2 = np.einsum("xij,yji->xy", *halves).real.ravel()
-    row_digits = window_digits(window_rotation(d, w, shift, op.matrix), d, w)
-    t = lookup[col_digits[0], row_digits[0]]
-    for i in range(1, w):
-        t = np.matmul(t, lookup[col_digits[i], row_digits[i]])
-    t_x = np.trace(t, axis1=1, axis2=2)
-    z = complex(np.sum(t_x))
-    phase = z / abs(z) if abs(z) > 1e-12 else 1.0
-    off_mass = np.sqrt(np.maximum(0.0, col_norm2 - np.abs(t_x) ** 2))
-    target_dev = np.abs(t_x - np.clongdouble(phase))
-    return Certification(float(np.max(off_mass + target_dev)), shift, complex(phase))
-
-
 def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
                         cert_tol: float = DEFAULT_CERT_TOL) -> tuple[BlockQCA, Certification]:
     """Full pipeline with the certification attached: unitarity, the first
@@ -642,7 +592,11 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     the shared cell, u, the quiescent gauge, and the certificate against
     the input window at the shift that alignment chose.
 
-    A one-hot window is checked for unitarity (injectivity) first.  A dense
+    A one-hot window is checked for unitarity (injectivity) first, and
+    after the gates its block form is read off the partial traces as 0/1
+    permutations (permutation_blocks), which the integer certificate
+    compares exactly: the verdict holds at any tol, and the seed is not
+    used.  A dense
     window runs the pipeline first, and its certificate pass bounds max
     |G†G - I| (_unitarity_bound): within max(tol, 1e-9), unitarity is
     proven and the n x n Gram check is skipped; otherwise, and before any
@@ -659,11 +613,13 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
         _require_unitary(op, limit)
     try:
         steps, images = _aligned_images(op, tol)
-        a1, b1 = shared_cell_algebras(images)
-        fact = derive_v(a1, b1, seed=seed, tol=tol)
-        u = derive_u(images, fact, tol=tol)
-        v = la.dagger(fact.u)
-        qca = fix_quiescent_gauge(u, v, op.alphabet, fact.p, fact.q, tol=tol)
+        if op.is_one_hot:
+            qca = permutation_blocks(images, op.alphabet)
+        else:
+            fact = derive_v(*shared_cell_algebras(images), seed=seed, tol=tol)
+            u = derive_u(images, fact, tol=tol)
+            qca = fix_quiescent_gauge(u, la.dagger(fact.u), op.alphabet, fact.p, fact.q,
+                                      tol=tol)
         cert = certify(qca, op, shift=steps)
         if cert.residual > cert_tol:
             raise ReconstructionMismatch(

@@ -35,6 +35,7 @@ from .model import (
     SparseState,
     config_from_cells,
 )
+from .rand import default_alphabet
 
 BINARY = Alphabet(("0", "1"), "q")
 TOFFOLI_ALPHABET = Alphabet(("01", "10", "11"), "00")
@@ -145,7 +146,7 @@ def kari_random_grid(rows: int, cols: int, seed=0) -> np.ndarray:
 def shift_qca(d: int = 2, alphabet: Alphabet | None = None) -> BlockQCA:
     """Every cell's content moves one cell to the left per step: the p = 1
     degenerate split with identity layers."""
-    alphabet = alphabet or _default_alphabet(d)
+    alphabet = alphabet or default_alphabet(d)
     eye = np.eye(d, dtype=np.complex128)
     q1 = np.array([1.0], dtype=np.complex128)
     q2 = np.zeros(d, dtype=np.complex128)
@@ -167,13 +168,9 @@ def swap_qca() -> BlockQCA:
 def phase_qca(theta: float = np.pi / 3) -> BlockQCA:
     """Single-cell diagonal automaton: identity split (q = 1) followed by a
     phase on the non-quiescent symbol; neighborhood {0}."""
-    alphabet = _default_alphabet(2)
+    alphabet = default_alphabet(2)
     eye = np.eye(2, dtype=np.complex128)
     v = np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
     q1 = np.array([1.0, 0.0], dtype=np.complex128)
     q2 = np.array([1.0], dtype=np.complex128)
     return BlockQCA(alphabet, 2, 1, eye, v, q1, q2)
-
-
-def _default_alphabet(d: int) -> Alphabet:
-    return Alphabet(tuple(str(i) for i in range(1, d)), "q")

@@ -712,15 +712,6 @@ class WindowOperator:
         return WindowOperator(self.alphabet.grouped(s), self.width // s,
                               self.matrix, self.boundary, self.out_shift // s)
 
-    def ungrouped(self, base: Alphabet, s: int) -> "WindowOperator":
-        """Inverse of :meth:`grouped`: view each cell as s cells over the
-        base alphabet."""
-        if base.d ** s != self.alphabet.d:
-            raise DimensionMismatch(
-                f"cell dimension {self.alphabet.d} is not {base.d}^{s}")
-        return WindowOperator(base, self.width * s, self.matrix, self.boundary,
-                              self.out_shift * s)
-
 
 def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> WindowOperator:
     """Linear extension of a classical rule on a w-cell window.
@@ -885,15 +876,6 @@ def group_cells(x, s: int):
     raise PreconditionViolated(f"cannot group a {type(x).__name__}")
 
 
-def ungroup_cells(x, base: Alphabet, s: int):
-    """Inverse of :func:`group_cells` for states and window operators."""
-    if isinstance(x, WindowOperator):
-        return x.ungrouped(base, s)
-    if isinstance(x, SparseState):
-        return _ungroup_state(x, base, s)
-    raise PreconditionViolated(f"cannot ungroup a {type(x).__name__}")
-
-
 def _group_state(state: SparseState, s: int) -> SparseState:
     """Each row placed at its offset inside its first supercell, then every
     s columns read as one supercell symbol, their window index."""
@@ -908,14 +890,3 @@ def _group_state(state: SparseState, s: int) -> SparseState:
     words = window_index(placed.reshape(m, supercells, s).transpose(2, 0, 1),
                          state.alphabet.d)
     return SparseState._from_arrays(state.alphabet.grouped(s), first, words, state.amps)
-
-
-def _ungroup_state(state: SparseState, base: Alphabet, s: int) -> SparseState:
-    """Each supercell symbol read back as its s base cells (window_digits)."""
-    if base.d ** s != state.alphabet.d:
-        raise DimensionMismatch(
-            f"cell dimension {state.alphabet.d} is not {base.d}^{s}")
-    m, width = state.words.shape
-    words = window_digits(state.words, base.d, s).transpose(1, 2, 0)
-    return SparseState._from_arrays(base, state.starts * s, words.reshape(m, width * s),
-                                    state.amps)

@@ -11,7 +11,6 @@ import numpy as np
 from qcablocks import serialize as ser
 from qcablocks.gallery import (
     BINARY,
-    _default_alphabet,
     phase_qca,
     shift_qca,
     swap_qca,
@@ -19,6 +18,7 @@ from qcablocks.gallery import (
     xor_ca,
 )
 from qcablocks.model import SparseState, config_from_cells, group_cells
+from qcablocks.rand import default_alphabet
 
 
 def xor_signalling_pair(block_len: int, start: int = 1):
@@ -64,7 +64,7 @@ def write_gallery_specs(directory) -> list:
     plus, minus, _, _ = xor_signalling_pair(4)
     put(os.path.join("states", "xor_plus.json"), ser.state_to_json(plus))
     put(os.path.join("states", "xor_minus.json"), ser.state_to_json(minus))
-    excitation = SparseState.from_cells(_default_alphabet(2), {3: "1"})
+    excitation = SparseState.from_cells(default_alphabet(2), {3: "1"})
     put(os.path.join("states", "excitation.json"), ser.state_to_json(excitation))
     return written
 

@@ -9,6 +9,7 @@ import pytest
 
 from gallery_specs import xor_signalling_pair
 from random_inputs import conjugated_commuting_pair, random_block_qca
+from ungroup import ungroup_cells
 from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_one, factor_pair, factorization_residual, restrict
 from qcablocks.decompose import decompose_certified
@@ -31,7 +32,6 @@ from qcablocks.model import (
     group_cells,
     quantize,
     restrict_state,
-    ungroup_cells,
     window_matrix,
 )
 from qcablocks.rand import conjugated_factor_generators

@@ -1,11 +1,11 @@
 """Decomposer checks: cell-algebra images, the separation/recovery steps,
 gauge fixing, certification, and the error paths."""
-import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import embed_on_factors, matrix_units, two_pass_certify
@@ -23,6 +23,7 @@ from qcablocks.decompose import (
     derive_u,
     derive_v,
     fix_quiescent_gauge,
+    permutation_blocks,
     shared_cell_algebras,
 )
 from qcablocks.errors import (
@@ -51,7 +52,12 @@ from qcablocks.model import (
     window_matrix,
 )
 from qcablocks.rand import default_alphabet
-from qcablocks.verify import _one_hot_conjugation, check_shift_invariance, check_unitary
+from qcablocks.verify import (
+    _one_hot_conjugation,
+    check_shift_invariance,
+    check_unitary,
+    is_injective,
+)
 
 
 def identity_qca(d):
@@ -71,6 +77,12 @@ def dense_row(r, d):
     out = np.zeros((d, d * d, d * d), dtype=np.complex128)
     np.add.at(out, (ls, i, j), 1.0)
     return out
+
+
+def dense_images(images):
+    """The streamed images with each row densified (dense_row)."""
+    d = images.a1.shape[0]
+    return CellImages(lambda k: dense_row(images.row(k), d), images.a1, images.b1)
 
 
 def unit_stack(images):
@@ -327,8 +339,9 @@ def test_cell_algebra_images_peak_memory():
 
 
 def test_decompose_certified_peak_memory():
-    # the whole pipeline on the same window: both passes over the rows,
-    # the split and the transfer certificate stay within a few rows
+    # the whole pipeline on the same window: the gates' pass over the rows,
+    # the block permutations and the integer certificate stay within a few
+    # rows
     op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
     d = op.alphabet.d
     tracemalloc.start()
@@ -401,8 +414,8 @@ def test_derive_u_recovers_splitter_up_to_phase():
 def four_matmul_derive_u(images, fact):
     """Reference for derive_u: each row densified and conjugated by
     W = dagger(v) one patch leg at a time (four matmuls), every unit's
-    middle-factor residual taken on the (p, q, p, q) patch; returns u, the
-    (d, d) residuals and u's isomorphism residual over every unit."""
+    middle-factor residual taken on the (p, q, p, q) patch; returns u and
+    the (d, d) residuals."""
     p, q = fact.p, fact.q
     d = p * q
     w, wh = fact.u, la.dagger(fact.u)
@@ -421,7 +434,7 @@ def four_matmul_derive_u(images, fact):
     u = (phi[:, 0] @ vecs[:, -1]).T
     uu, _, vvh = np.linalg.svd(u)
     u = uu @ vvh
-    return u, resid, la.max_norm(phi - np.einsum("ik,jl->klij", u, u.conj()))
+    return u, resid
 
 
 def with_cell_phases(op, seed):
@@ -437,9 +450,9 @@ def with_cell_phases(op, seed):
 
 def derive_u_cases():
     """Normalized windows for the derive_u oracle: relabelled grouped
-    Toffoli and partitioned rules grouped by s ∈ {1, 2}, the ones within
-    the dense cap also densified with exp(iθ) phases, and a dense random
-    block window."""
+    Toffoli and partitioned rules grouped by s ∈ {1, 2}, whose rows the
+    oracle densifies, the ones within the dense cap also densified with
+    exp(iθ) phases, and a dense random block window."""
     rng = np.random.default_rng(23)
     rules = [relabelled(group_cells(toffoli_ca(), 2), rng)]
     for p, q, s in [(2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 2, 2)]:
@@ -453,34 +466,21 @@ def derive_u_cases():
     yield window_matrix(random_block_qca(6, 2, 3, seed=80), 4)
 
 
-def spied_derive_u(images, fact, monkeypatch, bound=None):
-    """derive_u's u, the middle-factor residuals of the units it formed
-    whole, in the order formed, and the one-hot product bound it computed
-    (None on a dense row); ``bound``, if given, replaces that bound."""
-    seen, bounds = [], []
-    defect, product_bound = la.localization_defect, dec._product_bound
+def spied_derive_u(images, fact, monkeypatch):
+    """derive_u's u and the middle-factor residuals of the units it formed,
+    in the order formed."""
+    seen = []
+    defect = la.localization_defect
 
     def spy(a, dims, region):
-        seen.append(defect(a, dims, region)[0])
-        return defect(a, dims, region)
-
-    def spy_bound(e, gram, d):
-        bounds.append(product_bound(e, gram, d))
-        return bounds[-1] if bound is None else bound
+        out = defect(a, dims, region)
+        seen.append(out[0])
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(la, "localization_defect", spy)
-        m.setattr(dec, "_product_bound", spy_bound)
         u = derive_u(images, fact)
-    return u, seen, (bounds[0] if bounds else None)
-
-
-def generator_residuals(resid):
-    """The reference residuals of the generators X_0l and X_k0, in the order
-    derive_u forms them, and a mask of every other unit."""
-    rest = np.ones(resid.shape, dtype=bool)
-    rest[0, :] = rest[:, 0] = False
-    return np.concatenate([resid[0], resid[1:, 0]]), rest
+    return u, seen
 
 
 def assert_same_u(u, u_ref):
@@ -491,62 +491,31 @@ def assert_same_u(u, u_ref):
 
 
 def test_derive_u_matches_four_matmul_route(monkeypatch):
-    # the entry route (one-hot) and the permuted dense route give the u of
-    # the leg-by-leg conjugation of dense rows.  A dense row forms every
-    # unit, with the middle-factor residual of the (p, q, p, q) patch; a
-    # one-hot row forms only the 2d - 1 generators, with theirs, and its
-    # product bound covers every other unit's
+    # the permuted dense route gives the u of the leg-by-leg conjugation of
+    # dense rows, and forms every unit, with the middle-factor residual of
+    # the (p, q, p, q) patch; a one-hot window's rows are densified, so the
+    # check also runs on permutation inputs
     for op in derive_u_cases():
-        images = cell_algebra_images(op)
+        images = dense_images(cell_algebra_images(op))
         fact = derive_v(*shared_cell_algebras(images), seed=0)
-        u_ref, resid_ref, _ = four_matmul_derive_u(images, fact)
-        u, seen, bound = spied_derive_u(images, fact, monkeypatch)
+        u_ref, resid_ref = four_matmul_derive_u(images, fact)
+        u, seen = spied_derive_u(images, fact, monkeypatch)
         assert_same_u(u, u_ref)
-        if op.is_one_hot:
-            gens, rest = generator_residuals(resid_ref)
-            assert np.allclose(seen, gens, rtol=0, atol=1e-12)
-            assert bound >= resid_ref[rest].max()
-        else:
-            assert bound is None
-            assert np.allclose(seen, resid_ref.ravel(), rtol=0, atol=1e-12)
-
-
-def grouped_toffoli_images(w):
-    op = quantize(relabelled(group_cells(toffoli_ca(), 2), np.random.default_rng(5)),
-                  w, "periodic")
-    images = cell_algebra_images(op)
-    return images, derive_v(*shared_cell_algebras(images), seed=0)
-
-
-def test_one_hot_derive_u_forms_only_the_generators(monkeypatch):
-    # grouped Toffoli, d = 16: the 2d - 1 = 31 generators of 256 units
-    images, fact = grouped_toffoli_images(4)
-    _, seen, bound = spied_derive_u(images, fact, monkeypatch)
-    assert len(seen) == 31
-    assert bound <= 1e-7
-
-
-def test_one_hot_derive_u_falls_back_to_every_unit(monkeypatch):
-    # a bound above the tolerance forms and checks all d² units, and u is
-    # the same: the anchor and the columns phi(E_k0) are generators, formed
-    # either way
-    images, fact = grouped_toffoli_images(4)
-    u_all, seen, _ = spied_derive_u(images, fact, monkeypatch, bound=np.inf)
-    assert len(seen) == 256
-    assert np.array_equal(u_all, derive_u(images, fact))
+        assert np.allclose(seen, resid_ref.ravel(), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("hot", [True, False])
 def test_derive_u_names_the_perturbed_unit(hot):
-    # one entry of unit (k, l) moved by 1e-4 (far above tol), or for a
-    # one-hot row, whose entries are all 1, one entry dropped, breaks that
-    # unit's middle-factor form, and derive_u refuses naming it
+    # one entry of unit (k, l) moved by 1e-4 (far above tol), or in the
+    # densified rows of a one-hot window, whose entries are 0 and 1, one
+    # entry 1 set to 0, breaks that unit's middle-factor form, and derive_u
+    # refuses naming it
     if hot:
         op = quantize(relabelled(group_cells(toffoli_ca(), 2), np.random.default_rng(5)),
                       4, "periodic")
     else:
         op = window_matrix(random_block_qca(6, 2, 3, seed=81), 4)
-    images = cell_algebra_images(op)
+    images = dense_images(cell_algebra_images(op))
     fact = derive_v(*shared_cell_algebras(images), seed=0)
     k, l = 3, 2
 
@@ -554,10 +523,11 @@ def test_derive_u_names_the_perturbed_unit(hot):
         r = images.row(kk)
         if kk != k:
             return r
-        if isinstance(r, tuple):
-            keep = np.arange(len(r[0])) != np.flatnonzero(r[0] == l)[0]
-            return tuple(a[keep] for a in r)
-        r[l, 0, 1] += 1e-4
+        if hot:
+            i, j = np.argwhere(r[l] == 1)[0]
+            r[l, i, j] = 0
+        else:
+            r[l, 0, 1] += 1e-4
         return r
 
     with pytest.raises(IsoSolveFailed, match=rf"\({k},{l}\) misses the middle factors"):
@@ -686,8 +656,8 @@ def test_one_pass_certificate_matches_two_pass_oracle(d, p, q):
 
 def test_transfer_certificate_bounds_the_dense_one():
     # partitioned rules (p, q), grouped by s: one-hot ring windows up to
-    # n = 4096 certified by the transfer bound, and their densified copies by
-    # the exact comparison; for d <= 6 also composed with the window cyclic
+    # n = 4096 certified by their column maps, and their densified copies by
+    # the entrywise comparison; for d <= 6 also composed with the window cyclic
     # shift, so both are certified at the nonzero shift that undoes it and
     # both _rotate_rows branches are compared
     from qcablocks.decompose import _rotate_rows
@@ -709,7 +679,7 @@ def test_transfer_certificate_bounds_the_dense_one():
 
 
 def test_one_hot_and_dense_decompositions_certify_at_the_same_shift():
-    # the transfer and the dense path align the same rotated window alike
+    # the one-hot and the dense path align the same rotated window alike
     from qcablocks.decompose import _rotate_rows
     op = quantize(partitioned_rule(2, 3, seed=23), 4, "periodic")
     for steps in (-1, 0, 1):
@@ -738,8 +708,9 @@ def test_certify_at_a_wrong_shift_reports_the_mismatch(one_hot):
 
 
 def test_certify_one_hot_peak_memory():
-    # the pure shift on d = 8 (q = 8) is the costliest transfer case at
-    # n = 4096; densified, the comparison held three n x n complex arrays
+    # the pure shift on d = 8 (q = 8) at n = 4096: the column maps are
+    # compared, never densified (densified, the comparison held three n x n
+    # complex arrays)
     op = quantize(partitioned_rule(1, 8, seed=18), 4, "periodic")
     qca = decompose_certified(op)[0]
     tracemalloc.start()
@@ -819,9 +790,9 @@ def partitioned_rules(draw, max_d=9):
 @settings(max_examples=12, deadline=None)
 @given(partitioned_rules(), st.integers(0, 2**16))
 def test_decompose_recovers_grouped_partitioned_rules(case, seed):
-    # one-hot ring windows of dimension up to 9^4, all certified by the
-    # transfer bound; grouping keeps the q-part that moves left, so the
-    # split is (d^s / q, q)
+    # one-hot ring windows of dimension up to 9^4, all certified by their
+    # column maps; grouping keeps the q-part that moves left, so the split
+    # is (d^s / q, q)
     q, rule = case
     dg = rule.alphabet.d
     qca, cert = decompose_certified(quantize(rule, 4, "periodic"), seed=seed)
@@ -836,43 +807,6 @@ def test_decompose_recovers_grouped_partitioned_rules(case, seed):
         expected = SparseState(rule.alphabet,
                                {c: cert.phase * a for c, a in expected.terms.items()})
         assert apply_block(state, qca).distance(expected) <= 1e-7
-
-
-@settings(max_examples=10, deadline=None)
-@given(partitioned_rules(max_d=8), st.sampled_from([0.0, 1e-10, 1e-8]),
-       st.integers(0, 2**16))
-# the pure shift on d = 2, split (1, 2): this noise carries u's isomorphism
-# residual to 1.12e-7, past the 1e-7 limit, on both routes
-@example(case=(2, ClassicalRule(default_alphabet(2), np.array([[0, 1], [0, 1]]))),
-         eps=1e-8, seed=235)
-def test_one_hot_derive_u_bound_covers_every_unit(case, eps, seed):
-    # one-hot windows up to n = 8^4, with W = dagger(v) moved off unitary
-    # by eps, which the bound's η must cover: u is the leg-by-leg route's,
-    # every unit is the product T_k0 T_0l of its generators (the identity
-    # the bound rests on), only the generators are formed unless the bound
-    # exceeds the tolerance, and the bound is at least every unit's residual.
-    # The noise may also move u's isomorphism residual past the limit; then
-    # derive_u refuses, and so must the leg-by-leg route's residual
-    _, rule = case
-    images = cell_algebra_images(quantize(rule, 4, "periodic"))
-    fact = derive_v(*shared_cell_algebras(images), seed=0)
-    noise = np.random.default_rng(seed).standard_normal(fact.u.shape)
-    fact = dataclasses.replace(fact, u=fact.u + eps * noise)
-    u_ref, resid_ref, iso_ref = four_matmul_derive_u(images, fact)
-    with pytest.MonkeyPatch.context() as m:
-        try:
-            u, seen, bound = spied_derive_u(images, fact, m)
-        except IsoSolveFailed as err:
-            assert "isomorphism residual" in str(err) and iso_ref > 1e-7
-            return
-    assert_same_u(u, u_ref)
-    d = rule.alphabet.d
-    rows = [dense_row(images.row(k), d) for k in range(d)]
-    for k in range(d):
-        for l in range(d):
-            assert np.array_equal(rows[k][l], rows[k][0] @ rows[0][l])
-    assert len(seen) == (2 * d - 1 if bound <= 1e-7 else d * d)
-    assert bound >= resid_ref.max()
 
 
 # ------------------------------------------- alignment from the exact gates
@@ -1082,3 +1016,126 @@ def test_dense_decompose_checks_the_gram_only_to_refuse(case, tol):
         with pytest.raises(PreconditionViolated, match="window operator is not unitary"):
             decompose_certified(op, tol=tol)
     assert (op.dim, op.dim) in shapes
+
+
+# ------------------------------------- one-hot windows: block permutations
+
+def is_permutation_matrix(m):
+    return (set(np.unique(m).tolist()) <= {0, 1}
+            and np.array_equal(m.sum(axis=0), np.ones(len(m)))
+            and np.array_equal(m.sum(axis=1), np.ones(len(m))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(partitioned_rules(), st.sampled_from([-1, 0, 1]), st.integers(0, 2**16))
+def test_one_hot_windows_decompose_as_block_permutations(case, steps, seed):
+    # relabelled partitioned rules, grouped by s ∈ {1, 2} and rotated by -1,
+    # 0 or +1 cells: u and v are 0/1 permutations, the split and shift are
+    # the alignment's, and the certificate is exactly 0.  Densified (up to
+    # n = 8^4; one 9^4 window copy is 688 MB), the entrywise certificate
+    # agrees, and apply_block steps as the rule does, at that shift
+    from qcablocks.decompose import _rotate_rows
+    q, rule = case
+    dg = rule.alphabet.d
+    op = _rotate_rows(quantize(rule, 4, "periodic"), steps)
+    qca, cert = decompose_certified(op, seed=seed)
+    assert is_permutation_matrix(qca.u) and is_permutation_matrix(qca.v)
+    assert ((qca.p, qca.q), cert.shift) == expected_alignment(dg // q, q, steps)
+    assert cert.residual == 0.0 and cert.phase == 1.0
+    if op.dim <= 4096:
+        densified = WindowOperator(op.alphabet, 4, op.dense(), "periodic")
+        assert certify(qca, densified, shift=cert.shift).residual == cert.residual
+    rng = np.random.default_rng(seed)
+    words = [[x] for x in range(1, dg)] + [list(rng.integers(1, dg, size=2)) for _ in range(3)]
+    for word in words:
+        state = SparseState(rule.alphabet, {Configuration.make(0, word): 1.0})
+        expected = shift(rule.apply(state), steps + cert.shift)
+        assert apply_block(state, qca).distance(expected) == 0.0
+
+
+# the 16 quiescence-preserving rules on d = 3 whose w = 6 ring is injective,
+# by table (row-major), and the (p, q, shift) of their w = 4 ring windows,
+# plain and grouped by 2, or None where the gates refuse with NotLocal
+D3_RING_CENSUS = {
+    "000111222": ((3, 1, 0), (9, 1, 0)),
+    "000122211": (None, None),
+    "000211122": (None, None),
+    "000222111": ((3, 1, 0), (9, 1, 0)),
+    "001110222": (None, None),
+    "002220111": (None, None),
+    "010222101": (None, None),
+    "012012012": ((1, 3, 0), (3, 3, 0)),
+    "012012102": (None, (3, 3, 0)),
+    "012021021": (None, (3, 3, 0)),
+    "012210012": (None, (3, 3, 0)),
+    "020111202": (None, None),
+    "021012012": (None, (3, 3, 0)),
+    "021021021": ((1, 3, 0), (3, 3, 0)),
+    "021021201": (None, (3, 3, 0)),
+    "021120021": (None, (3, 3, 0)),
+}
+
+
+def test_d3_ring_census_decomposes_as_block_permutations():
+    # every rule on {q, a, b} with an injective w = 6 ring: 14 of the 32
+    # windows decompose, each as 0/1 permutations with certificate 0, and
+    # 18 are refused at the gates, as D3_RING_CENSUS pins
+    alphabet = default_alphabet(3)
+    found = {}
+    for rest in itertools.product(range(3), repeat=8):
+        rule = ClassicalRule(alphabet, np.array((0,) + rest).reshape(3, 3))
+        if not is_injective(quantize(rule, 6, "periodic").matrix):
+            continue
+        outcomes = []
+        for r in (rule, group_cells(rule, 2)):
+            try:
+                qca, cert = decompose_certified(quantize(r, 4, "periodic"))
+            except NotLocal:
+                outcomes.append(None)
+                continue
+            assert is_permutation_matrix(qca.u) and is_permutation_matrix(qca.v)
+            assert cert.residual == 0.0
+            outcomes.append((qca.p, qca.q, cert.shift))
+        found["".join(map(str, rule.table.ravel()))] = tuple(outcomes)
+    assert found == D3_RING_CENSUS
+
+
+@pytest.mark.parametrize("q", [12, 16])
+def test_wide_pure_shifts_decompose_exactly(q):
+    # relabelled pure shifts on q symbols (n = q^4, up to 65536)
+    qca, cert = decompose_certified(quantize(partitioned_rule(1, q, seed=q), 4, "periodic"))
+    assert (qca.p, qca.q) == (1, q) and cert.residual == 0.0
+
+
+def test_certify_reads_a_swapped_column_pair():
+    # two columns of a one-hot window swapped: the column maps differ, and
+    # the certificate reads 1.0, as the entrywise one of the densified copy
+    op = quantize(partitioned_rule(2, 3, seed=8), 4, "periodic")
+    qca = decompose_certified(op)[0]
+    rows = op.matrix.copy()
+    rows[[5, 40]] = rows[[40, 5]]
+    bad = WindowOperator(op.alphabet, 4, rows, "periodic")
+    densified = WindowOperator(op.alphabet, 4, bad.dense(), "periodic")
+    assert certify(qca, bad).residual == 1.0 == certify(qca, densified).residual
+
+
+def test_certify_compares_other_block_pairs_densely():
+    # the block pair decomposed from a densified window is no exact 0/1
+    # pair; against the one-hot window it is compared entrywise, as against
+    # the densified copy
+    op = quantize(partitioned_rule(2, 3, seed=8), 4, "periodic")
+    qca, cert = decompose_certified(WindowOperator(op.alphabet, 4, op.dense(), "periodic"))
+    assert not is_permutation_matrix(qca.u)
+    assert certify(qca, op) == cert
+
+
+def test_permutation_blocks_refuse_what_forms_no_grid():
+    # one symbol's diagonal value in a1 moved: the symbol is an atom of its
+    # own, and the atoms no longer form a p x q grid of the symbols
+    op = quantize(partitioned_rule(2, 2, seed=9), 4, "periodic")
+    images = cell_algebra_images(op)
+    a1 = images.a1.copy()
+    a1[0, 0, 3, 3] += 1
+    with pytest.raises(ReconstructionMismatch, match="no block permutation"):
+        permutation_blocks(CellImages(images.row, a1, images.b1), op.alphabet)
+

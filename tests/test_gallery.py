@@ -23,9 +23,9 @@ from qcablocks.model import (
     group_cells,
     restrict_state,
     shift,
-    ungroup_cells,
 )
 from state_oracle import step_config
+from ungroup import ungroup_cells
 
 PLUS = np.full((2, 2), 0.5)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]])

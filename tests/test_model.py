@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcablocks import linalg as la
 from state_oracle import shifted, step_config
 from random_inputs import random_block_qca, random_sparse_state
+from ungroup import ungroup_cells
 from qcablocks.errors import (
     DimensionMismatch,
     IndivisibleWidth,
@@ -32,7 +33,6 @@ from qcablocks.model import (
     quantize,
     restrict_state,
     shift,
-    ungroup_cells,
     window_digits,
     window_index,
     window_matrix,

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import state_oracle as oracle
 from random_inputs import random_block_qca
+from ungroup import ungroup_cells
 from qcablocks.model import (
     ClassicalRule,
     Configuration,
@@ -22,7 +23,6 @@ from qcablocks.model import (
     quantize,
     restrict_state,
     shift,
-    ungroup_cells,
     window_matrix,
 )
 from qcablocks.rand import default_alphabet

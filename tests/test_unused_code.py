@@ -34,9 +34,6 @@ ALLOWED = {
     # only package caller
     "from_cells",
     "group_cells",
-    # test-only code still in the package; moving it to a tests/ helper
-    # shrinks this list
-    "ungroup_cells",
 }
 
 
