@@ -29,7 +29,9 @@ one-hot windows are conjugated by reindexing and never densified, with
 the verifier's exact generator check for localization on the patch.  A
 one-hot row is not a dense array but its entries (l, patch_row,
 patch_col), each of value 1, read off the preimages of the patch rows
-alone (about d per unit), and the partial traces add them up.
+alone (about d per unit): the partial traces count them, and the
+matrix-unit identities compose the units' entry maps, so every gate on a
+one-hot window works in integers and nothing is densified.
 Whatever a gate cannot see, the end-to-end certificate against the whole
 window refuses.
 
@@ -120,6 +122,7 @@ from .model import (
 from .verify import (
     _dense_units,
     _first_localized,
+    _group_ids,
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
@@ -188,15 +191,6 @@ def _one_hot_unit_rows(rows: np.ndarray, d: int,
     return row
 
 
-def _entry_unit(entries: tuple[np.ndarray, ...], l: int, d: int) -> np.ndarray:
-    """Dense d² x d² unit T_kl from the entries of its row."""
-    ls, i, j = entries
-    sel = ls == l
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    np.add.at(out, (i[sel], j[sel]), 1.0)
-    return out
-
-
 def _unit_images(op: WindowOperator, tol: float,
                  shift: int) -> Callable[[int], np.ndarray | tuple]:
     """Row builder k -> row T_k0 ... T_k(d-1) of the conjugated cell-1
@@ -245,8 +239,8 @@ class CellImages:
     array, or for a one-hot window the tuple of entries (l, patch_row,
     patch_col), each of value 1.  ``a1`` and ``b1`` are the (d, d, d, d)
     partial traces of every T_kl over patch leg 0 and over patch leg 1,
-    taken while the rows went by.  For a one-hot window their entries are
-    sums of ones, so the diagonals a1[k, k] and b1[k, k], from which
+    taken while the rows went by.  For a one-hot window they are int64
+    counts of entries, so the diagonals a1[k, k] and b1[k, k], from which
     permutation_blocks reads the block form, are exact integers."""
 
     row: Callable[[int], np.ndarray | tuple]
@@ -262,8 +256,12 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
     shift of its outputs by ``shift`` cells (_rotate_rows), read without
     forming it.  One row is held at a time; the pass keeps
     the two partial traces and the units the checks below need.  Dense rows
-    are traced by einsum; entry rows add each entry whose two leg-0 (or
-    leg-1) indices agree, and only the sampled units are densified.
+    are traced by einsum and their sampled units multiplied as matrices.
+    Entry rows are never densified: np.bincount counts each entry whose two
+    leg-0 (or leg-1) indices agree, and a sampled unit is kept as its entry
+    map (patch_row, patch_col), whose products are composed in integers
+    (_entry_product_defect), so the residual is the max-norm the dense
+    product would give, exactly.
 
     Conjugation by a unitary is a *-isomorphism, so the images must be a
     system of matrix units; NotLocal unless Tr T_kl = d·δ_kl on every unit
@@ -276,17 +274,19 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
     rng = np.random.default_rng(0)
     triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
     sampled = {key: None for k, l, m in triples for key in ((k, l), (l, m), (k, m))}
-    a1 = np.zeros((d, d, d, d), dtype=np.complex128)
-    b1 = np.zeros((d, d, d, d), dtype=np.complex128)
+    a1, b1 = np.zeros((2, d, d, d, d), dtype=np.int64 if op.is_one_hot else np.complex128)
     for k in range(d):
         r = row(k)
-        if isinstance(r, tuple):
+        if op.is_one_hot:
             ls, i, j = r
             (i0, i1), (j0, j1) = np.divmod(i, d), np.divmod(j, d)
             on0, on1 = i0 == j0, i1 == j1
-            np.add.at(a1[k], (ls[on0], i1[on0], j1[on0]), 1.0)
-            np.add.at(b1[k], (ls[on1], i0[on1], j0[on1]), 1.0)
-            sampled.update({key: _entry_unit(r, key[1], d) for key in sampled if key[0] == k})
+            a1[k] = np.bincount((ls[on0] * d + i1[on0]) * d + j1[on0],
+                                minlength=d**3).reshape(d, d, d)
+            b1[k] = np.bincount((ls[on1] * d + i0[on1]) * d + j0[on1],
+                                minlength=d**3).reshape(d, d, d)
+            sampled.update({key: (i[ls == key[1]], j[ls == key[1]])
+                            for key in sampled if key[0] == k})
         else:
             a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
             b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
@@ -298,10 +298,26 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
         raise NotLocal(f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the "
                        "evolution does not conjugate the cell algebra faithfully")
     for k, l, m in triples:
-        resid = la.max_norm(sampled[k, l] @ sampled[l, m] - sampled[k, m])
+        if op.is_one_hot:
+            resid = _entry_product_defect(sampled[k, l], sampled[l, m], sampled[k, m], d * d)
+        else:
+            resid = la.max_norm(sampled[k, l] @ sampled[l, m] - sampled[k, m])
         if resid > max(tol, 1e-7):
             raise NotLocal(f"cell-1 units break T_kl T_lm = T_km (residual {resid:.2e})")
     return CellImages(row, a1, b1)
+
+
+def _entry_product_defect(a, b, c, size: int) -> float:
+    """max |A B - C| for the size x size count matrices given by entry maps
+    (rows, cols), a repeated entry counting once per repeat, in integers:
+    each entry (i, m) of A meets every entry (m, j) of B, and the product
+    counts those pairs at (i, j).  Past the trace check a unit T_kl has at
+    most Tr T_ll entries, so the pairs are few."""
+    (ai, am), (bm, bj), (ci, cj) = a, b, c
+    x, y = np.nonzero(am[:, None] == bm)
+    keys = np.concatenate([ai[x] * size + bj[y], ci * size + cj])
+    signs = np.repeat([1, -1], [len(x), len(ci)])
+    return float(np.max(np.abs(np.bincount(_group_ids(keys), weights=signs)), initial=0.0))
 
 
 def shared_cell_algebras(images: CellImages) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
@@ -390,13 +406,14 @@ def permutation_blocks(images: CellImages, alphabet: Alphabet) -> BlockQCA:
     classes a of its left input, and each symbol is the one in its pair
     (b, a), so v(b, a) is that symbol.  u sends x to (a(x), b(x)), the
     atoms holding the supports of b1[x, x] and a1[x, x].  Atoms are
-    numbered by their first symbol, so the quiescent symbol splits as
-    (0, 0) and the gauge leaves u and v as they are.  ReconstructionMismatch
-    unless the atoms form a grid and u is a permutation; the certificate
-    decides the rest."""
+    numbered by their first symbol, so v's preimage of the quiescent symbol
+    is (0, 0): the gauge pair is (|0>, |0>), read off with no Schmidt
+    decomposition, and it leaves u and v as they are.
+    ReconstructionMismatch unless the atoms form a grid and u is a
+    permutation; the certificate decides the rest."""
     d = alphabet.d
-    diag_a = np.einsum("kkyy->ky", images.a1).real
-    diag_b = np.einsum("kkyy->ky", images.b1).real
+    diag_a = np.einsum("kkyy->ky", images.a1)
+    diag_b = np.einsum("kkyy->ky", images.b1)
     right, left = _atoms(diag_a), _atoms(diag_b)
     p, q = int(right.max()) + 1, int(left.max()) + 1
     pair = right * q + left
@@ -409,7 +426,9 @@ def permutation_blocks(images: CellImages, alphabet: Alphabet) -> BlockQCA:
     u[split, np.arange(d)] = 1.0
     v = np.zeros((d, d), dtype=np.complex128)
     v[np.arange(d), pair] = 1.0
-    return fix_quiescent_gauge(u, v, alphabet, p, q)
+    q1, q2 = np.zeros(p, dtype=np.complex128), np.zeros(q, dtype=np.complex128)
+    q1[0] = q2[0] = 1.0
+    return _gauge_phase(u, v, alphabet, q1, q2)
 
 
 def _atoms(diag: np.ndarray) -> np.ndarray:
@@ -442,15 +461,22 @@ def fix_quiescent_gauge(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
     # canonical phase on q1, compensated on q2 to keep q1 ⊗ q2 = psi
     fixed = la.phase_fix(q1.reshape(-1, 1)).ravel()
     rot = complex(np.vdot(q1, fixed))
-    q1 = fixed
-    q2 = q2 * np.conj(rot)
+    return _gauge_phase(u, v, alphabet, fixed, q2 * np.conj(rot))
+
+
+def _gauge_phase(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
+                 q1: np.ndarray, q2: np.ndarray) -> BlockQCA:
+    """The block automaton with u's free global phase fixed so that
+    u|q> = |q2>|q1>; IsoSolveFailed where u maps the quiescent cell off
+    the gauge pair."""
+    ket_q = np.zeros(alphabet.d, dtype=np.complex128)
+    ket_q[0] = 1.0
     overlap = complex(np.vdot(np.kron(q2, q1), u @ ket_q))
     if abs(abs(overlap) - 1.0) > 1e-6:
         raise IsoSolveFailed(
             f"splitting unitary maps the quiescent cell off the gauge pair "
             f"(overlap modulus {abs(overlap):.6f})")
-    u = u * (abs(overlap) / overlap)
-    return BlockQCA(alphabet, p, q, u, v, q1, q2)
+    return BlockQCA(alphabet, len(q1), len(q2), u * (abs(overlap) / overlap), v, q1, q2)
 
 
 def certify(qca: BlockQCA, op: WindowOperator, shift: int = 0) -> Certification:
@@ -620,6 +646,7 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
             u = derive_u(images, fact, tol=tol)
             qca = fix_quiescent_gauge(u, la.dagger(fact.u), op.alphabet, fact.p, fact.q,
                                       tol=tol)
+        del images  # before the certificate pass
         cert = certify(qca, op, shift=steps)
         if cert.residual > cert_tol:
             raise ReconstructionMismatch(

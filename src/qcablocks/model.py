@@ -732,7 +732,8 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
     Either way the matrix is the one-hot column map rows and unitarity
     is *not* guaranteed; checking it is the verifier's job.  The rows are
     read one output cell at a time off the window's digits (window_digits)
-    in the narrowest dtype.  DimensionMismatch is raised before anything is
+    in the narrowest dtype, each cell one gather from the flattened table at
+    a·d + b.  DimensionMismatch is raised before anything is
     allocated when d^w exceeds DENSE_WINDOW_CAP², the entry count of the
     largest dense window."""
     if w < 2:
@@ -746,12 +747,12 @@ def quantize(rule: ClassicalRule, w: int, boundary: str = "truncated") -> Window
     if boundary not in ("truncated", "periodic"):
         raise PreconditionViolated(f"unknown boundary kind {boundary!r}")
     digits = list(window_digits(np.arange(n), d, w))
-    table = rule.table.astype(digits[0].dtype)
+    table = rule.table.astype(digits[0].dtype).ravel()
     if boundary == "truncated":
         pairs, out_shift = zip([0] + digits[:-1], digits), -1
     else:
         pairs, out_shift = zip(digits, digits[1:] + digits[:1]), 0
-    rows = window_index([table[a, b] for a, b in pairs], d)
+    rows = window_index([table[np.multiply(a, d, dtype=np.intp) + b] for a, b in pairs], d)
     return WindowOperator(rule.alphabet, w, rows, boundary=boundary, out_shift=out_shift)
 
 

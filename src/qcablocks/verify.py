@@ -183,7 +183,7 @@ def _one_hot_conjugation(rows: np.ndarray, d: int, w: int, cell: int, k: int, l:
     src_k = ((np.arange(d**cell, dtype=np.int64)[:, None] * d + k) * pw
              + np.arange(pw, dtype=np.int64)).ravel()
     src_l = src_k + (l - k) * pw
-    return rows[src_k], rows[src_l], np.ones(len(src_k), dtype=np.complex128)
+    return rows[src_k], rows[src_l], np.ones(len(src_k), dtype=np.int64)
 
 
 def _one_hot_adjoint(rows: np.ndarray) -> np.ndarray:
@@ -300,7 +300,7 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
         ids = _group_ids(keys)
         entry = np.empty(ids.max() + 1, dtype=np.int64)
         entry[ids] = keys
-        return *np.divmod(entry, len(rows)), np.bincount(ids).astype(np.complex128)
+        return *np.divmod(entry, len(rows)), np.bincount(ids)
 
     def verdict(w, region, eps0, tol):
         if not bijective:
@@ -335,35 +335,62 @@ def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, 
 
 def _coo_localization_residual(rows, cols, vals, d: int, w: int,
                                regions) -> list[tuple[float, float]]:
-    """Max-norm and HS norm of t - P(t) on each region for a sparse operator
-    t given in COO form, without duplicate entries, over the d^w window
-    space."""
-    vals = np.asarray(vals, dtype=np.complex128)
+    """Max-norm and HS norm of t - P(t) on each region for a one-hot unit t
+    over the d^w window space, in COO form: distinct positions, each holding
+    a count (1, or the number of input pairs a merging map sends there).
+
+    P(t) is the complement-diagonal mean: the entries whose row and column
+    digits agree on every complement cell (one per-entry mask of agreeing
+    cells, made once for all regions) are grouped by their region pattern
+    (row, column), and a group of c entries summing to S of its d_C
+    positions has mean B = S/d_C.  Its entries deviate by v - B, its d_C - c
+    absent positions by B, and entries off the complement diagonal by v.
+    Groups are counted by np.bincount over the d_R² patterns where that key
+    space is at most the entry count, else by sorting.  Where every count
+    is 1 (a bijective map) both norms come from the group counts alone;
+    nothing is complex.
+
+    A 0/1 unit (a partial permutation, say) reads exactly 0 or at least 1/2:
+    an entry off the complement diagonal reads 1, and a group holding c of
+    its d_C positions reads max(1 - c/d_C, c/d_C), which is 0 at c = d_C
+    and at least 1/2 for 0 < c < d_C."""
+    vals = np.asarray(vals)
     if len(vals) == 0:
         return [(0.0, 0.0) for _ in regions]
     row_digits, col_digits = window_digits(rows, d, w), window_digits(cols, d, w)
+    agree = row_digits == col_digits
+    ones = bool(np.all(vals == 1))
     out = []
     for region in regions:
-        dk = d ** len(set(region))
-        dc = d**w // dk
-        rk, rc = window_split(row_digits, d, region)
-        ck, cc = window_split(col_digits, d, region)
-        diag = rc == cc
-        # the entries on the complement diagonal, grouped by region pattern
-        inverse = _group_ids(rk[diag] * dk + ck[diag])
-        sums = (np.bincount(inverse, weights=vals[diag].real)
-                + 1j * np.bincount(inverse, weights=vals[diag].imag))
-        counts = np.bincount(inverse)
-        b_vals = sums / dc
-        # deviation of present entries from the M ⊗ I pattern
-        expected = np.zeros(len(vals), dtype=np.complex128)
-        expected[diag] = b_vals[inverse]
-        dev = np.abs(vals - expected)
-        # pattern entries of M ⊗ I with no data present: dc - count per block
+        region = sorted(set(region))
+        dr, dc = d ** len(region), d ** (w - len(region))
+        on = np.ones(len(vals), dtype=bool)
+        for cell in set(range(w)) - set(region):
+            on &= agree[cell]
+        # the region pattern (row, column) of each entry on the diagonal
+        keys = np.zeros(len(vals), dtype=np.int64)
+        for digits in (row_digits, col_digits):
+            for cell in region:
+                keys *= d
+                keys += digits[cell]
+        keys = keys[on]
+        # a group per pattern (empty ones included), or per pattern present
+        ids = keys if dr * dr <= len(vals) else _group_ids(keys)
+        counts = np.bincount(ids)
         missing = dc - counts
-        absent = np.abs(b_vals[missing > 0])
-        resid = max(float(np.max(dev)), float(np.max(absent, initial=0.0)))
-        out.append((resid, float(np.sqrt(np.sum(dev**2) + np.sum(missing * np.abs(b_vals) ** 2)))))
+        if ones:
+            mean = counts / dc
+            off_max, off_sq = float(len(keys) < len(vals)), len(vals) - len(keys)
+            dev = np.abs(1 - mean[counts > 0])
+            dev_sq = np.sum(counts * (1 - mean) ** 2)
+        else:
+            mean = np.bincount(ids, weights=vals[on]) / dc
+            off = vals[~on].astype(np.float64)
+            off_max, off_sq = np.max(off, initial=0.0), np.sum(off**2)
+            dev = np.abs(vals[on] - mean[ids])
+            dev_sq = np.sum(dev**2)
+        resid = max(off_max, np.max(dev, initial=0.0), np.max(mean[missing > 0], initial=0.0))
+        out.append((float(resid), float(np.sqrt(off_sq + dev_sq + np.sum(missing * mean**2)))))
     return out
 
 

@@ -302,6 +302,64 @@ def test_one_hot_rows_match_full_window_route():
         assert np.array_equal(stack, full_window_unit_stack(rows, d, w))
 
 
+def float_identity_route(op):
+    """The float route of cell_algebra_images' one-hot checks, for
+    reference: every unit densified from its entries, then the traces and
+    the four seeded products T_kl T_lm - T_km in complex.  Returns the
+    triples, each one's residual, and the message of the NotLocal the
+    checks raise (None where they pass)."""
+    d = op.alphabet.d
+    row = _one_hot_unit_rows(op.matrix, d, op.width)
+    units = np.stack([dense_row(row(k), d) for k in range(d)])
+    rng = np.random.default_rng(0)
+    triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
+    resids = [la.max_norm(units[k, l] @ units[l, m] - units[k, m]) for k, l, m in triples]
+    dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
+    if dev > d * 1e-7:
+        return triples, resids, (f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the evolution "
+                                 "does not conjugate the cell algebra faithfully")
+    return triples, resids, next((f"cell-1 units break T_kl T_lm = T_km (residual {r:.2e})"
+                                  for r in resids if r > 1e-7), None)
+
+
+def test_integer_identity_residuals_match_the_float_route(monkeypatch):
+    # relabelled partitioned rules, and the same windows with the column of
+    # a patch-row preimage swapped with one whose image leaves the patch,
+    # so that some identities fail; the generator gate is skipped so the
+    # checks see every window.  The integer residuals on the entry maps are
+    # the float products' exactly, and each window raises the float route's
+    # NotLocal, message for message
+    monkeypatch.setattr(dec, "_first_localized", lambda *args: 0)
+    outcomes = set()
+    for seed, (p, q) in enumerate([(2, 2), (2, 3), (3, 2)] * 4):
+        op = quantize(partitioned_rule(p, q, seed=seed), 4, "periodic")
+        d, rows = op.alphabet.d, op.matrix.copy()
+        rng = np.random.default_rng(seed)
+        inside = rng.choice(np.flatnonzero(rows % d ** 2 == 0))
+        outside = rng.choice(np.flatnonzero(rows % d ** 2 != 0))
+        rows[[inside, outside]] = rows[[outside, inside]]
+        for window in (op, WindowOperator(op.alphabet, 4, rows, "periodic")):
+            triples, resids, message = float_identity_route(window)
+            row = _one_hot_unit_rows(window.matrix, d, 4)
+            entries = [row(k) for k in range(d)]
+
+            def unit(k, l):
+                ls, i, j = entries[k]
+                return i[ls == l], j[ls == l]
+
+            assert [dec._entry_product_defect(unit(k, l), unit(l, m), unit(k, m), d * d)
+                    for k, l, m in triples] == resids
+            if message is None:
+                cell_algebra_images(window)
+            else:
+                with pytest.raises(NotLocal) as err:
+                    cell_algebra_images(window)
+                assert type(err.value) is NotLocal and str(err.value) == message
+            outcomes.add(message.split(" (")[0].split(" by")[0] if message else None)
+    assert outcomes == {None, "cell-1 unit traces miss d·δ_kl",
+                        "cell-1 units break T_kl T_lm = T_km"}
+
+
 def test_one_hot_unit_rows_keep_only_the_patch_preimages():
     # grouped Toffoli at w = 4 (d = 16, n = 65536), in int64 rows arrays (8n
     # bytes): the row builder keeps the d² preimages of the rows with a

@@ -1,17 +1,22 @@
 """Tensor-core checks: Kronecker products, partial traces, and the
 localization residual kernels (dense and sparse)."""
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
 from qcablocks.errors import DimensionMismatch
 from qcablocks import linalg as la
+from qcablocks.model import WindowOperator, window_index
+from qcablocks.rand import default_alphabet
 from qcablocks.verify import (
     _group_ids,
     _one_hot_adjoint,
     _one_hot_conjugation,
+    _unit_conjugation,
     fast_localization_residual,
     is_injective,
 )
@@ -390,12 +395,18 @@ def test_localization_residual_is_adjoint_invariant(case):
 
 @st.composite
 def one_hot_units(draw):
-    """A random permutation window, a cell, a matrix unit and a region."""
+    """A random one-hot window (a permutation, or a merging map that sends
+    at least two inputs to one row), a cell, a matrix unit and a region."""
     d = draw(st.integers(2, 3))
-    w = draw(st.integers(1, 4))
+    merging = draw(st.booleans())
+    w = draw(st.integers(2 if merging else 1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = d**w
-    rows = rng.permutation(n).astype(np.int64)
+    if merging:
+        rows = rng.integers(0, n, size=n)
+        rows[0] = rows[-1]
+    else:
+        rows = rng.permutation(n).astype(np.int64)
     cell = draw(st.integers(0, w - 1))
     k, l = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
     region = sorted(draw(st.sets(st.integers(0, w - 1))))
@@ -404,20 +415,29 @@ def one_hot_units(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(one_hot_units())
+# no entry on the complement diagonal, so no group
+@example(case=(np.array([2, 0, 1, 3]), 2, 2, 0, 0, 1, [0]))
 def test_coo_kernel_matches_dense_kernel_on_one_hot_conjugations(case):
     rows, d, w, cell, k, l, region = case
     n = d**w
     g = np.zeros((n, n), dtype=complex)
-    g[rows, np.arange(n)] = 1.0
+    np.add.at(g, (rows, np.arange(n)), 1.0)
     e = np.zeros((d, d), dtype=complex)
     e[k, l] = 1.0
     emb = oracle.embed_on_factors(e, (d,) * w, {cell})
-    # forward on the window, backward as forward on its adjoint
-    for column_map, expected in ((rows, g @ emb @ la.dagger(g)),
-                                 (_one_hot_adjoint(rows), la.dagger(g) @ emb @ g)):
-        coo = _one_hot_conjugation(column_map, d, w, cell, k, l)
+    if is_injective(rows):
+        # forward on the window, backward as forward on its adjoint
+        units = [(_one_hot_conjugation(column_map, d, w, cell, k, l), expected)
+                 for column_map, expected in ((rows, g @ emb @ la.dagger(g)),
+                                              (_one_hot_adjoint(rows), la.dagger(g) @ emb @ g))]
+    else:
+        # a merging map's forward unit, its repeated entries summed into counts
+        op = WindowOperator(default_alphabet(d), w, rows)
+        units = [(_unit_conjugation(op, cell, forward=True)[0](k, l), g @ emb @ la.dagger(g))]
+    for coo, expected in units:
+        assert len(set(zip(coo[0].tolist(), coo[1].tolist()))) == len(coo[0])
         dense = np.zeros((n, n), dtype=complex)
-        np.add.at(dense, (coo[0], coo[1]), coo[2])
+        dense[coo[0], coo[1]] = coo[2]
         assert la.max_norm(dense - expected) <= 1e-12
         # both norms of the defect: the max-norm verdict and the HS bound
         assert fast_localization_residual(coo, d, w, [region])[0] == pytest.approx(
@@ -425,6 +445,50 @@ def test_coo_kernel_matches_dense_kernel_on_one_hot_conjugations(case):
         adjoint = (coo[1], coo[0], np.conj(coo[2]))
         assert fast_localization_residual(adjoint, d, w, [region])[0] == pytest.approx(
             fast_localization_residual(coo, d, w, [region])[0], rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def partial_permutation_units(draw):
+    """A 0/1 partial permutation of the d^w window words in COO form: a
+    partial permutation of the words on a support tensored with the
+    identity on the other cells, with a share of its entries dropped (none,
+    a few or half).  Returns the entries, d, w, the support and whether no
+    entry was dropped."""
+    d = draw(st.integers(2, 3))
+    w = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = sorted(draw(st.sets(st.integers(0, w - 1))))
+    comp = [i for i in range(w) if i not in support]
+    dr, dc = d ** len(support), d ** len(comp)
+    cols_r = rng.permutation(dr)[:rng.integers(0, dr + 1)]
+    rows_r = rng.permutation(dr)[:len(cols_r)]
+    pair, rest = np.repeat(np.arange(len(cols_r)), dc), np.tile(np.arange(dc), len(cols_r))
+
+    def words(region_words):
+        digits = np.zeros((w, len(pair)), dtype=np.int64)
+        for cells, number in ((support, region_words[pair]), (comp, rest)):
+            for j, cell in enumerate(cells):
+                digits[cell] = number // d ** (len(cells) - 1 - j) % d
+        return window_index(digits, d)
+
+    keep = rng.random(len(pair)) >= draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return words(rows_r)[keep], words(cols_r)[keep], d, w, support, bool(keep.all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_permutation_units())
+def test_partial_permutation_residual_is_zero_or_at_least_half(case):
+    # a 0/1 unit reads exactly 0 where it is localized and at least 1/2
+    # where it is not, on every region; a whole one is localized on every
+    # region that holds its support
+    rows, cols, d, w, support, whole = case
+    regions = [list(r) for s in range(w + 1) for r in itertools.combinations(range(w), s)]
+    vals = np.ones(len(rows), dtype=np.int64)
+    for region, (resid, hs) in zip(regions, fast_localization_residual(
+            (rows, cols, vals), d, w, regions)):
+        assert resid == 0.0 or resid >= 0.5, (region, resid)
+        if whole and set(support) <= set(region):
+            assert resid == 0.0 and hs == 0.0, region
 
 
 @settings(max_examples=100, deadline=None)
