@@ -21,53 +21,61 @@ the split) rebuilds each row for u.
 
 The window's alignment is chosen by exact gates alone: of the window
 rotations by 0, +1 and -1 cells, the first that is shift invariant and
-whose compressed images pass the trace and matrix-unit checks is
-decomposed; no random probe is drawn, and the certificate compares at
-that rotation alone.  Dense windows conjugate the matrix units on their
-quiescent-complement rows with the verifier's dense unit primitive;
-one-hot windows are conjugated by reindexing and never densified, with
-the verifier's exact generator check for localization on the patch.  A
-one-hot row is not a dense array but its entries (l, patch_row,
-patch_col), each of value 1, read off the preimages of the patch rows
-alone (about d per unit): the partial traces count them, and the
-matrix-unit identities compose the units' entry maps, so every gate on a
-one-hot window works in integers and nothing is densified.
-Whatever a gate cannot see, the end-to-end certificate against the whole
-window refuses.
+passes its gate is decomposed; no random probe is drawn, and the
+certificate compares at that rotation alone.  A dense window's gate is
+the trace and matrix-unit checks of its compressed images, which it
+conjugates on its quiescent-complement rows with the verifier's dense
+unit primitive.  A one-hot window's gate is the verifier's exact
+generator check for localization on the patch, by reindexing, and it
+forms no image: what passes is decomposed from its d x d rule table
+(_rule_table).  Whatever a gate cannot see, the end-to-end certificate
+against the whole window refuses.
 
-A one-hot window that passed the gates is a block permutation (Kari,
+A one-hot window that passed its gate is a block permutation (Kari,
 "Representation of reversible cellular automata with block
 permutations", Math. Systems Theory 29, 1996), and its block form is read
-off the integer diagonals of the first pass (permutation_blocks), with no
-split, no second pass and no floating-point factor.  Why the diagonals
-hold it, for the window G rotated to the neighborhood {0, 1}, inputs x
-and outputs y = G x:
+off its rule table δ (permutation_blocks), with no split, no image and no
+floating-point factor.  Why the table holds it, for the permutation
+window G rotated to the neighborhood {0, 1}, inputs x and outputs y = G x:
 
+- The generator check implies the dense gates.  A 0/1 unit's residual is
+  exactly 0 or at least 1/2 (verify._coo_localization_residual), so below
+  tol 1/2 T_00 and every generator T_0l are exactly X ⊗ I off the patch,
+  and so is every T_kl = T_k0 T_0l = T_0k† T_0l (G†G = I).  The X_kl are
+  then matrix units, the compressed images themselves, with Tr X_kl =
+  Tr(E_kl ⊗ I)/d^(w-2) = d·δ_kl: the trace check and every identity
+  T_kl T_lm = T_km hold, and are not tested.
 - T_kk is the diagonal 0/1 projector onto S_k = {(y_0, y_1) : x_1 = k, y
   quiescent off the patch}.
 - Every T_kl is localized on the patch, so x_1 moves only y_0 and y_1,
-  and by shift invariance y_i = δ(x_i, x_{i+1}) for one rule δ; T_kk
-  localized makes x_1 a function of (y_0, y_1).  A quiescent complement
-  then fixes x_3 ... x_{w-1} to quiescent, and x_0 and x_2 each to a set
-  of its own, δ(0, x_0) = 0 and δ(x_2, 0) = 0.  At w >= 4 these are
-  different cells, so they vary independently: S_k = A_k × B_k with A_k
-  = {δ(x_0, k)} and B_k = {δ(k, x_2)}, and a1[k, k] = |A_k|·1_{B_k},
-  b1[k, k] = |B_k|·1_{A_k}, |A_k|·|B_k| = Tr T_kk = d.
+  and by shift invariance y_i = δ(x_i, x_{i+1}) for one rule δ, read as
+  δ(a, b) = y_0 at x = (a, b, 0, ..., 0); T_kk localized makes x_1 a
+  function of (y_0, y_1).  A quiescent complement then fixes x_3 ...
+  x_{w-1} to quiescent, and x_0 and x_2 each to a set of its own, δ(0,
+  x_0) = 0 and δ(x_2, 0) = 0.  At w >= 4 these are different cells, so
+  they vary independently: S_k = A_k × B_k with A_k = {δ(x_0, k)}, column
+  k of δ, and B_k = {δ(k, x_2)}, row k, and |A_k|·|B_k| = Tr T_kk = d.
+- The partial traces of the images over patch legs 0 and 1 would read
+  a1[k, k] = |A_k|·1_{B_k} and b1[k, k] = |B_k|·1_{A_k}, and A_k and B_k
+  are not empty, so symbols with equal a1 diagonals are those in the same
+  rows of δ, and with equal b1 diagonals those in the same columns: the
+  row atoms and column atoms of the table are the atoms of the partial
+  traces.
 - Shift invariance makes the image of E_mm at cell 2 the projector onto
   A_m × B_m on cells (1, 2).  Its product with the image of E_kk at cell
   1 projects onto {x_1 = k, x_2 = m}, of rank n/d², and has cell-1 factor
   B_k ∩ A_m, so B_k ∩ A_m = {δ(k, m)}, one symbol.  Each B_k is a union
-  of a1 atoms and each A_m of b1 atoms, and every symbol lies in some
-  B_k and some A_m (the T_kk sum to the identity); so a symbol's pair of
-  atoms identifies it, and (#a1 atoms)·(#b1 atoms) >= d.
+  of row atoms and each A_m of column atoms, and every symbol lies in
+  some B_k and some A_m (the T_kk sum to the identity); so a symbol's
+  pair of atoms identifies it, and (#row atoms)·(#column atoms) >= d.
 - The one step that leans on the paper's theorem: the atoms' indicators
   span abelian subalgebras of the two shared-cell algebras, which the
   theorem makes the commuting factors M_p ⊗ I_q and I_p ⊗ M_q of the
-  cell, so there are at most p a1 atoms and at most q b1 atoms.
+  cell, so there are at most p row atoms and at most q column atoms.
 - Hence the atoms form a p × q grid of the symbols.  Each B_k is then
-  one a1 atom (two would put two symbols of one b1 atom into some
+  one row atom (two would put two symbols of one column atom into some
   B_k ∩ A_m), so |B_k| = q, |A_k| = p, and y_1 = v(b(x_1), a(x_2)) with
-  b(k) the a1 atom B_k and a(m) the b1 atom A_m.
+  b(k) the row atom B_k and a(m) the column atom A_m.
 
 The route does not rest on this derivation: permutation_blocks refuses
 atoms that form no grid, and the certificate then compares the whole
@@ -122,7 +130,6 @@ from .model import (
 from .verify import (
     _dense_units,
     _first_localized,
-    _group_ids,
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
@@ -162,88 +169,17 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     return WindowOperator(op.alphabet, op.width, mat, op.boundary, op.out_shift)
 
 
-def _one_hot_unit_rows(rows: np.ndarray, d: int,
-                       w: int) -> Callable[[int], tuple[np.ndarray, ...]]:
-    """Row builder k -> entries (l, patch_row, patch_col) of the compressed
-    cell-1 unit images T_k0, ..., T_k(d-1) of the one-hot window
-    G|x> = |rows[x]>, in coordinate form: T_kl is the sum of
-    |patch_row><patch_col| over the entries with that l.
-
-    An entry of T_kl on the patch comes from an input x with cell-1 digit l
-    whose image has a quiescent complement, and its partner x_k = x + (k-l)
-    digit places, if that image's complement is quiescent too: a 1 at
-    (patch of rows[x_k], patch of rows[x]).  Only those inputs are touched
-    (d² for a bijective map, so about d entries per unit), never the whole
-    window; a merging map repeats a position, and every consumer sums
-    repeated entries.  Only the preimages and their digits are kept: each
-    call splits the images it reads."""
-    # cell 1's digit place is also the size of the output complement (cells
-    # 2 ... w-1), so a row splits into patch (//) and complement (%) by it
-    pw = d ** (w - 2)
-    xs = np.flatnonzero(rows % pw == 0)
-    digit = (xs // pw) % d
-
-    def row(k: int) -> tuple[np.ndarray, ...]:
-        img = rows[xs + (k - digit) * pw]
-        sel = img % pw == 0
-        return digit[sel], img[sel] // pw, rows[xs[sel]] // pw
-
-    return row
-
-
-def _unit_images(op: WindowOperator, tol: float,
-                 shift: int) -> Callable[[int], np.ndarray | tuple]:
-    """Row builder k -> row T_k0 ... T_k(d-1) of the conjugated cell-1
-    matrix units G (E_kl ⊗ I) G†, compressed onto their two-cell patch
-    (0, 1), of the window rotated by ``shift`` cells (_rotate_rows); each
-    call rebuilds the row, so the whole stack never exists.  A dense window
-    gives a dense (d, d², d²) row, a one-hot window the row's entries
-    (_one_hot_unit_rows), the same split as the window's own storage.
-
-    A one-hot window must first pass the verifier's exact generator check
-    on the patch (d residuals, the norm bound and, only where it fails,
-    every unit), else NotLocal.  A dense window is not checked here: the
-    trace and matrix-unit checks of cell_algebra_images, the middle-factor
-    and isomorphism residuals of derive_u and the end-to-end certificate
-    refuse what is not localized.  Dense rows are the verifier's dense
-    units on the d² rows of the rotated G whose complement cells are
-    quiescent, gathered from G, so no rotated copy of a dense window
-    exists; one-hot entries are read off the preimages of those rows.
-    """
-    d, w = op.alphabet.d, op.width
-    patch = (0, 1)
-
-    if op.is_one_hot:
-        op = _rotate_rows(op, shift)
-        if _first_localized(_unit_conjugation(op, 1, forward=True), d, w, [patch], tol) is None:
-            raise NotLocal(f"image of the cell-1 algebra is not localized on "
-                           f"cells {patch}")
-        return _one_hot_unit_rows(op.matrix, d, w)
-
-    # rows with a quiescent complement (cells 2 ... w-1 all 0), in patch
-    # order: the rotated window's row r is the window's row src[r]
-    src = window_rotation(d, w, -shift)
-    unit = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)[0]
-
-    def row(k: int) -> np.ndarray:
-        return np.stack([unit(k, l)() for l in range(d)])
-
-    return row
-
-
 @dataclass(frozen=True)
 class CellImages:
-    """The compressed images T_kl of the cell-1 matrix units, streamed.
+    """The compressed images T_kl of the cell-1 matrix units of a dense
+    window, streamed.
 
-    ``row(k)`` rebuilds row k, T_k0 ... T_k(d-1): a dense (d, d², d²)
-    array, or for a one-hot window the tuple of entries (l, patch_row,
-    patch_col), each of value 1.  ``a1`` and ``b1`` are the (d, d, d, d)
-    partial traces of every T_kl over patch leg 0 and over patch leg 1,
-    taken while the rows went by.  For a one-hot window they are int64
-    counts of entries, so the diagonals a1[k, k] and b1[k, k], from which
-    permutation_blocks reads the block form, are exact integers."""
+    ``row(k)`` rebuilds row k, T_k0 ... T_k(d-1), a dense (d, d², d²)
+    array.  ``a1`` and ``b1`` are the (d, d, d, d) partial traces of every
+    T_kl over patch leg 0 and over patch leg 1, taken while the rows went
+    by."""
 
-    row: Callable[[int], np.ndarray | tuple]
+    row: Callable[[int], np.ndarray]
     a1: np.ndarray
     b1: np.ndarray
 
@@ -252,45 +188,43 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
                         shift: int = 0) -> CellImages:
     """First pass over the rows of compressed images T_kl of the cell-1
     matrix units under forward conjugation G (E_kl ⊗ I) G†, compressed onto
-    patch (0, 1) by _unit_images, with G the window composed with the cyclic
-    shift of its outputs by ``shift`` cells (_rotate_rows), read without
-    forming it.  One row is held at a time; the pass keeps
-    the two partial traces and the units the checks below need.  Dense rows
-    are traced by einsum and their sampled units multiplied as matrices.
-    Entry rows are never densified: np.bincount counts each entry whose two
-    leg-0 (or leg-1) indices agree, and a sampled unit is kept as its entry
-    map (patch_row, patch_col), whose products are composed in integers
-    (_entry_product_defect), so the residual is the max-norm the dense
-    product would give, exactly.
+    patch (0, 1), with G the window composed with the cyclic shift of its
+    outputs by ``shift`` cells (_rotate_rows), read without forming it.
+    The window is taken as dense (a one-hot one is densified, within
+    WindowOperator.dense's cap); a one-hot window's own gate is _rule_table.
+
+    A row is the verifier's dense units on the d² rows of the rotated G
+    whose complement cells (2 ... w-1) are quiescent, gathered from G, so
+    no rotated copy exists; each call of ``row`` rebuilds it, and one row
+    is held at a time.  The pass keeps the two partial traces (einsum) and
+    the units the checks below multiply.
 
     Conjugation by a unitary is a *-isomorphism, so the images must be a
     system of matrix units; NotLocal unless Tr T_kl = d·δ_kl on every unit
     (so the map is nonzero, hence injective on the simple M_d) and four
-    seeded identities T_kl T_lm = T_km hold."""
+    seeded identities T_kl T_lm = T_km hold.  Localization is not checked
+    here: these checks, the middle-factor and isomorphism residuals of
+    derive_u and the end-to-end certificate refuse what is not localized."""
     if op.width < 4:
         raise WindowTooSmall("cell algebra images need a window of at least 4 cells")
-    d = op.alphabet.d
-    row = _unit_images(op, tol, shift)
+    d, w = op.alphabet.d, op.width
+    # rows with a quiescent complement, in patch order: the rotated
+    # window's row r is the window's row src[r]
+    src = window_rotation(d, w, -shift)
+    unit = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)[0]
+
+    def row(k: int) -> np.ndarray:
+        return np.stack([unit(k, l)() for l in range(d)])
+
     rng = np.random.default_rng(0)
     triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
     sampled = {key: None for k, l, m in triples for key in ((k, l), (l, m), (k, m))}
-    a1, b1 = np.zeros((2, d, d, d, d), dtype=np.int64 if op.is_one_hot else np.complex128)
+    a1, b1 = np.zeros((2, d, d, d, d), dtype=np.complex128)
     for k in range(d):
         r = row(k)
-        if op.is_one_hot:
-            ls, i, j = r
-            (i0, i1), (j0, j1) = np.divmod(i, d), np.divmod(j, d)
-            on0, on1 = i0 == j0, i1 == j1
-            a1[k] = np.bincount((ls[on0] * d + i1[on0]) * d + j1[on0],
-                                minlength=d**3).reshape(d, d, d)
-            b1[k] = np.bincount((ls[on1] * d + i0[on1]) * d + j0[on1],
-                                minlength=d**3).reshape(d, d, d)
-            sampled.update({key: (i[ls == key[1]], j[ls == key[1]])
-                            for key in sampled if key[0] == k})
-        else:
-            a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
-            b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
-            sampled.update({key: r[key[1]].copy() for key in sampled if key[0] == k})
+        a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
+        b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
+        sampled.update({key: r[key[1]].copy() for key in sampled if key[0] == k})
         del r  # before the next row is built
     # Tr T_kl is the trace of either partial trace
     dev = la.max_norm(np.einsum("klii->kl", a1) - d * np.eye(d))
@@ -298,26 +232,32 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
         raise NotLocal(f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the "
                        "evolution does not conjugate the cell algebra faithfully")
     for k, l, m in triples:
-        if op.is_one_hot:
-            resid = _entry_product_defect(sampled[k, l], sampled[l, m], sampled[k, m], d * d)
-        else:
-            resid = la.max_norm(sampled[k, l] @ sampled[l, m] - sampled[k, m])
+        resid = la.max_norm(sampled[k, l] @ sampled[l, m] - sampled[k, m])
         if resid > max(tol, 1e-7):
             raise NotLocal(f"cell-1 units break T_kl T_lm = T_km (residual {resid:.2e})")
     return CellImages(row, a1, b1)
 
 
-def _entry_product_defect(a, b, c, size: int) -> float:
-    """max |A B - C| for the size x size count matrices given by entry maps
-    (rows, cols), a repeated entry counting once per repeat, in integers:
-    each entry (i, m) of A meets every entry (m, j) of B, and the product
-    counts those pairs at (i, j).  Past the trace check a unit T_kl has at
-    most Tr T_ll entries, so the pairs are few."""
-    (ai, am), (bm, bj), (ci, cj) = a, b, c
-    x, y = np.nonzero(am[:, None] == bm)
-    keys = np.concatenate([ai[x] * size + bj[y], ci * size + cj])
-    signs = np.repeat([1, -1], [len(x), len(ci)])
-    return float(np.max(np.abs(np.bincount(_group_ids(keys), weights=signs)), initial=0.0))
+def _rule_table(op: WindowOperator, tol: float, shift: int) -> np.ndarray:
+    """The gate of a one-hot window at one alignment, and the d x d rule
+    table δ of what passes.
+
+    The window rotated by ``shift`` cells (_rotate_rows) must pass the
+    verifier's exact generator check for localization on the patch (0, 1):
+    T_00 and the d - 1 generators T_0l, then their norm bound, else
+    NotLocal.  δ[a, b] is then output cell 0 of the rotated column map at
+    the input (a, b, 0, ..., 0), d² lookups.  The trace and matrix-unit
+    checks of a dense window hold on what passes at tol below 1/2 (module
+    docstring), so they are not repeated; at any tol the certificate
+    refuses a table that does not rebuild the window."""
+    d, w = op.alphabet.d, op.width
+    op = _rotate_rows(op, shift)
+    patch = (0, 1)
+    if _first_localized(_unit_conjugation(op, 1, forward=True), d, w, [patch], tol) is None:
+        raise NotLocal(f"image of the cell-1 algebra is not localized on cells {patch}")
+    # the input (a, b, 0, ..., 0) is (a·d + b)·d^(w-2), and output cell 0
+    # the leading digit of its image
+    return (op.matrix[np.arange(d * d) * d ** (w - 2)] // d ** (w - 1)).reshape(d, d)
 
 
 def shared_cell_algebras(images: CellImages) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
@@ -361,7 +301,7 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     region and complement, and phi(E_kl) is its outer-(0, 0) block.  Every
     unit's middle-factor residual and u's isomorphism residual over all d²
     units are checked.  One-hot windows take no such pass: their block
-    form is read off the partial traces (permutation_blocks)."""
+    form is read off their rule table (permutation_blocks)."""
     p, q = fact.p, fact.q
     d = p * q
     limit = max(tol, 1e-7)
@@ -396,46 +336,48 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     return u
 
 
-def permutation_blocks(images: CellImages, alphabet: Alphabet) -> BlockQCA:
-    """Block form of a one-hot window that passed the gates, read off the
-    integer diagonals of its partial traces, as 0/1 permutations u and v.
+def permutation_blocks(table: np.ndarray, alphabet: Alphabet) -> BlockQCA:
+    """Block form of a one-hot window that passed its gate, read off its
+    rule table δ (_rule_table) as 0/1 permutations u and v.
 
-    a1[k, k] = p·1_{B_k} and b1[k, k] = q·1_{A_k} (module docstring).  The
-    symbols whose diagonal values agree for every k are one atom: the a1
-    atoms are the p classes b of v's right input, the b1 atoms the q
-    classes a of its left input, and each symbol is the one in its pair
-    (b, a), so v(b, a) is that symbol.  u sends x to (a(x), b(x)), the
-    atoms holding the supports of b1[x, x] and a1[x, x].  Atoms are
-    numbered by their first symbol, so v's preimage of the quiescent symbol
-    is (0, 0): the gauge pair is (|0>, |0>), read off with no Schmidt
-    decomposition, and it leaves u and v as they are.
-    ReconstructionMismatch unless the atoms form a grid and u is a
-    permutation; the certificate decides the rest."""
+    B_k = {δ(k, x)} is row k of δ and A_k = {δ(x, k)} column k (module
+    docstring).  The symbols that lie in the same rows B_k are one atom:
+    these row atoms are the p classes b of v's right input.  Likewise the
+    column atoms, by the columns A_k, are the q classes a of its left
+    input, and each symbol is the one in its pair (b, a), so v(b, a) is
+    that symbol.  u sends x to (a(x), b(x)), the atoms holding A_x and B_x,
+    read at their first (least) symbols.  Atoms are numbered by their first symbol,
+    so v's preimage of the quiescent symbol is (0, 0): the gauge pair is
+    (|0>, |0>), read off with no Schmidt decomposition, and it leaves u and
+    v as they are.  ReconstructionMismatch unless the atoms form a grid and
+    u is a permutation; the certificate decides the rest."""
     d = alphabet.d
-    diag_a = np.einsum("kkyy->ky", images.a1)
-    diag_b = np.einsum("kkyy->ky", images.b1)
-    right, left = _atoms(diag_a), _atoms(diag_b)
+    ks = np.arange(d)
+    right, left = _atoms(table), _atoms(table.T)
     p, q = int(right.max()) + 1, int(left.max()) + 1
     pair = right * q + left
-    split = left[np.argmax(diag_b, axis=1)] * p + right[np.argmax(diag_a, axis=1)]
+    split = left[table.min(axis=0)] * p + right[table.min(axis=1)]
     if p * q != d or not (is_injective(pair) and is_injective(split)):
         raise ReconstructionMismatch(
-            f"the {p} x {q} atoms of the partial traces form no block "
+            f"the {p} x {q} atoms of the rule table form no block "
             f"permutation of the {d} symbols")
     u = np.zeros((d, d), dtype=np.complex128)
-    u[split, np.arange(d)] = 1.0
+    u[split, ks] = 1.0
     v = np.zeros((d, d), dtype=np.complex128)
-    v[np.arange(d), pair] = 1.0
+    v[ks, pair] = 1.0
     q1, q2 = np.zeros(p, dtype=np.complex128), np.zeros(q, dtype=np.complex128)
     q1[0] = q2[0] = 1.0
     return _gauge_phase(u, v, alphabet, q1, q2)
 
 
-def _atoms(diag: np.ndarray) -> np.ndarray:
-    """Atom of each symbol y: symbols whose columns diag[:, y] agree
-    exactly share one, numbered in order of their first symbol."""
+def _atoms(table: np.ndarray) -> np.ndarray:
+    """Atom of each symbol: symbols that lie in the same rows of ``table``
+    share one, numbered in order of their first symbol."""
+    d = len(table)
+    member = np.zeros((d, d), dtype=bool)  # member[k, y]: y in row k
+    member[np.arange(d)[:, None], table] = True
     ids = {}
-    return np.array([ids.setdefault(col.tobytes(), len(ids)) for col in diag.T])
+    return np.array([ids.setdefault(col.tobytes(), len(ids)) for col in member.T])
 
 
 def fix_quiescent_gauge(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
@@ -619,11 +561,10 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     the input window at the shift that alignment chose.
 
     A one-hot window is checked for unitarity (injectivity) first, and
-    after the gates its block form is read off the partial traces as 0/1
+    after its gate its block form is read off its rule table as 0/1
     permutations (permutation_blocks), which the integer certificate
     compares exactly: the verdict holds at any tol, and the seed is not
-    used.  A dense
-    window runs the pipeline first, and its certificate pass bounds max
+    used.  A dense window runs the pipeline first, and its certificate pass bounds max
     |G†G - I| (_unitarity_bound): within max(tol, 1e-9), unitarity is
     proven and the n x n Gram check is skipped; otherwise, and before any
     refusal of the pipeline (a QCAError, a LinAlgError, or a certificate
@@ -638,15 +579,15 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     if op.is_one_hot:
         _require_unitary(op, limit)
     try:
-        steps, images = _aligned_images(op, tol)
+        steps, gated = _aligned_images(op, tol)
         if op.is_one_hot:
-            qca = permutation_blocks(images, op.alphabet)
+            qca = permutation_blocks(gated, op.alphabet)
         else:
-            fact = derive_v(*shared_cell_algebras(images), seed=seed, tol=tol)
-            u = derive_u(images, fact, tol=tol)
+            fact = derive_v(*shared_cell_algebras(gated), seed=seed, tol=tol)
+            u = derive_u(gated, fact, tol=tol)
             qca = fix_quiescent_gauge(u, la.dagger(fact.u), op.alphabet, fact.p, fact.q,
                                       tol=tol)
-        del images  # before the certificate pass
+        del gated  # before the certificate pass
         cert = certify(qca, op, shift=steps)
         if cert.residual > cert_tol:
             raise ReconstructionMismatch(
@@ -666,20 +607,24 @@ def _require_unitary(op: WindowOperator, tol: float) -> None:
         raise PreconditionViolated("window operator is not unitary") from None
 
 
-def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, CellImages]:
-    """``(steps, images)``: the first alignment that passes the exact gates
-    and the cell-1 images of the window rotated by it.
+def _aligned_images(op: WindowOperator,
+                    tol: float) -> tuple[int, CellImages | np.ndarray]:
+    """``(steps, gated)``: the first alignment that passes the exact gates,
+    and what the gate read off the window rotated by it: the cell-1 images
+    of a dense window (cell_algebra_images), the rule table of a one-hot
+    one (_rule_table).
 
     Hand-written windows may have their neighborhood at window offsets
     {0, 1}, {-1, 0} or {1, 2}; composing with the window cyclic shift by
     ``steps`` cells moves it by ``steps``.  For steps in ALIGNMENTS, the
     rotated window must be shift invariant (tested in the {0, 1}
     alignment, where interior images stay clear of the window edge) and
-    pass cell_algebra_images; the first that does is taken, and ``steps``
+    pass its gate; the first that does is taken, and ``steps``
     is the shift its reconstruction is certified at.  Both checks read the
     rotation through their ``shift`` argument, so no rotated copy of a
     dense window exists.  NotLocal, naming each alignment's failing check,
     when none does."""
+    gate = _rule_table if op.is_one_hot else cell_algebra_images
     failures = []
     for steps in ALIGNMENTS:
         name = f"alignment {steps:+d}" if steps else "alignment 0"
@@ -687,7 +632,7 @@ def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, CellImages]:
             failures.append(f"{name}: not shift invariant")
             continue
         try:
-            return steps, cell_algebra_images(op, tol, shift=steps)
+            return steps, gate(op, tol, shift=steps)
         except NotLocal as err:
             failures.append(f"{name}: {err}")
     raise NotLocal(

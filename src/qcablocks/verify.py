@@ -19,8 +19,9 @@ window.  A dense unit is never held whole either: it is produced one row
 block at a time and scored on every candidate region in the same pass
 (linalg.localization_defects), so T_00 is formed once for all regions;
 the other generators are bounded from the parts of G alone (below).
-One-hot windows (quantized classical rules) are basis permutations: their
-conjugations only reindex, with every value 1, and read just the n/d
+One-hot windows (quantized classical rules) must be basis permutations,
+in either direction, else PreconditionViolated: their conjugations only
+reindex, every entry a 1 at a position of its own, and read just the n/d
 inputs a unit needs, so windows far beyond the dense cap stay cheap; their
 backward direction is the forward one on the adjoint, the inverse column
 map.  fast_localization_residual is the one residual entry point for
@@ -52,9 +53,8 @@ one-hot window forms its generators T_0l instead, n/d entries each, and
 the first above tol refutes R; a permutation has S_0† S_0 = I, so T_kl =
 T_k0 T_0l, and splitting each factor X into P(X) and X - P(X) bounds every
 unit by 2e + 2e², e the largest generator HS defect.  A bound within tol
-proves R; otherwise, and for a merging one-hot map, which has no bound,
-the units with k <= l, generators first, decide, so every verdict is the
-exhaustive one.
+proves R; otherwise the units with k <= l, generators first, decide, so
+every verdict is the exhaustive one.
 """
 from __future__ import annotations
 
@@ -173,27 +173,23 @@ def check_shift_invariance(op: WindowOperator, tol: float = la.DEFAULT_TOL,
 # ------------------------------------------------- conjugated cell units
 
 def _one_hot_conjugation(rows: np.ndarray, d: int, w: int, cell: int, k: int, l: int):
-    """COO triple of G (E_kl ⊗ I) G† for the one-hot window G|x> = |rows[x]>:
-    entries 1 at (rows[x], rows[x']) for each input x with cell digit k and
-    its partner x' with digit l, the same index moved by (l - k) digit
-    places.  The n/d inputs with digit k are generated from their place
-    values in increasing order (higher cells, then lower ones), so no
-    window-length array is built."""
+    """COO pair (rows, cols) of G (E_kl ⊗ I) G† for the one-hot permutation
+    G|x> = |rows[x]>: entries 1 at (rows[x], rows[x']) for each input x with
+    cell digit k and its partner x' with digit l, the same index moved by
+    (l - k) digit places, each at a position of its own.  The n/d inputs
+    with digit k are generated from their place values in increasing order
+    (higher cells, then lower ones), so no window-length array is built."""
     pw = d ** (w - 1 - cell)
     src_k = ((np.arange(d**cell, dtype=np.int64)[:, None] * d + k) * pw
              + np.arange(pw, dtype=np.int64)).ravel()
     src_l = src_k + (l - k) * pw
-    return rows[src_k], rows[src_l], np.ones(len(src_k), dtype=np.int64)
+    return rows[src_k], rows[src_l]
 
 
 def _one_hot_adjoint(rows: np.ndarray) -> np.ndarray:
-    """The adjoint of a one-hot window, again a column map: the inverse of
-    ``rows``.  Exists only for a bijective column map."""
+    """The adjoint of a one-hot permutation window, again a column map: the
+    inverse of ``rows``."""
     n = len(rows)
-    if not is_injective(rows):
-        raise PreconditionViolated(
-            "locality analysis needs a unitary window; this one-hot "
-            "operator is not injective")
     inv = np.empty(n, dtype=np.int64)
     inv[rows] = np.arange(n, dtype=np.int64)
     return inv
@@ -280,31 +276,26 @@ def _intertwiner_bound(parts_rows, blocks, d: int, w: int, region, eps0: float) 
 def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     """Conjugated matrix units at ``cell`` as a pair (unit, verdict).
     ``unit`` maps (k, l) to T_kl, forward G (E_kl ⊗ I) G† or backward G†
-    (E_kl ⊗ I) G: a COO triple for a one-hot window, otherwise a function of
+    (E_kl ⊗ I) G: a COO pair for a one-hot window, otherwise a function of
     a row slice (_dense_units) that yields the unit's rows, so no dense unit
     need exist whole.  ``verdict(w, region, ε_0, tol)`` decides a region on
     which T_00 is localized with HS defect ε_0: True when every unit is
-    within tol, False when one is not, None when the units must decide."""
+    within tol, False when one is not, None when the units must decide.
+    A one-hot window must be a permutation, in either direction, else
+    PreconditionViolated."""
     d, w = op.alphabet.d, op.width
     if not op.is_one_hot:
         return _dense_units(op.dense(), d, d**cell, forward)
+    if not is_injective(op.matrix):
+        raise PreconditionViolated(
+            "locality analysis needs a unitary window; this one-hot "
+            "operator is not injective")
     rows = op.matrix if forward else _one_hot_adjoint(op.matrix)
-    bijective = not forward or is_injective(rows)  # _one_hot_adjoint admits only bijections
 
     def unit(k, l):
-        t = _one_hot_conjugation(rows, d, w, cell, k, l)
-        if bijective:
-            return t
-        # a merging map sends several input pairs to one entry: add them up
-        keys = t[0] * len(rows) + t[1]
-        ids = _group_ids(keys)
-        entry = np.empty(ids.max() + 1, dtype=np.int64)
-        entry[ids] = keys
-        return *np.divmod(entry, len(rows)), np.bincount(ids)
+        return _one_hot_conjugation(rows, d, w, cell, k, l)
 
     def verdict(w, region, eps0, tol):
-        if not bijective:
-            return None  # a merging map has no bound
         # the generators are n/d entries each: formed, not bounded
         e = eps0
         for l in range(1, d):
@@ -323,9 +314,9 @@ def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, 
     verdicts compare with tol, and its HS norm, which bounds the operator
     norm.  A dense t is a function of a row slice (_dense_units), streamed in
     linalg.row_blocks through linalg.localization_defects, so only one row
-    block of it exists at a time; a COO triple (rows, cols, vals) goes to
-    the sparse kernel, which splits its indices into digits once for all
-    regions.  Both norms are adjoint-invariant: the projection P onto
+    block of it exists at a time; a COO pair (rows, cols) of 0/1 entries
+    goes to the sparse kernel, which splits its indices into digits once
+    for all regions.  Both norms are adjoint-invariant: the projection P onto
     M_region ⊗ I commutes with †."""
     if isinstance(t, tuple):
         return _coo_localization_residual(*t, d, w, regions)
@@ -333,64 +324,53 @@ def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, 
                                    (d,) * w, regions)
 
 
-def _coo_localization_residual(rows, cols, vals, d: int, w: int,
+def _coo_localization_residual(rows, cols, d: int, w: int,
                                regions) -> list[tuple[float, float]]:
     """Max-norm and HS norm of t - P(t) on each region for a one-hot unit t
-    over the d^w window space, in COO form: distinct positions, each holding
-    a count (1, or the number of input pairs a merging map sends there).
+    over the d^w window space, in COO form: an entry 1 at each of the
+    distinct positions (rows[i], cols[i]).
 
     P(t) is the complement-diagonal mean: the entries whose row and column
     digits agree on every complement cell (one per-entry mask of agreeing
     cells, made once for all regions) are grouped by their region pattern
-    (row, column), and a group of c entries summing to S of its d_C
-    positions has mean B = S/d_C.  Its entries deviate by v - B, its d_C - c
-    absent positions by B, and entries off the complement diagonal by v.
-    Groups are counted by np.bincount over the d_R² patterns where that key
-    space is at most the entry count, else by sorting.  Where every count
-    is 1 (a bijective map) both norms come from the group counts alone;
-    nothing is complex.
+    (row, column), and a group of c of its d_C positions has mean c/d_C.
+    Its entries deviate by 1 - c/d_C, its d_C - c absent positions by
+    c/d_C, and entries off the complement diagonal by 1, so both norms come
+    from the group counts alone, and nothing is complex.  Groups are
+    counted by np.bincount over the d_R² patterns where that key space is
+    at most the entry count, else by sorting.
 
-    A 0/1 unit (a partial permutation, say) reads exactly 0 or at least 1/2:
-    an entry off the complement diagonal reads 1, and a group holding c of
-    its d_C positions reads max(1 - c/d_C, c/d_C), which is 0 at c = d_C
-    and at least 1/2 for 0 < c < d_C."""
-    vals = np.asarray(vals)
-    if len(vals) == 0:
+    So a 0/1 unit (a partial permutation, say) reads exactly 0 or at least
+    1/2: an entry off the complement diagonal reads 1, and a group holding
+    c of its d_C positions reads max(1 - c/d_C, c/d_C), which is 0 at
+    c = d_C and at least 1/2 for 0 < c < d_C."""
+    if len(rows) == 0:
         return [(0.0, 0.0) for _ in regions]
     row_digits, col_digits = window_digits(rows, d, w), window_digits(cols, d, w)
     agree = row_digits == col_digits
-    ones = bool(np.all(vals == 1))
     out = []
     for region in regions:
         region = sorted(set(region))
         dr, dc = d ** len(region), d ** (w - len(region))
-        on = np.ones(len(vals), dtype=bool)
+        on = np.ones(len(rows), dtype=bool)
         for cell in set(range(w)) - set(region):
             on &= agree[cell]
         # the region pattern (row, column) of each entry on the diagonal
-        keys = np.zeros(len(vals), dtype=np.int64)
+        keys = np.zeros(len(rows), dtype=np.int64)
         for digits in (row_digits, col_digits):
             for cell in region:
                 keys *= d
                 keys += digits[cell]
         keys = keys[on]
         # a group per pattern (empty ones included), or per pattern present
-        ids = keys if dr * dr <= len(vals) else _group_ids(keys)
-        counts = np.bincount(ids)
+        counts = np.bincount(keys if dr * dr <= len(rows) else _group_ids(keys))
         missing = dc - counts
-        if ones:
-            mean = counts / dc
-            off_max, off_sq = float(len(keys) < len(vals)), len(vals) - len(keys)
-            dev = np.abs(1 - mean[counts > 0])
-            dev_sq = np.sum(counts * (1 - mean) ** 2)
-        else:
-            mean = np.bincount(ids, weights=vals[on]) / dc
-            off = vals[~on].astype(np.float64)
-            off_max, off_sq = np.max(off, initial=0.0), np.sum(off**2)
-            dev = np.abs(vals[on] - mean[ids])
-            dev_sq = np.sum(dev**2)
-        resid = max(off_max, np.max(dev, initial=0.0), np.max(mean[missing > 0], initial=0.0))
-        out.append((float(resid), float(np.sqrt(off_sq + dev_sq + np.sum(missing * mean**2)))))
+        mean = counts / dc
+        off = len(rows) - len(keys)
+        resid = max(float(off > 0), np.max(1 - mean[counts > 0], initial=0.0),
+                    np.max(mean[missing > 0], initial=0.0))
+        hs_sq = off + np.sum(counts * (1 - mean) ** 2) + np.sum(missing * mean**2)
+        out.append((float(resid), float(np.sqrt(hs_sq))))
     return out
 
 
@@ -506,7 +486,9 @@ def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
     conjugation of every unit must land in -N (true-cell offsets), decided
     by _first_localized on that one region: for a dense window one residual
     pass over T_00 and the intertwiner bound when it holds, for a one-hot
-    permutation d residual passes, T_00 and the generators."""
+    permutation d residual passes, T_00 and the generators.  A one-hot
+    window that is not a permutation is refused (PreconditionViolated), as
+    neighborhood refuses it."""
     cc = default_center(op) if cell is None else cell
     d, w = op.alphabet.d, op.width
     lo, hi = interval
@@ -568,18 +550,18 @@ def _hermitian_probes(unit, d: int):
     """The Hermitian probes of the witness search, in its order, each built
     from its unit only when reached: the diagonal units T_kk, then for
     k < l the two probes c T_kl + (c T_kl)† with c = 1/2 and c = i/2.  A
-    probe is a COO triple or a dense array, as the units are."""
+    probe is a dense array, or for a one-hot unit's COO pair a COO triple
+    (rows, cols, values), its values attached here."""
     for k in range(d):
         t = unit(k, k)
-        t = t if isinstance(t, tuple) else t()
-        yield t
+        yield (*t, np.ones(len(t[0]))) if isinstance(t, tuple) else t()
     for k in range(d):
         for l in range(k + 1, d):
             for scale in (0.5, 0.5j):
                 t = unit(k, l)
                 if isinstance(t, tuple):
-                    rows, cols, vals = t
-                    vals = np.asarray(vals) * scale
+                    rows, cols = t
+                    vals = np.full(len(rows), scale)
                     yield (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                            np.concatenate([vals, np.conj(vals)]))
                     continue

@@ -16,7 +16,6 @@ from qcablocks.algebra import close, factor_pair, restrict, span_algebra
 from qcablocks.decompose import (
     ALIGNMENTS,
     CellImages,
-    _one_hot_unit_rows,
     cell_algebra_images,
     certify,
     decompose_certified,
@@ -67,28 +66,9 @@ def identity_qca(d):
     return BlockQCA(alpha, d, 1, np.eye(d, dtype=complex), np.eye(d, dtype=complex), q1, q2)
 
 
-def dense_row(r, d):
-    """A streamed row T_k0 ... T_k(d-1) as a dense (d, d^2, d^2) array; a
-    one-hot window streams its rows as entries (l, patch_row, patch_col),
-    each of value 1, summed where they repeat."""
-    if not isinstance(r, tuple):
-        return r
-    ls, i, j = r
-    out = np.zeros((d, d * d, d * d), dtype=np.complex128)
-    np.add.at(out, (ls, i, j), 1.0)
-    return out
-
-
-def dense_images(images):
-    """The streamed images with each row densified (dense_row)."""
-    d = images.a1.shape[0]
-    return CellImages(lambda k: dense_row(images.row(k), d), images.a1, images.b1)
-
-
 def unit_stack(images):
     """The whole (d, d, d^2, d^2) stack of streamed cell-1 unit images."""
-    d = images.a1.shape[0]
-    return np.stack([dense_row(images.row(k), d) for k in range(d)])
+    return np.stack([images.row(k) for k in range(images.a1.shape[0])])
 
 
 def unit_span(units):
@@ -248,12 +228,14 @@ def dense_compressed_image(op, cell, k, l):
 def test_unit_stack_is_every_cells_image():
     # the streamed cell-1 rows equal the dense conjugation at cell 1 and, by
     # shift invariance, at cell 2: the translation the shared-cell algebras
-    # rely on; the rule window is checked densified and one-hot
+    # rely on; the rule window is checked densified and through the
+    # whole-window one-hot oracle (one_hot_images)
     rule_op = quantize(partitioned_rule(2, 2, seed=7), 4, "periodic")
     dense_rule = WindowOperator(rule_op.alphabet, 4, rule_op.dense(), "periodic")
-    for op in [*oracle_windows(), dense_rule, rule_op]:
+    cases = [(op, cell_algebra_images(op)) for op in [*oracle_windows(), dense_rule]]
+    for op, images in [*cases, (rule_op, one_hot_images(rule_op))]:
         d = op.alphabet.d
-        units = unit_stack(cell_algebra_images(op))
+        units = unit_stack(images)
         for cell in (1, 2):
             for k in range(d):
                 for l in range(d):
@@ -261,147 +243,50 @@ def test_unit_stack_is_every_cells_image():
                     assert la.max_norm(units[k, l] - oracle) <= 1e-12
 
 
-def full_window_unit_stack(rows, d, w):
-    """Reference for the one-hot row builder: conjugate every cell-1 unit
-    over the whole window and keep the entries whose row and column have a
-    quiescent complement."""
+def full_window_unit_row(rows, d, w, k):
+    """Reference row T_k0 ... T_k(d-1) of the compressed cell-1 unit images
+    of the one-hot permutation window G|x> = |rows[x]>: every unit
+    conjugated over the whole window, and the entries whose row and column
+    have a quiescent complement kept."""
     kept_of, rest_of = np.divmod(np.arange(d ** w, dtype=np.int64), d ** (w - 2))
-    out = np.zeros((d, d, d * d, d * d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            r, c, v = _one_hot_conjugation(rows, d, w, 1, k, l)
-            sel = (rest_of[r] == 0) & (rest_of[c] == 0)
-            np.add.at(out[k, l], (kept_of[r[sel]], kept_of[c[sel]]), v[sel])
+    out = np.zeros((d, d * d, d * d), dtype=np.complex128)
+    for l in range(d):
+        r, c = _one_hot_conjugation(rows, d, w, 1, k, l)
+        sel = (rest_of[r] == 0) & (rest_of[c] == 0)
+        out[l, kept_of[r[sel]], kept_of[c[sel]]] = 1.0
     return out
 
 
-def one_hot_row_cases():
-    """(rows, d, w): relabelled grouped Toffoli, partitioned rules grouped
-    by s ∈ {1, 2}, and a merging (non-injective) map."""
-    rng = np.random.default_rng(17)
-    rules = [relabelled(group_cells(toffoli_ca(), 2), rng)]
-    for p, q, s in [(2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 2, 2)]:
-        rule = partitioned_rule(p, q, seed=30 + 3 * p + q)
-        rules.append(group_cells(rule, s) if s > 1 else rule)
-    for rule in rules:
-        yield quantize(rule, 4, "periodic").matrix, rule.alphabet.d, 4
-    rows = quantize(partitioned_rule(2, 2, seed=50), 5, "periodic").matrix
-    n = len(rows)
-    merged = rows.copy()
-    merged[rng.choice(n, size=n // 2)] = rows[rng.choice(n, size=n // 2)]
-    assert len(np.unique(merged)) < n
-    yield merged, 4, 5
+def one_hot_images(op):
+    """CellImages of a one-hot permutation window in the {0, 1} alignment,
+    for the dense stages: each row rebuilt by full_window_unit_row on call,
+    and the partial traces taken one row at a time, so the whole stack
+    never exists."""
+    d, w = op.alphabet.d, op.width
+
+    def row(k):
+        return full_window_unit_row(op.matrix, d, w, k)
+
+    a1, b1 = np.zeros((2, d, d, d, d), dtype=np.complex128)
+    for k in range(d):
+        r = row(k).reshape((d,) * 5)
+        a1[k] = np.einsum("lxixj->lij", r)
+        b1[k] = np.einsum("lixjx->lij", r)
+    return CellImages(row, a1, b1)
 
 
-def test_one_hot_rows_match_full_window_route():
-    # the rows read off the preimages of the patch rows equal, entry for
-    # entry, the compressed conjugations over the whole window
-    for rows, d, w in one_hot_row_cases():
-        row = _one_hot_unit_rows(rows, d, w)
-        stack = np.stack([dense_row(row(k), d) for k in range(d)])
-        assert np.array_equal(stack, full_window_unit_stack(rows, d, w))
-
-
-def float_identity_route(op):
-    """The float route of cell_algebra_images' one-hot checks, for
-    reference: every unit densified from its entries, then the traces and
-    the four seeded products T_kl T_lm - T_km in complex.  Returns the
-    triples, each one's residual, and the message of the NotLocal the
-    checks raise (None where they pass)."""
-    d = op.alphabet.d
-    row = _one_hot_unit_rows(op.matrix, d, op.width)
-    units = np.stack([dense_row(row(k), d) for k in range(d)])
-    rng = np.random.default_rng(0)
-    triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
-    resids = [la.max_norm(units[k, l] @ units[l, m] - units[k, m]) for k, l, m in triples]
-    dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
-    if dev > d * 1e-7:
-        return triples, resids, (f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the evolution "
-                                 "does not conjugate the cell algebra faithfully")
-    return triples, resids, next((f"cell-1 units break T_kl T_lm = T_km (residual {r:.2e})"
-                                  for r in resids if r > 1e-7), None)
-
-
-def test_integer_identity_residuals_match_the_float_route(monkeypatch):
-    # relabelled partitioned rules, and the same windows with the column of
-    # a patch-row preimage swapped with one whose image leaves the patch,
-    # so that some identities fail; the generator gate is skipped so the
-    # checks see every window.  The integer residuals on the entry maps are
-    # the float products' exactly, and each window raises the float route's
-    # NotLocal, message for message
-    monkeypatch.setattr(dec, "_first_localized", lambda *args: 0)
-    outcomes = set()
-    for seed, (p, q) in enumerate([(2, 2), (2, 3), (3, 2)] * 4):
-        op = quantize(partitioned_rule(p, q, seed=seed), 4, "periodic")
-        d, rows = op.alphabet.d, op.matrix.copy()
-        rng = np.random.default_rng(seed)
-        inside = rng.choice(np.flatnonzero(rows % d ** 2 == 0))
-        outside = rng.choice(np.flatnonzero(rows % d ** 2 != 0))
-        rows[[inside, outside]] = rows[[outside, inside]]
-        for window in (op, WindowOperator(op.alphabet, 4, rows, "periodic")):
-            triples, resids, message = float_identity_route(window)
-            row = _one_hot_unit_rows(window.matrix, d, 4)
-            entries = [row(k) for k in range(d)]
-
-            def unit(k, l):
-                ls, i, j = entries[k]
-                return i[ls == l], j[ls == l]
-
-            assert [dec._entry_product_defect(unit(k, l), unit(l, m), unit(k, m), d * d)
-                    for k, l, m in triples] == resids
-            if message is None:
-                cell_algebra_images(window)
-            else:
-                with pytest.raises(NotLocal) as err:
-                    cell_algebra_images(window)
-                assert type(err.value) is NotLocal and str(err.value) == message
-            outcomes.add(message.split(" (")[0].split(" by")[0] if message else None)
-    assert outcomes == {None, "cell-1 unit traces miss d·δ_kl",
-                        "cell-1 units break T_kl T_lm = T_km"}
-
-
-def test_one_hot_unit_rows_keep_only_the_patch_preimages():
-    # grouped Toffoli at w = 4 (d = 16, n = 65536), in int64 rows arrays (8n
-    # bytes): the row builder keeps the d² preimages of the rows with a
-    # quiescent complement and their digits, and each row splits only the
-    # images it reads, so the scan that finds the preimages is the one
-    # transient rows array (the n-length divmod results it used to keep
-    # for both passes of the decomposer took 2.13)
-    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
-    d, rows_array = op.alphabet.d, 8 * op.dim
-    tracemalloc.start()
-    try:
-        row = _one_hot_unit_rows(op.matrix, d, op.width)
-        kept = tracemalloc.get_traced_memory()[0]
-        assert all(len(row(k)[0]) == d * d for k in range(d))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert kept <= 0.05 * rows_array, kept / rows_array
-    assert peak <= 1.2 * rows_array, peak / rows_array
-
-
-def test_cell_algebra_images_peak_memory():
-    # one (d, d, d², d²) stack is d⁶·16 bytes (256 MiB at d = 16) and one
-    # row d⁵·16; the bound leaves room for one row, the units the sampled
-    # products need and the working set, not for the stack
-    op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
-    d = op.alphabet.d
-    tracemalloc.start()
-    try:
-        cell_algebra_images(op)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * d ** 5 * 16
+def images_of(op):
+    """The cell-1 images of a window: cell_algebra_images of a dense one,
+    one_hot_images of a one-hot one."""
+    return one_hot_images(op) if op.is_one_hot else cell_algebra_images(op)
 
 
 def test_decompose_certified_peak_memory():
-    # the whole pipeline on the same window: the gates' pass over the rows,
-    # the block permutations and the integer certificate stay within a few
-    # rows
+    # grouped Toffoli at w = 4 (d = 16, n = 65536), in int64 column maps
+    # (8n bytes, 0.5 MiB): the gate's generator check, the rule table, the
+    # block permutations and the integer certificate peak at 2.66 of them
+    # (1.33 MiB); one row of dense images, d⁵·16 bytes, is 16 MiB
     op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
-    d = op.alphabet.d
     tracemalloc.start()
     try:
         qca, cert = decompose_certified(op, seed=3)
@@ -409,7 +294,7 @@ def test_decompose_certified_peak_memory():
     finally:
         tracemalloc.stop()
     assert (qca.p, qca.q) == (8, 2) and cert.residual <= 1e-7
-    assert peak <= 5 * d ** 5 * 16
+    assert peak <= 3.2 * 8 * op.dim, peak / (8 * op.dim)
 
 
 # -------------------------------------------------------------- derive steps
@@ -435,7 +320,7 @@ def test_factor_pair_peak_memory():
     # the shared-cell algebras of grouped Toffoli, dimensions 64 and 4 in
     # M_16: the split works in the algebra's own size, and a stack of all
     # k² commutators (k²·n²·16 bytes, 16 MiB here) would not fit the bound
-    images = cell_algebra_images(quantize(group_cells(toffoli_ca(), 2), 4, "periodic"))
+    images = one_hot_images(quantize(group_cells(toffoli_ca(), 2), 4, "periodic"))
     a1, b1 = shared_cell_algebras(images)
     assert (a1.dimension, b1.dimension) == (64, 4)
     tracemalloc.start()
@@ -470,7 +355,7 @@ def test_derive_u_recovers_splitter_up_to_phase():
 
 
 def four_matmul_derive_u(images, fact):
-    """Reference for derive_u: each row densified and conjugated by
+    """Reference for derive_u: each row conjugated by
     W = dagger(v) one patch leg at a time (four matmuls), every unit's
     middle-factor residual taken on the (p, q, p, q) patch; returns u and
     the (d, d) residuals."""
@@ -480,7 +365,7 @@ def four_matmul_derive_u(images, fact):
     phi = np.zeros((d, d, d, d), dtype=np.complex128)
     resid = np.zeros((d, d))
     for k in range(d):
-        t = w @ dense_row(images.row(k), d).reshape(d, d, d ** 3)
+        t = w @ images.row(k).reshape(d, d, d ** 3)
         t = w @ t.reshape(d * d, d, d * d)
         t = t.reshape(d ** 3, d, d) @ wh
         t = (w.conj() @ t).reshape(d, d * d, d * d)
@@ -509,7 +394,7 @@ def with_cell_phases(op, seed):
 def derive_u_cases():
     """Normalized windows for the derive_u oracle: relabelled grouped
     Toffoli and partitioned rules grouped by s ∈ {1, 2}, whose rows the
-    oracle densifies, the ones within the dense cap also densified with
+    whole-window oracle builds (images_of), the ones within the dense cap also densified with
     exp(iθ) phases, and a dense random block window."""
     rng = np.random.default_rng(23)
     rules = [relabelled(group_cells(toffoli_ca(), 2), rng)]
@@ -551,10 +436,10 @@ def assert_same_u(u, u_ref):
 def test_derive_u_matches_four_matmul_route(monkeypatch):
     # the permuted dense route gives the u of the leg-by-leg conjugation of
     # dense rows, and forms every unit, with the middle-factor residual of
-    # the (p, q, p, q) patch; a one-hot window's rows are densified, so the
-    # check also runs on permutation inputs
+    # the (p, q, p, q) patch; a one-hot window's rows come from the
+    # whole-window oracle, so the check also runs on permutation inputs
     for op in derive_u_cases():
-        images = dense_images(cell_algebra_images(op))
+        images = images_of(op)
         fact = derive_v(*shared_cell_algebras(images), seed=0)
         u_ref, resid_ref = four_matmul_derive_u(images, fact)
         u, seen = spied_derive_u(images, fact, monkeypatch)
@@ -565,7 +450,7 @@ def test_derive_u_matches_four_matmul_route(monkeypatch):
 @pytest.mark.parametrize("hot", [True, False])
 def test_derive_u_names_the_perturbed_unit(hot):
     # one entry of unit (k, l) moved by 1e-4 (far above tol), or in the
-    # densified rows of a one-hot window, whose entries are 0 and 1, one
+    # oracle's rows of a one-hot window, whose entries are 0 and 1, one
     # entry 1 set to 0, breaks that unit's middle-factor form, and derive_u
     # refuses naming it
     if hot:
@@ -573,7 +458,7 @@ def test_derive_u_names_the_perturbed_unit(hot):
                       4, "periodic")
     else:
         op = window_matrix(random_block_qca(6, 2, 3, seed=81), 4)
-    images = dense_images(cell_algebra_images(op))
+    images = images_of(op)
     fact = derive_v(*shared_cell_algebras(images), seed=0)
     k, l = 3, 2
 
@@ -1188,12 +1073,58 @@ def test_certify_compares_other_block_pairs_densely():
 
 
 def test_permutation_blocks_refuse_what_forms_no_grid():
-    # one symbol's diagonal value in a1 moved: the symbol is an atom of its
-    # own, and the atoms no longer form a p x q grid of the symbols
-    op = quantize(partitioned_rule(2, 2, seed=9), 4, "periodic")
-    images = cell_algebra_images(op)
-    a1 = images.a1.copy()
-    a1[0, 0, 3, 3] += 1
-    with pytest.raises(ReconstructionMismatch, match="no block permutation"):
-        permutation_blocks(CellImages(images.row, a1, images.b1), op.alphabet)
+    # every table with one entry moved to another symbol: the rows and
+    # columns that symbol lies in change, and its atoms no longer form a
+    # p x q grid of the symbols
+    rule = partitioned_rule(2, 2, seed=9)
+    d = rule.alphabet.d
+    for a, b, y in itertools.product(range(d), repeat=3):
+        if rule.table[a, b] == y:
+            continue
+        table = rule.table.copy()
+        table[a, b] = y
+        with pytest.raises(ReconstructionMismatch, match="no block permutation"):
+            permutation_blocks(table, rule.alphabet)
 
+
+def table_blocks(rule):
+    """permutation_blocks of the rule's own table, and the table its 0/1
+    pair rebuilds in integers, (x, x') -> v(b(x), a(x')) with u|x> =
+    |a(x), b(x)>; None for a refusal."""
+    try:
+        qca = permutation_blocks(rule.table, rule.alphabet)
+    except ReconstructionMismatch:
+        return None
+    assert is_permutation_matrix(qca.u) and is_permutation_matrix(qca.v)
+    split, join = np.argmax(qca.u.real, axis=0), np.argmax(qca.v.real, axis=0)
+    a, b = np.divmod(split, qca.p)
+    return qca, join[b[:, None] * qca.q + a[None, :]]
+
+
+def test_d3_census_tables_form_the_census_grids():
+    # Kari's grid on the rule tables alone, with no window: each table of
+    # D3_RING_CENSUS, plain and grouped by 2, whose window decomposes gives
+    # the census split, and its 0/1 pair rebuilds the table exactly; the
+    # table of each of the 18 windows the gates refuse is refused too
+    alphabet = default_alphabet(3)
+    for key, census in D3_RING_CENSUS.items():
+        rule = ClassicalRule(alphabet, np.array([int(c) for c in key]).reshape(3, 3))
+        for r, want in zip((rule, group_cells(rule, 2)), census):
+            got = table_blocks(r)
+            if want is None:
+                assert got is None, key
+                continue
+            qca, rebuilt = got
+            assert (qca.p, qca.q) == want[:2], key
+            assert np.array_equal(rebuilt, r.table), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitioned_rules(max_d=81))
+def test_partitioned_rule_tables_rebuild_exactly(case):
+    # relabelled partitioned rules grouped by s ∈ {1, 2}, up to 81 symbols:
+    # the split is (d^s / q, q), and the 0/1 pair rebuilds the table
+    q, rule = case
+    qca, rebuilt = table_blocks(rule)
+    assert (qca.p, qca.q) == (rule.alphabet.d // q, q)
+    assert np.array_equal(rebuilt, rule.table)

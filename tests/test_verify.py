@@ -679,21 +679,20 @@ def test_one_hot_permutation_is_decided_by_its_generators(monkeypatch):
 
 
 def test_one_hot_merging_map_takes_the_exhaustive_path(monkeypatch):
-    # G zeroes cell 3 (d = 2, w = 4): forward, T_kl = 2 E_kl at cell 1 ⊗
-    # |0><0| at cell 3, localized on a region holding both cells and on no
-    # other; a merging map has no bound, so every unit with k <= l is formed
+    # G zeroes cell 3 (d = 2, w = 4), a merging map: it has no intertwiner
+    # bound and its units repeat positions, so it has no path of its own;
+    # a one-hot window is a permutation in both directions, and the forward
+    # mirror refuses it as the backward search does, before any residual
     calls = _spied_residuals(monkeypatch)
     words = np.arange(16)
     op = WindowOperator(default_alphabet(2), 4, words - words % 2, "periodic")
-    cc, tol = 1, la.DEFAULT_TOL
-    for interval, local in (((-2, 0), True), ((-1, 0), False), ((0, 0), False)):
-        region = range(cc - interval[1], cc - interval[0] + 1)
-        calls.clear()
-        assert check_inverse_locality(op, interval, cell=cc) == local
-        assert oracle.whole_unit_first_localized(op, cc, True, [region], tol) == (
-            0 if local else None)
-        if local:  # T_00, then the units T_01 and T_11
-            assert len(calls) == 3
+    message = "this one-hot operator is not injective"
+    for interval in ((-2, 0), (-1, 0), (0, 0)):
+        with pytest.raises(PreconditionViolated, match=message):
+            check_inverse_locality(op, interval, cell=1)
+    with pytest.raises(PreconditionViolated, match=message):
+        neighborhood(op, max_radius=1, cell=1)
+    assert calls == []
 
 
 def test_locality_checks_make_generator_many_residual_calls(monkeypatch):
