@@ -14,22 +14,18 @@ unitary v), reads the cell-splitting unitary u off the induced
 certifies the reconstruction against the whole input window up to a
 global phase, at the one cell shift the alignment chose.
 
-No step needs all d² dense images at once, so a dense window's are
-streamed one row T_k0 ... T_k(d-1) at a time in two passes: the first
-takes the partial traces and the matrix-unit checks, the second (after
-the split) rebuilds each row for u.
-
 The window's alignment is chosen by exact gates alone: of the window
 rotations by 0, +1 and -1 cells, the first that is shift invariant and
 passes its gate is decomposed; no random probe is drawn, and the
 certificate compares at that rotation alone.  A dense window's gate is
 the trace and matrix-unit checks of its compressed images, which it
 conjugates on its quiescent-complement rows with the verifier's dense
-unit primitive.  A one-hot window's gate is the verifier's exact
-generator check for localization on the patch, by reindexing, and it
-forms no image: what passes is decomposed from its d x d rule table
-(_rule_table).  Whatever a gate cannot see, the end-to-end certificate
-against the whole window refuses.
+unit primitive and holds as one (d, d, d², d²) stack for the split and
+u: d^6 entries, at most 1/d² of the d^(2w) window at w >= 4.  A one-hot
+window's gate is the verifier's exact generator check for localization
+on the patch, by reindexing, and it forms no image: what passes is
+decomposed from its d x d rule table (_rule_table).  Whatever a gate
+cannot see, the end-to-end certificate against the whole window refuses.
 
 A one-hot window that passed its gate is a block permutation (Kari,
 "Representation of reversible cellular automata with block
@@ -95,7 +91,6 @@ first, which costs less than its pipeline.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,35 +164,18 @@ def _rotate_rows(op: WindowOperator, steps: int) -> WindowOperator:
     return WindowOperator(op.alphabet, op.width, mat, op.boundary, op.out_shift)
 
 
-@dataclass(frozen=True)
-class CellImages:
-    """The compressed images T_kl of the cell-1 matrix units of a dense
-    window, streamed.
-
-    ``row(k)`` rebuilds row k, T_k0 ... T_k(d-1), a dense (d, d², d²)
-    array.  ``a1`` and ``b1`` are the (d, d, d, d) partial traces of every
-    T_kl over patch leg 0 and over patch leg 1, taken while the rows went
-    by."""
-
-    row: Callable[[int], np.ndarray]
-    a1: np.ndarray
-    b1: np.ndarray
-
-
 def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
-                        shift: int = 0) -> CellImages:
-    """First pass over the rows of compressed images T_kl of the cell-1
+                        shift: int = 0) -> np.ndarray:
+    """The (d, d, d², d²) stack of compressed images T_kl of the cell-1
     matrix units under forward conjugation G (E_kl ⊗ I) G†, compressed onto
     patch (0, 1), with G the window composed with the cyclic shift of its
     outputs by ``shift`` cells (_rotate_rows), read without forming it.
     The window is taken as dense (a one-hot one is densified, within
     WindowOperator.dense's cap); a one-hot window's own gate is _rule_table.
 
-    A row is the verifier's dense units on the d² rows of the rotated G
+    Each T_kl is the verifier's dense unit on the d² rows of the rotated G
     whose complement cells (2 ... w-1) are quiescent, gathered from G, so
-    no rotated copy exists; each call of ``row`` rebuilds it, and one row
-    is held at a time.  The pass keeps the two partial traces (einsum) and
-    the units the checks below multiply.
+    no rotated copy exists.
 
     Conjugation by a unitary is a *-isomorphism, so the images must be a
     system of matrix units; NotLocal unless Tr T_kl = d·δ_kl on every unit
@@ -212,30 +190,17 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
     # window's row r is the window's row src[r]
     src = window_rotation(d, w, -shift)
     unit = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)[0]
-
-    def row(k: int) -> np.ndarray:
-        return np.stack([unit(k, l)() for l in range(d)])
-
-    rng = np.random.default_rng(0)
-    triples = [tuple(rng.integers(0, d, size=3)) for _ in range(4)]
-    sampled = {key: None for k, l, m in triples for key in ((k, l), (l, m), (k, m))}
-    a1, b1 = np.zeros((2, d, d, d, d), dtype=np.complex128)
-    for k in range(d):
-        r = row(k)
-        a1[k] = np.einsum("lxixj->lij", r.reshape((d,) * 5))
-        b1[k] = np.einsum("lixjx->lij", r.reshape((d,) * 5))
-        sampled.update({key: r[key[1]].copy() for key in sampled if key[0] == k})
-        del r  # before the next row is built
-    # Tr T_kl is the trace of either partial trace
-    dev = la.max_norm(np.einsum("klii->kl", a1) - d * np.eye(d))
+    units = np.array([[unit(k, l)() for l in range(d)] for k in range(d)])
+    dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
     if dev > d * max(tol, 1e-7):
         raise NotLocal(f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the "
                        "evolution does not conjugate the cell algebra faithfully")
-    for k, l, m in triples:
-        resid = la.max_norm(sampled[k, l] @ sampled[l, m] - sampled[k, m])
+    rng = np.random.default_rng(0)
+    for k, l, m in (tuple(rng.integers(0, d, size=3)) for _ in range(4)):
+        resid = la.max_norm(units[k, l] @ units[l, m] - units[k, m])
         if resid > max(tol, 1e-7):
             raise NotLocal(f"cell-1 units break T_kl T_lm = T_km (residual {resid:.2e})")
-    return CellImages(row, a1, b1)
+    return units
 
 
 def _rule_table(op: WindowOperator, tol: float, shift: int) -> np.ndarray:
@@ -249,7 +214,8 @@ def _rule_table(op: WindowOperator, tol: float, shift: int) -> np.ndarray:
     the input (a, b, 0, ..., 0), d² lookups.  The trace and matrix-unit
     checks of a dense window hold on what passes at tol below 1/2 (module
     docstring), so they are not repeated; at any tol the certificate
-    refuses a table that does not rebuild the window."""
+    refuses a table that does not rebuild the window.  The window must be
+    injective, which decompose_certified counts first."""
     d, w = op.alphabet.d, op.width
     op = _rotate_rows(op, shift)
     patch = (0, 1)
@@ -260,16 +226,17 @@ def _rule_table(op: WindowOperator, tol: float, shift: int) -> np.ndarray:
     return (op.matrix[np.arange(d * d) * d ** (w - 2)] // d ** (w - 1)).reshape(d, d)
 
 
-def shared_cell_algebras(images: CellImages) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
+def shared_cell_algebras(images: np.ndarray) -> tuple[GeneratedAlgebra, GeneratedAlgebra]:
     """The two commuting algebras on the shared cell 1, read off the cell-1
-    unit images: tracing out patch leg 0 leaves the cell-1 image's part on
+    image stack: tracing out patch leg 0 leaves the cell-1 image's part on
     cell 1; tracing out leg 1 leaves its part on cell 0, which by shift
     invariance is the cell-2 image's part on cell 1.  An image algebra is
     the tensor product of its parts, so each span (one d²-vector SVD in
     dimension d) is already an algebra."""
-    d = images.a1.shape[0]
-    return (span_algebra(images.a1.reshape(-1, d, d), d),
-            span_algebra(images.b1.reshape(-1, d, d), d))
+    d = images.shape[0]
+    t = images.reshape((d,) * 6)
+    return (span_algebra(np.einsum("klxixj->klij", t).reshape(-1, d, d), d),
+            span_algebra(np.einsum("klixjx->klij", t).reshape(-1, d, d), d))
 
 
 def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
@@ -287,10 +254,9 @@ def derive_v(a1: GeneratedAlgebra, b1: GeneratedAlgebra, seed: int = 0,
             f"{err} -- the input evolution is not a valid radius-1/2 automaton")
 
 
-def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
+def derive_u(images: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.ndarray:
     """Cell-splitting unitary of a dense window from the induced
-    *-isomorphism: the second pass over the dense unit rows, each rebuilt
-    by ``images.row`` and held one at a time.
+    *-isomorphism on its cell-1 image stack (cell_algebra_images).
 
     Conjugating the cell-1 units by W = dagger(v) on both patch cells gives
     I_p ⊗ phi(E_kl) ⊗ I_q, and phi is a *-isomorphism of M_d onto the middle
@@ -300,8 +266,8 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     patch, so each conjugated unit, two matmuls, is already split into
     region and complement, and phi(E_kl) is its outer-(0, 0) block.  Every
     unit's middle-factor residual and u's isomorphism residual over all d²
-    units are checked.  One-hot windows take no such pass: their block
-    form is read off their rule table (permutation_blocks)."""
+    units are checked.  One-hot windows form no images: their block form
+    is read off their rule table (permutation_blocks)."""
     p, q = fact.p, fact.q
     d = p * q
     limit = max(tol, 1e-7)
@@ -310,16 +276,14 @@ def derive_u(images: CellImages, fact: Factorization, tol: float = 1e-8) -> np.n
     ww_h = la.dagger(ww)
     phi = np.empty((d, d, d, d), dtype=np.complex128)
     for k in range(d):
-        r = images.row(k)
         for l in range(d):
-            x = ww @ r[l] @ ww_h
+            x = ww @ images[k, l] @ ww_h
             resid = la.localization_defect(x, (d, d), {0})[0]
             if resid > limit:
                 raise IsoSolveFailed(
                     f"conjugated image ({k},{l}) misses the middle factors "
                     f"(residual {resid:.2e})")
             phi[k, l] = x[::d, ::d]
-        del r  # before the next row is built
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
     if abs(vals[-1] - 1.0) > 1e-6:
@@ -607,12 +571,12 @@ def _require_unitary(op: WindowOperator, tol: float) -> None:
         raise PreconditionViolated("window operator is not unitary") from None
 
 
-def _aligned_images(op: WindowOperator,
-                    tol: float) -> tuple[int, CellImages | np.ndarray]:
+def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, np.ndarray]:
     """``(steps, gated)``: the first alignment that passes the exact gates,
-    and what the gate read off the window rotated by it: the cell-1 images
-    of a dense window (cell_algebra_images), the rule table of a one-hot
-    one (_rule_table).
+    and the array the gate read off the window rotated by it: the
+    (d, d, d², d²) cell-1 image stack of a dense window
+    (cell_algebra_images), the d x d rule table of a one-hot one
+    (_rule_table).
 
     Hand-written windows may have their neighborhood at window offsets
     {0, 1}, {-1, 0} or {1, 2}; composing with the window cyclic shift by

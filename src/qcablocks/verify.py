@@ -281,15 +281,11 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
     need exist whole.  ``verdict(w, region, ε_0, tol)`` decides a region on
     which T_00 is localized with HS defect ε_0: True when every unit is
     within tol, False when one is not, None when the units must decide.
-    A one-hot window must be a permutation, in either direction, else
-    PreconditionViolated."""
+    A one-hot window must be a permutation, which the caller has counted
+    (_require_permutation, or decompose's unitarity check)."""
     d, w = op.alphabet.d, op.width
     if not op.is_one_hot:
         return _dense_units(op.dense(), d, d**cell, forward)
-    if not is_injective(op.matrix):
-        raise PreconditionViolated(
-            "locality analysis needs a unitary window; this one-hot "
-            "operator is not injective")
     rows = op.matrix if forward else _one_hot_adjoint(op.matrix)
 
     def unit(k, l):
@@ -306,6 +302,13 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
         return 2 * e + 2 * e * e <= tol or None
 
     return unit, verdict
+
+
+def _require_permutation(op: WindowOperator) -> None:
+    """Locality analysis reindexes a one-hot window only as a permutation."""
+    if op.is_one_hot and not is_injective(op.matrix):
+        raise PreconditionViolated("locality analysis needs a unitary window; "
+                                   "this one-hot operator is not injective")
 
 
 def fast_localization_residual(t, d: int, w: int, regions) -> list[tuple[float, float]]:
@@ -452,6 +455,7 @@ def neighborhood(op: WindowOperator, max_radius: int = 1,
             f"{max_testable_radius(op, cc)} for a width-{op.width} "
             f"{op.boundary} window probed at cell {cc}")
     d, w = op.alphabet.d, op.width
+    _require_permutation(op)
     units = _unit_conjugation(op, cc, forward=False)
     # a candidate covering the whole window is vacuous: every operator is
     # "localized" there, so it can never support a locality claim
@@ -500,6 +504,7 @@ def check_inverse_locality(op: WindowOperator, interval: tuple[int, int],
         raise WindowTooSmall(
             f"mirrored region [{wlo}, {whi}] does not fit the window at cell {cc}")
     region = range(cc + wlo, cc + whi + 1)
+    _require_permutation(op)
     return _first_localized(_unit_conjugation(op, cc, forward=True),
                             d, w, [region], tol) is not None
 

@@ -1,6 +1,7 @@
 """Decomposer checks: cell-algebra images, the separation/recovery steps,
 gauge fixing, certification, and the error paths."""
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_pair, restrict, span_algebra
 from qcablocks.decompose import (
     ALIGNMENTS,
-    CellImages,
     cell_algebra_images,
     certify,
     decompose_certified,
@@ -35,7 +35,7 @@ from qcablocks.errors import (
     ReconstructionMismatch,
     WindowTooSmall,
 )
-from qcablocks.gallery import shift_qca, swap_qca, toffoli_ca, xor_ca
+from qcablocks.gallery import phase_qca, shift_qca, swap_qca, toffoli_ca, xor_ca
 from qcablocks.model import (
     DENSE_WINDOW_CAP,
     BlockQCA,
@@ -64,11 +64,6 @@ def identity_qca(d):
     q1 = np.zeros(d, dtype=complex); q1[0] = 1
     q2 = np.array([1.0], dtype=complex)
     return BlockQCA(alpha, d, 1, np.eye(d, dtype=complex), np.eye(d, dtype=complex), q1, q2)
-
-
-def unit_stack(images):
-    """The whole (d, d, d^2, d^2) stack of streamed cell-1 unit images."""
-    return np.stack([images.row(k) for k in range(images.a1.shape[0])])
 
 
 def unit_span(units):
@@ -122,7 +117,7 @@ def relabelled(rule, rng):
 
 def test_images_identity_qca_are_cell_algebras():
     g = identity_qca(2)
-    units = unit_stack(cell_algebra_images(window_matrix(g, 4)))
+    units = cell_algebra_images(window_matrix(g, 4))
     d = 2
     assert unit_span(units).dimension == d * d
     # the identity evolution leaves cell operators in place: image of the
@@ -137,7 +132,7 @@ def test_images_identity_qca_are_cell_algebras():
 
 def test_images_shift_qca_land_on_left_cell():
     g = shift_qca()
-    units = unit_stack(cell_algebra_images(window_matrix(g, 4)))
+    units = cell_algebra_images(window_matrix(g, 4))
     d = 2
     for k in range(d):
         for l in range(d):
@@ -165,7 +160,7 @@ def test_inclusion_property_of_image_algebra():
     # has the same dimension d^2.
     for seed, (d, p, q) in enumerate([(4, 2, 2), (6, 2, 3)]):
         g = random_block_qca(d, p, q, seed=seed + 200)
-        units = unit_stack(cell_algebra_images(window_matrix(g, 4)))
+        units = cell_algebra_images(window_matrix(g, 4))
         alg = unit_span(units)
         left = restrict(alg, (d, d), {0})
         right = restrict(alg, (d, d), {1})
@@ -180,7 +175,7 @@ def test_unit_stacks_are_matrix_units():
     # full multiplication table T_kl T_lm = T_km
     for op in oracle_windows():
         d = op.alphabet.d
-        units = unit_stack(cell_algebra_images(op))
+        units = cell_algebra_images(op)
         flat = units.reshape(d * d, -1)
         assert la.max_norm(flat.conj() @ flat.T - d * np.eye(d * d)) <= 1e-9
         assert la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d)) <= 1e-9
@@ -197,7 +192,7 @@ def test_shared_cell_algebras_match_restrict_oracle():
         images = cell_algebra_images(op)
         fast = shared_cell_algebras(images)
         for keep, alg in zip(({1}, {0}), fast):
-            oracle = restrict(unit_span(unit_stack(images)), (d, d), keep)
+            oracle = restrict(unit_span(images), (d, d), keep)
             assert alg.dimension == oracle.dimension
             assert all(oracle.projection_residual(m) <= 1e-8 for m in alg.basis)
             assert all(alg.projection_residual(m) <= 1e-8 for m in oracle.basis)
@@ -209,6 +204,17 @@ def test_images_reject_unfaithful_conjugation():
     op = WindowOperator(g.alphabet, 4, 2 * np.eye(16, dtype=complex), "periodic")
     with pytest.raises(NotLocal, match="traces"):
         cell_algebra_images(op)
+
+
+def test_images_reject_broken_products():
+    # a block window kicked to G(I + εK), K a fixed Gaussian matrix: at
+    # ε = 6.5e-7 the unit traces miss d·δ_kl by 2.9e-6, within d·tol, and a
+    # sampled product T_kl T_lm misses T_km by 1.5e-6, above tol
+    op = window_matrix(random_block_qca(4, 2, 2, seed=7), 4)
+    kick = np.eye(op.dim) + 6.5e-7 * np.random.default_rng(1).standard_normal((op.dim, op.dim))
+    bad = WindowOperator(op.alphabet, 4, op.dense() @ kick, "periodic")
+    with pytest.raises(NotLocal, match=r"break T_kl T_lm = T_km \(residual 1\.46e-06\)"):
+        cell_algebra_images(bad, tol=1e-6)
 
 
 def dense_compressed_image(op, cell, k, l):
@@ -226,16 +232,15 @@ def dense_compressed_image(op, cell, k, l):
 
 
 def test_unit_stack_is_every_cells_image():
-    # the streamed cell-1 rows equal the dense conjugation at cell 1 and, by
+    # the cell-1 image stack equals the dense conjugation at cell 1 and, by
     # shift invariance, at cell 2: the translation the shared-cell algebras
     # rely on; the rule window is checked densified and through the
     # whole-window one-hot oracle (one_hot_images)
     rule_op = quantize(partitioned_rule(2, 2, seed=7), 4, "periodic")
     dense_rule = WindowOperator(rule_op.alphabet, 4, rule_op.dense(), "periodic")
     cases = [(op, cell_algebra_images(op)) for op in [*oracle_windows(), dense_rule]]
-    for op, images in [*cases, (rule_op, one_hot_images(rule_op))]:
+    for op, units in [*cases, (rule_op, one_hot_images(rule_op))]:
         d = op.alphabet.d
-        units = unit_stack(images)
         for cell in (1, 2):
             for k in range(d):
                 for l in range(d):
@@ -258,21 +263,14 @@ def full_window_unit_row(rows, d, w, k):
 
 
 def one_hot_images(op):
-    """CellImages of a one-hot permutation window in the {0, 1} alignment,
-    for the dense stages: each row rebuilt by full_window_unit_row on call,
-    and the partial traces taken one row at a time, so the whole stack
-    never exists."""
+    """The (d, d, d^2, d^2) cell-1 image stack of a one-hot permutation
+    window in the {0, 1} alignment, for the dense stages, filled one row
+    of full_window_unit_row at a time."""
     d, w = op.alphabet.d, op.width
-
-    def row(k):
-        return full_window_unit_row(op.matrix, d, w, k)
-
-    a1, b1 = np.zeros((2, d, d, d, d), dtype=np.complex128)
+    units = np.empty((d, d, d * d, d * d), dtype=np.complex128)
     for k in range(d):
-        r = row(k).reshape((d,) * 5)
-        a1[k] = np.einsum("lxixj->lij", r)
-        b1[k] = np.einsum("lixjx->lij", r)
-    return CellImages(row, a1, b1)
+        units[k] = full_window_unit_row(op.matrix, d, w, k)
+    return units
 
 
 def images_of(op):
@@ -285,7 +283,7 @@ def test_decompose_certified_peak_memory():
     # grouped Toffoli at w = 4 (d = 16, n = 65536), in int64 column maps
     # (8n bytes, 0.5 MiB): the gate's generator check, the rule table, the
     # block permutations and the integer certificate peak at 2.66 of them
-    # (1.33 MiB); one row of dense images, d⁵·16 bytes, is 16 MiB
+    # (1.33 MiB); the dense cell-1 image stack, d⁶·16 bytes, is 256 MiB
     op = quantize(group_cells(toffoli_ca(), 2), 4, "periodic")
     tracemalloc.start()
     try:
@@ -355,7 +353,7 @@ def test_derive_u_recovers_splitter_up_to_phase():
 
 
 def four_matmul_derive_u(images, fact):
-    """Reference for derive_u: each row conjugated by
+    """Reference for derive_u: each row T_k· of the stack conjugated by
     W = dagger(v) one patch leg at a time (four matmuls), every unit's
     middle-factor residual taken on the (p, q, p, q) patch; returns u and
     the (d, d) residuals."""
@@ -365,7 +363,7 @@ def four_matmul_derive_u(images, fact):
     phi = np.zeros((d, d, d, d), dtype=np.complex128)
     resid = np.zeros((d, d))
     for k in range(d):
-        t = w @ images.row(k).reshape(d, d, d ** 3)
+        t = w @ images[k].reshape(d, d, d ** 3)
         t = w @ t.reshape(d * d, d, d * d)
         t = t.reshape(d ** 3, d, d) @ wh
         t = (w.conj() @ t).reshape(d, d * d, d * d)
@@ -393,7 +391,7 @@ def with_cell_phases(op, seed):
 
 def derive_u_cases():
     """Normalized windows for the derive_u oracle: relabelled grouped
-    Toffoli and partitioned rules grouped by s ∈ {1, 2}, whose rows the
+    Toffoli and partitioned rules grouped by s ∈ {1, 2}, whose images the
     whole-window oracle builds (images_of), the ones within the dense cap also densified with
     exp(iθ) phases, and a dense random block window."""
     rng = np.random.default_rng(23)
@@ -435,9 +433,10 @@ def assert_same_u(u, u_ref):
 
 def test_derive_u_matches_four_matmul_route(monkeypatch):
     # the permuted dense route gives the u of the leg-by-leg conjugation of
-    # dense rows, and forms every unit, with the middle-factor residual of
-    # the (p, q, p, q) patch; a one-hot window's rows come from the
-    # whole-window oracle, so the check also runs on permutation inputs
+    # the dense stack, and conjugates every unit, with the middle-factor
+    # residual of the (p, q, p, q) patch; a one-hot window's stack comes
+    # from the whole-window oracle, so the check also runs on permutation
+    # inputs
     for op in derive_u_cases():
         images = images_of(op)
         fact = derive_v(*shared_cell_algebras(images), seed=0)
@@ -450,7 +449,7 @@ def test_derive_u_matches_four_matmul_route(monkeypatch):
 @pytest.mark.parametrize("hot", [True, False])
 def test_derive_u_names_the_perturbed_unit(hot):
     # one entry of unit (k, l) moved by 1e-4 (far above tol), or in the
-    # oracle's rows of a one-hot window, whose entries are 0 and 1, one
+    # oracle's stack of a one-hot window, whose entries are 0 and 1, one
     # entry 1 set to 0, breaks that unit's middle-factor form, and derive_u
     # refuses naming it
     if hot:
@@ -461,20 +460,13 @@ def test_derive_u_names_the_perturbed_unit(hot):
     images = images_of(op)
     fact = derive_v(*shared_cell_algebras(images), seed=0)
     k, l = 3, 2
-
-    def row(kk):
-        r = images.row(kk)
-        if kk != k:
-            return r
-        if hot:
-            i, j = np.argwhere(r[l] == 1)[0]
-            r[l, i, j] = 0
-        else:
-            r[l, 0, 1] += 1e-4
-        return r
-
+    if hot:
+        i, j = np.argwhere(images[k, l] == 1)[0]
+        images[k, l, i, j] = 0
+    else:
+        images[k, l, 0, 1] += 1e-4
     with pytest.raises(IsoSolveFailed, match=rf"\({k},{l}\) misses the middle factors"):
-        derive_u(CellImages(row, images.a1, images.b1), fact)
+        derive_u(images, fact)
 
 
 def test_gauge_fixing_rejects_entangled_quiescent_preimage():
@@ -752,6 +744,51 @@ def test_decompose_recovers_grouped_partitioned_rules(case, seed):
         assert apply_block(state, qca).distance(expected) <= 1e-7
 
 
+# ------------------------------- index of the split: the ring's cut rank
+
+def cut_rank(op, rel=1e-9):
+    """Operator-Schmidt rank of a w = 4 ring window across the cut of
+    cells [0, 2) from [2, 4): the window's inputs and outputs on [0, 2)
+    reshaped against those on [2, 4), its singular values above ``rel``
+    times the largest counted.
+
+    A left-moving wire of dimension q crosses each of the ring's two cuts,
+    so the rank is q² (the matrix-product-unitary view of the GNVW index,
+    Gross-Nesme-Vogts-Werner, arXiv:0910.3675), with no factorization
+    numerics."""
+    d = op.alphabet.d
+    g = op.dense().reshape((d * d,) * 4)  # (y[0, 2), y[2, 4), x[0, 2), x[2, 4))
+    s = np.linalg.svd(g.transpose(0, 2, 1, 3).reshape(d ** 4, d ** 4), compute_uv=False)
+    return int(np.sum(s > rel * s[0]))
+
+
+def assert_cut_rank_is_q_squared(op, seed=0):
+    """The cut rank is a perfect square, and its root the q that
+    decompose_certified finds; returns the rank."""
+    rank = cut_rank(op)
+    root = math.isqrt(rank)
+    assert root * root == rank
+    qca, cert = decompose_certified(op, seed=seed)
+    assert cert.shift == 0 and root == qca.q
+    return rank
+
+
+@pytest.mark.parametrize("g, rank", [(swap_qca(), 4), (shift_qca(3), 9), (phase_qca(), 1)],
+                         ids=["swap", "shift3", "phase"])
+def test_cut_rank_of_gallery_blocks_is_q_squared(g, rank):
+    assert assert_cut_rank_is_q_squared(window_matrix(g, 4)) == rank
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([*ORACLE_SPLITS, (2, 1, 2), (4, 4, 1)]), st.integers(0, 2**16))
+def test_cut_rank_of_block_windows_is_q_squared(split, seed):
+    # Haar block windows up to d = 6, unrotated: the index read off the
+    # window's cut rank is the split's q, and decompose_certified finds it
+    d, p, q = split
+    op = window_matrix(random_block_qca(d, p, q, seed=seed), 4)
+    assert assert_cut_rank_is_q_squared(op, seed) == q * q
+
+
 # ------------------------------------------- alignment from the exact gates
 
 ALIGNMENT_SPLITS = [(2, 1, 2), (2, 2, 1), (4, 2, 2), (6, 2, 3), (6, 3, 2)]
@@ -830,7 +867,7 @@ def test_alignment_failures_name_the_image_checks():
 
 @pytest.mark.parametrize("steps", [-1, 0, 1])
 def test_decompose_dense_peak_memory(steps):
-    # the alignment, both passes over the unit rows and the certificate,
+    # the alignment, the cell-1 image stack and the certificate,
     # whose pass also proves unitarity, stay within one window copy, also
     # for a rotated input: the alignment reads the rotation off gathered
     # rows and columns, and certify rebuilds the reconstruction one column block at a time
