@@ -45,8 +45,6 @@ RANK_RATIO = 1e-8
 # exceeds this fraction of the spectral radius.
 CLUSTER_GAP_RATIO = 1e-6
 MAX_SAMPLE_RETRIES = 6
-# Largest max-norm commutator of two bases factor_pair accepts as commuting.
-COMM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -289,12 +287,12 @@ def factor_pair(a: GeneratedAlgebra, b: GeneratedAlgebra, seed: int = 0,
     of dimensions p², q² with pq = n; a factor a ≅ M_p ⊗ I_q, found by
     ``factor_one``'s minimal-projector count, and a commuting b of
     dimension q² fill each other's commutants.  NotCommuting when a basis
-    commutator exceeds COMM_TOL."""
+    commutator exceeds tol."""
     n = a.ambient_dim
     if b.ambient_dim != n:
         raise DimensionMismatch("algebras live in different ambient dimensions")
     defect = commutation_defect(a, b)
-    if defect > COMM_TOL:
+    if defect > tol:
         raise NotCommuting(f"algebras do not commute (defect {defect:.2e})")
     if a.dimension * b.dimension != n * n:
         raise NotGenerating(

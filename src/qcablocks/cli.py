@@ -212,7 +212,7 @@ def cmd_signal(args) -> int:
 def cmd_algebra_factor(args) -> int:
     n, gens = _load_algebra(args.file)
     alg = close(gens, n)
-    fact = factor_one(alg, seed=args.seed, tol=max(args.tol, 1e-9))
+    fact = factor_one(alg, seed=args.seed, tol=args.tol)
     report = {
         "n": n,
         "algebra_dimension": alg.dimension,
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=6,
                        help="finite window width in cells (default 6)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="absolute max-norm tolerance (default 1e-9)")
+                       help="max-norm tolerance of every check and verdict (default 1e-9)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all randomized steps (default 0)")
         p.add_argument("--out", default=None,

@@ -77,13 +77,13 @@ The route does not rest on this derivation: permutation_blocks refuses
 atoms that form no grid, and the certificate then compares the whole
 window's column map with the reconstruction's, which is the periodic
 quantization of the rule (x, x') -> v(b(x), a(x')), in integers.  Its
-residual is exactly 0 or 1, so a one-hot verdict holds at any tol.
+residual is exactly 0 or 1, so a one-hot verdict holds at any tol below 1/2.
 
 Unitarity of a dense window comes from the certificate, not from G†G:
 the certificate pass keeps the largest column norms of the reconstruction
 R and of its difference E from the phased, rotated window, and
 max |G†G - I| <= 2·a·e + e² + ((1 + δ_u)(1 + δ_v))^w - 1, with rounding
-terms (_unitarity_bound).  Within tolerance that proves unitarity, in
+terms (_unitarity_bound).  Within tol that proves unitarity, in
 O(n²) on top of the pass; otherwise, and before any refusal of the
 pipeline is re-raised, check_unitary forms the Gram's upper block
 triangle and decides.  A one-hot window is checked for injectivity
@@ -131,7 +131,6 @@ from .verify import (
     is_injective,
 )
 
-DEFAULT_CERT_TOL = 1e-7
 # window cyclic shifts tried in turn to bring the neighborhood to {0, 1}
 ALIGNMENTS = (0, 1, -1)
 
@@ -140,9 +139,9 @@ ALIGNMENTS = (0, 1, -1)
 class Certification:
     """How well the reconstructed window matches the input rotated by
     ``shift`` cells (_rotate_rows): max-norm residual after aligning a
-    global phase.  ``unitarity_bound``, on a dense window, is an upper
-    bound on max |G†G - I| read off the same pass (_unitarity_bound);
-    None where the pass gives none."""
+    global phase, at most decompose_certified's tol.  ``unitarity_bound``,
+    on a dense window, bounds max |G†G - I| from the same pass
+    (_unitarity_bound); None where the pass gives none."""
 
     residual: float
     shift: int
@@ -192,13 +191,13 @@ def cell_algebra_images(op: WindowOperator, tol: float = 1e-8,
     unit = _dense_units(op.dense()[src[::d ** (w - 2)]], d, d, forward=True)[0]
     units = np.array([[unit(k, l)() for l in range(d)] for k in range(d)])
     dev = la.max_norm(np.einsum("klii->kl", units) - d * np.eye(d))
-    if dev > d * max(tol, 1e-7):
+    if dev > d * tol:
         raise NotLocal(f"cell-1 unit traces miss d·δ_kl by {dev:.2e}; the "
                        "evolution does not conjugate the cell algebra faithfully")
     rng = np.random.default_rng(0)
     for k, l, m in (tuple(rng.integers(0, d, size=3)) for _ in range(4)):
         resid = la.max_norm(units[k, l] @ units[l, m] - units[k, m])
-        if resid > max(tol, 1e-7):
+        if resid > tol:
             raise NotLocal(f"cell-1 units break T_kl T_lm = T_km (residual {resid:.2e})")
     return units
 
@@ -270,7 +269,6 @@ def derive_u(images: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.n
     is read off their rule table (permutation_blocks)."""
     p, q = fact.p, fact.q
     d = p * q
-    limit = max(tol, 1e-7)
     ww = la.kron(fact.u, fact.u).reshape(p, q, p, q, d * d)
     ww = ww.transpose(1, 2, 0, 3, 4).reshape(d * d, d * d)
     ww_h = la.dagger(ww)
@@ -279,23 +277,25 @@ def derive_u(images: np.ndarray, fact: Factorization, tol: float = 1e-8) -> np.n
         for l in range(d):
             x = ww @ images[k, l] @ ww_h
             resid = la.localization_defect(x, (d, d), {0})[0]
-            if resid > limit:
+            if resid > tol:
                 raise IsoSolveFailed(
                     f"conjugated image ({k},{l}) misses the middle factors "
                     f"(residual {resid:.2e})")
             phi[k, l] = x[::d, ::d]
     # anchor: phi(E_00) is the rank-one projector onto u|quiescent>
     vals, vecs = np.linalg.eigh(phi[0, 0])
-    if abs(vals[-1] - 1.0) > 1e-6:
+    miss = abs(vals[-1] - 1.0)
+    if miss > d * tol:
         raise IsoSolveFailed(
-            f"anchor image is not a rank-one projector (top eigenvalue {vals[-1]:.6f})")
+            f"anchor image is not a rank-one projector (top eigenvalue misses 1 "
+            f"by {miss:.2e}, above {d * tol:.2e})")
     # columns phi(E_k0) u|0>; the polar factor removes their scale and drift
     u = (phi[:, 0] @ vecs[:, -1]).T
     uu, _, vvh = np.linalg.svd(u)
     u = uu @ vvh
     # u E_kl u† = |u_k><u_l|
     worst = la.max_norm(phi - np.einsum("ik,jl->klij", u, u.conj()))
-    if worst > limit:
+    if worst > tol:
         raise IsoSolveFailed(f"isomorphism residual {worst:.2e} exceeds tolerance")
     return u
 
@@ -331,7 +331,7 @@ def permutation_blocks(table: np.ndarray, alphabet: Alphabet) -> BlockQCA:
     v[ks, pair] = 1.0
     q1, q2 = np.zeros(p, dtype=np.complex128), np.zeros(q, dtype=np.complex128)
     q1[0] = q2[0] = 1.0
-    return _gauge_phase(u, v, alphabet, q1, q2)
+    return _gauge_phase(u, v, alphabet, q1, q2, tol=0.0)
 
 
 def _atoms(table: np.ndarray) -> np.ndarray:
@@ -357,31 +357,32 @@ def fix_quiescent_gauge(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
     psi = la.dagger(v) @ ket_q
     mat = psi.reshape(p, q)
     uu, s, vh = np.linalg.svd(mat)
-    if len(s) > 1 and s[1] > max(tol, 1e-7):
+    if len(s) > 1 and s[1] > tol:
         raise NotSeparable(
-            f"recombiner preimage of the quiescent cell has Schmidt spectrum "
-            f"{np.round(s, 6)}; expected rank one")
+            f"recombiner preimage of the quiescent cell has second Schmidt "
+            f"value {s[1]:.2e}, above {tol:.2e}; expected rank one")
     q1 = uu[:, 0]
     q2 = vh[0, :] * s[0]
     q2 = q2 / np.linalg.norm(q2)
     # canonical phase on q1, compensated on q2 to keep q1 ⊗ q2 = psi
     fixed = la.phase_fix(q1.reshape(-1, 1)).ravel()
     rot = complex(np.vdot(q1, fixed))
-    return _gauge_phase(u, v, alphabet, fixed, q2 * np.conj(rot))
+    return _gauge_phase(u, v, alphabet, fixed, q2 * np.conj(rot), tol)
 
 
 def _gauge_phase(u: np.ndarray, v: np.ndarray, alphabet: Alphabet,
-                 q1: np.ndarray, q2: np.ndarray) -> BlockQCA:
+                 q1: np.ndarray, q2: np.ndarray, tol: float) -> BlockQCA:
     """The block automaton with u's free global phase fixed so that
-    u|q> = |q2>|q1>; IsoSolveFailed where u maps the quiescent cell off
-    the gauge pair."""
+    u|q> = |q2>|q1>; IsoSolveFailed where the overlap modulus misses 1 by
+    more than tol (a 0/1 pair from permutation_blocks reads exactly 1)."""
     ket_q = np.zeros(alphabet.d, dtype=np.complex128)
     ket_q[0] = 1.0
     overlap = complex(np.vdot(np.kron(q2, q1), u @ ket_q))
-    if abs(abs(overlap) - 1.0) > 1e-6:
+    miss = abs(abs(overlap) - 1.0)
+    if miss > tol:
         raise IsoSolveFailed(
             f"splitting unitary maps the quiescent cell off the gauge pair "
-            f"(overlap modulus {abs(overlap):.6f})")
+            f"(overlap modulus misses 1 by {miss:.2e}, above {tol:.2e})")
     return BlockQCA(alphabet, len(q1), len(q2), u * (abs(overlap) / overlap), v, q1, q2)
 
 
@@ -517,8 +518,8 @@ def _unitarity_bound(qca: BlockQCA, w: int, phase: complex, rec_norm: float,
     return bound * (1 + 32 * eps)
 
 
-def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
-                        cert_tol: float = DEFAULT_CERT_TOL) -> tuple[BlockQCA, Certification]:
+def decompose_certified(op: WindowOperator, seed: int = 0,
+                        tol: float = 1e-8) -> tuple[BlockQCA, Certification]:
     """Full pipeline with the certification attached: unitarity, the first
     window alignment whose exact gates pass (_aligned_images), the split of
     the shared cell, u, the quiescent gauge, and the certificate against
@@ -527,21 +528,22 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
     A one-hot window is checked for unitarity (injectivity) first, and
     after its gate its block form is read off its rule table as 0/1
     permutations (permutation_blocks), which the integer certificate
-    compares exactly: the verdict holds at any tol, and the seed is not
-    used.  A dense window runs the pipeline first, and its certificate pass bounds max
-    |G†G - I| (_unitarity_bound): within max(tol, 1e-9), unitarity is
-    proven and the n x n Gram check is skipped; otherwise, and before any
-    refusal of the pipeline (a QCAError, a LinAlgError, or a certificate
-    above cert_tol) is re-raised, check_unitary decides, so a non-unitary
-    window is refused as such whichever stage noticed first.  Every
-    verdict is the one of checking unitarity first, but for a window whose
-    Gram defect lies within the Gram check's own rounding of the
-    tolerance."""
+    compares exactly: the verdict holds at any tol below 1/2, and the seed
+    is not used.  A dense window runs the pipeline first, and its
+    certificate pass bounds max |G†G - I| (_unitarity_bound): within tol,
+    unitarity is proven and the n x n Gram check is skipped; otherwise,
+    and before any refusal of the pipeline (a QCAError, a LinAlgError, or
+    a certificate above tol) is re-raised, check_unitary decides, so a
+    non-unitary window is refused as such whichever stage noticed first.
+    Every verdict is the one of checking unitarity first, but for a window
+    whose Gram defect lies within the Gram check's own rounding of tol.
+    Every check compares with tol, with no floor (u's anchor eigenvalue at
+    d·tol, the operator-norm room of a d x d matrix within tol entrywise),
+    so a returned certificate is at most tol."""
     if op.width < 4:
         raise WindowTooSmall("decomposition needs a window of at least 4 cells")
-    limit = max(tol, 1e-9)
     if op.is_one_hot:
-        _require_unitary(op, limit)
+        _require_unitary(op, tol)
     try:
         steps, gated = _aligned_images(op, tol)
         if op.is_one_hot:
@@ -553,16 +555,16 @@ def decompose_certified(op: WindowOperator, seed: int = 0, tol: float = 1e-8,
                                       tol=tol)
         del gated  # before the certificate pass
         cert = certify(qca, op, shift=steps)
-        if cert.residual > cert_tol:
+        if cert.residual > tol:
             raise ReconstructionMismatch(
-                f"certification residual {cert.residual:.2e} exceeds {cert_tol:.1e} "
+                f"certification residual {cert.residual:.2e} exceeds {tol:.1e} "
                 f"(at shift {cert.shift})")
     except (QCAError, np.linalg.LinAlgError):
         if not op.is_one_hot:
-            _require_unitary(op, limit)
+            _require_unitary(op, tol)
         raise
-    if not op.is_one_hot and not cert.unitarity_bound <= limit:
-        _require_unitary(op, limit)
+    if not op.is_one_hot and not cert.unitarity_bound <= tol:
+        _require_unitary(op, tol)
     return qca, cert
 
 
@@ -592,7 +594,7 @@ def _aligned_images(op: WindowOperator, tol: float) -> tuple[int, np.ndarray]:
     failures = []
     for steps in ALIGNMENTS:
         name = f"alignment {steps:+d}" if steps else "alignment 0"
-        if not check_shift_invariance(op, max(tol, 1e-9), shift=steps):
+        if not check_shift_invariance(op, tol, shift=steps):
             failures.append(f"{name}: not shift invariant")
             continue
         try:

@@ -586,7 +586,10 @@ def _nonlocality_witness(op: WindowOperator, cc: int, unit, region,
     (k, l) to the backward-conjugated matrix unit (_unit_conjugation); the
     probes are built from it one at a time (_hermitian_probes).  A state's
     window indices are joined from its region and complement indices by
-    the model's window-basis codec."""
+    the model's window-basis codec.  The pair is |r> ⊗ |v_a> and
+    |r> ⊗ |v_b>, one region part and two unit complement vectors
+    (_block_witness_vectors), so its restrictions to the region are equal
+    by construction and are not compared."""
     d, w = op.alphabet.d, op.width
     region = tuple(sorted(region))
     comp = [i for i in range(w) if i not in region]
@@ -613,18 +616,13 @@ def _nonlocality_witness(op: WindowOperator, cc: int, unit, region,
                     amps = {k2: v * np.sqrt(2) / 2 for k2, v in amps.items()}
                 states.append(_window_state(op.alphabet, w, amps).normalized())
             state_a, state_b = states
-            context = tuple(region)
-            ra = restrict_state(state_a, context)
-            rb = restrict_state(state_b, context)
-            if la.max_norm(ra - rb) > 1e-10:
-                continue
             probe = cc + op.out_shift
             img_a = apply_window(op, state_a, offset=0, strict=False)
             img_b = apply_window(op, state_b, offset=0, strict=False)
             dist = la.trace_distance(restrict_state(img_a, {probe}),
                                      restrict_state(img_b, {probe}))
             if dist > tol:
-                return Witness(state_a, state_b, probe, float(dist), context)
+                return Witness(state_a, state_b, probe, float(dist), region)
     return None
 
 

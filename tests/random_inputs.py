@@ -1,13 +1,14 @@
 """Seeded random inputs of the tests: Haar-random block automata with an
-exact quiescent gauge, random sparse states and conjugated commuting
-algebra pairs.  Everything is a pure function of its seed."""
+exact quiescent gauge, shift-invariant unitary kicks of their windows,
+random sparse states and conjugated commuting algebra pairs.  Everything
+is a pure function of its seed."""
 from __future__ import annotations
 
 import numpy as np
 
 from qcablocks.errors import DimensionMismatch
 from qcablocks.linalg import dagger, kron
-from qcablocks.model import Alphabet, BlockQCA, Configuration, SparseState
+from qcablocks.model import Alphabet, BlockQCA, Configuration, SparseState, WindowOperator
 from qcablocks.rand import default_alphabet, random_unitary, rng_of
 
 
@@ -45,6 +46,30 @@ def random_block_qca(d: int, p: int, q: int, seed=0,
     v0 = random_unitary(d, rng)
     v = _rotation_onto(ket_q, v0 @ np.kron(q1, q2), rng) @ v0
     return BlockQCA(alphabet, p, q, u, v, q1, q2)
+
+
+def ring_kick(op: WindowOperator, eps: float, seed=2, cells: int = 3) -> WindowOperator:
+    """The ring window G·exp(i·eps·H), a unitary kick that keeps G shift
+    invariant and its quiescent configuration fixed.
+
+    H is one random Hermitian term on ``cells`` consecutive cells, with its
+    quiescent row and column zeroed, summed over every ring position and
+    scaled to operator norm 1; the exponential is taken by eigh."""
+    rng = rng_of(seed)
+    d, w = op.alphabet.d, op.width
+    m = d ** cells
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    term = a + dagger(a)
+    term[0, :] = term[:, 0] = 0.0
+    term = kron(term, np.eye(d ** (w - cells))).reshape((d,) * (2 * w))
+    h = np.zeros((op.dim, op.dim), dtype=np.complex128)
+    for at in range(w):
+        legs = [(c - at) % w for c in range(w)]
+        h += term.transpose(legs + [w + c for c in legs]).reshape(op.dim, op.dim)
+    vals, vecs = np.linalg.eigh(h)
+    vals /= np.max(np.abs(vals))
+    kick = (vecs * np.exp(1j * eps * vals)) @ dagger(vecs)
+    return WindowOperator(op.alphabet, w, op.dense() @ kick, op.boundary)
 
 
 def random_sparse_state(alphabet: Alphabet, cells: range, n_terms: int, seed=0) -> SparseState:

@@ -2,6 +2,7 @@
 gauge fixing, certification, and the error paths."""
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import embed_on_factors, matrix_units, two_pass_certify
-from random_inputs import random_block_qca
+from random_inputs import random_block_qca, ring_kick
 from qcablocks import decompose as dec
 from qcablocks import linalg as la
 from qcablocks.algebra import close, factor_pair, restrict, span_algebra
@@ -891,17 +892,17 @@ def test_decompose_dense_peak_memory(steps):
 def reference_decompose(op, seed, tol=1e-8):
     """decompose_certified with unitarity checked first, by check_unitary
     on the whole window, and every stage after it."""
-    if not check_unitary(op, max(tol, 1e-9)):
+    if not check_unitary(op, tol):
         raise PreconditionViolated("window operator is not unitary")
     steps, images = dec._aligned_images(op, tol)
     fact = derive_v(*shared_cell_algebras(images), seed=seed, tol=tol)
     u = derive_u(images, fact, tol=tol)
     qca = fix_quiescent_gauge(u, la.dagger(fact.u), op.alphabet, fact.p, fact.q, tol=tol)
     cert = certify(qca, op, shift=steps)
-    if cert.residual > dec.DEFAULT_CERT_TOL:
+    if cert.residual > tol:
         raise ReconstructionMismatch(
             f"certification residual {cert.residual:.2e} exceeds "
-            f"{dec.DEFAULT_CERT_TOL:.1e} (at shift {cert.shift})")
+            f"{tol:.1e} (at shift {cert.shift})")
     return qca, cert
 
 
@@ -996,6 +997,50 @@ def test_dense_decompose_checks_the_gram_only_to_refuse(case, tol):
         with pytest.raises(PreconditionViolated, match="window operator is not unitary"):
             decompose_certified(op, tol=tol)
     assert (op.dim, op.dim) in shapes
+
+
+# ------------------------------------------------ one tolerance for a verdict
+
+def names_a_residual_above(err, tol):
+    """Whether a refusal is the not-unitary one, or names a number above
+    tol in its message."""
+    if isinstance(err, PreconditionViolated):
+        return str(err) == "window operator is not unitary"
+    return any(float(x) > tol for x in re.findall(r"\d\.\d+e[+-]\d+", str(err)))
+
+
+def test_kicked_ring_window_is_refused_below_its_kick():
+    # a Haar (4, 2, 2) ring window times a shift-invariant unitary
+    # exp(i·1e-8·H) (ring_kick): its certificate reads 1.3e-9 to 2.4e-9,
+    # by the gauge of the split that rounding picks, so at tol 1e-9 a
+    # residual of the kick refuses it, and at 1e-8 it is accepted
+    op = ring_kick(window_matrix(random_block_qca(4, 2, 2, seed=3), 4), 1e-8)
+    with pytest.raises(QCAError) as err:
+        decompose_certified(op, tol=1e-9)
+    assert not isinstance(err.value, PreconditionViolated)
+    assert names_a_residual_above(err.value, 1e-9), err.value
+    qca, cert = decompose_certified(op, tol=1e-8)
+    assert (qca.p, qca.q) == (2, 2) and cert.residual <= 1e-8
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(ALIGNMENT_SPLITS), st.sampled_from(["ring", 1, 4, None]),
+       st.sampled_from([0.3, 3.0]), st.sampled_from([1e-9, 1e-11]), st.integers(0, 2**16))
+def test_accepted_decompositions_certify_within_tol(split, kick, scale, tol, seed):
+    # Haar block windows (w = 4, n <= 1296) kicked by eps = scale·tol, by a
+    # shift-invariant unitary (ring_kick) or off unitary (hermitian_kick on
+    # 1, 4 or all basis vectors): an acceptance has its certificate within
+    # tol, and a refusal is the not-unitary one or names a residual above tol
+    d, p, q = split
+    op = window_matrix(random_block_qca(d, p, q, seed=seed), 4)
+    eps = scale * tol
+    op = ring_kick(op, eps, seed=seed) if kick == "ring" else hermitian_kick(op, eps, kick, seed)
+    try:
+        _, cert = decompose_certified(op, seed=seed, tol=tol)
+    except QCAError as err:
+        assert names_a_residual_above(err, tol), err
+        return
+    assert cert.residual <= tol
 
 
 # ------------------------------------- one-hot windows: block permutations

@@ -194,6 +194,15 @@ def test_xor_neighborhood_nonlocal_with_witness():
         assert la.max_norm(ra - rb) <= 1e-9
 
 
+def test_xor_witness_peak_memory():
+    # the witness pair is built as |r> ⊗ |v_a>, |r> ⊗ |v_b>, so its context
+    # restrictions, dense 3^6 x 3^6 matrices (8.5 MB each), are not formed
+    op = quantize(xor_ca(), 8)
+    rep, peak = _traced_peak(lambda: neighborhood(op, max_radius=2))
+    assert rep.witness is not None and rep.witness.context == (1, 2, 3, 4, 5, 6)
+    assert peak <= 4 * 2 ** 20
+
+
 def test_neighborhood_radius_exceeding_slack_raises():
     op = quantize(xor_ca(), 8)
     with pytest.raises(WindowTooSmall):
