@@ -24,6 +24,7 @@ from .model import (
     apply_block,
     apply_window,
     fit_offset,
+    is_injective,
     quantize,
     window_matrix,
 )
@@ -32,7 +33,6 @@ from .verify import (
     check_shift_invariance,
     check_unitary,
     detect_signalling,
-    is_injective,
     max_testable_radius,
     neighborhood,
 )

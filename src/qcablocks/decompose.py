@@ -119,6 +119,7 @@ from .model import (
     ClassicalRule,
     WindowOperator,
     _window_columns,
+    is_injective,
     quantize,
     window_rotation,
 )
@@ -128,7 +129,6 @@ from .verify import (
     _unit_conjugation,
     check_shift_invariance,
     check_unitary,
-    is_injective,
 )
 
 # window cyclic shifts tried in turn to bring the neighborhood to {0, 1}

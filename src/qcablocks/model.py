@@ -31,7 +31,7 @@ Conventions frozen here and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -575,6 +575,12 @@ class BlockQCA:
         return np.concatenate([r1, r2])
 
 
+def _step_too_wide(d: int, widest: int) -> bool:
+    """Whether apply_block refuses a state whose widest row has ``widest``
+    cells: its d^(widest+1) amplitudes exceed DENSE_WINDOW_CAP²."""
+    return d ** (widest + 1) > DENSE_WINDOW_CAP ** 2
+
+
 def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
     """One step of the two-layered evolution on a sparse superposition.
 
@@ -597,7 +603,7 @@ def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
     d, p, q = g.d, g.p, g.q
     widths = _widths(state.words)
     widest = int(widths.max(initial=0))
-    if d ** (widest + 1) > DENSE_WINDOW_CAP ** 2:
+    if _step_too_wide(d, widest):
         raise DimensionMismatch(
             f"a support of {widest} cells needs {d}^{widest + 1} amplitudes, "
             f"more than the {DENSE_WINDOW_CAP}² entries of the largest dense window")
@@ -632,6 +638,13 @@ def apply_block(state: SparseState, g: BlockQCA) -> SparseState:
 
 
 # ---------------------------------------------------------- window operator
+
+def is_injective(idx: np.ndarray) -> bool:
+    """Whether the nonnegative integers ``idx`` are pairwise distinct, so a
+    one-hot column map of n inputs into n rows is a permutation.  Counted
+    by np.bincount: np.unique imports numpy.ma on first use."""
+    return len(idx) == 0 or int(np.bincount(idx).max()) <= 1
+
 
 @dataclass(frozen=True)
 class WindowOperator:
@@ -690,6 +703,14 @@ class WindowOperator:
     @property
     def is_one_hot(self) -> bool:
         return self.matrix.ndim == 1
+
+    @cached_property
+    def _injective(self) -> bool:
+        """Whether a one-hot column map is injective, so a basis permutation:
+        counted once per window however many checks ask (unitarity, then
+        locality or decomposition): the window is frozen, and no code
+        writes its column map in place."""
+        return is_injective(self.matrix)
 
     def dense(self) -> np.ndarray:
         if self.is_one_hot:

@@ -69,6 +69,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .model import (
+    PRUNE_THRESHOLD,
     Alphabet,
     BlockQCA,
     ClassicalRule,
@@ -82,6 +83,8 @@ from .model import (
     window_index,
     window_rotation,
     window_split,
+    _step_too_wide,
+    _widths,
 )
 
 
@@ -113,21 +116,13 @@ class NeighborhoodReport:
     cell: int
 
 
-# ------------------------------------------------------------------ helpers
-
-def is_injective(idx: np.ndarray) -> bool:
-    """Whether the nonnegative integers ``idx`` are pairwise distinct, so a
-    one-hot column map of n inputs into n rows is a permutation.  Counted
-    by np.bincount: np.unique imports numpy.ma on first use."""
-    return len(idx) == 0 or int(np.bincount(idx).max()) <= 1
-
-
 # ------------------------------------------------------------ unitarity
 
 def check_unitary(op: WindowOperator, tol: float = la.DEFAULT_TOL) -> bool:
-    """Whether the window matrix is unitary within tol."""
+    """Whether the window matrix is unitary within tol (a one-hot window's
+    injectivity is counted once and kept on it)."""
     if op.is_one_hot:
-        return is_injective(op.matrix)
+        return op._injective
     return la.is_unitary(op.dense(), tol)
 
 
@@ -306,7 +301,7 @@ def _unit_conjugation(op: WindowOperator, cell: int, forward: bool):
 
 def _require_permutation(op: WindowOperator) -> None:
     """Locality analysis reindexes a one-hot window only as a permutation."""
-    if op.is_one_hot and not is_injective(op.matrix):
+    if op.is_one_hot and not op._injective:
         raise PreconditionViolated("locality analysis needs a unitary window; "
                                    "this one-hot operator is not injective")
 
@@ -661,6 +656,19 @@ def detect_signalling(evolution, state_a: SparseState, state_b: SparseState,
     Returns a Witness when the distance exceeds tol (a locality violation),
     None otherwise.  ``evolution`` may be a WindowOperator, a BlockQCA, or a
     ClassicalRule (applied by linear extension).
+
+    A BlockQCA is read through its light cone first: output cell c depends
+    on input cells (c, c+1) alone, so its state is Tr_{a_c, b_{c+1}}[X ρ X†]
+    with X the two-cell patch (_block_patch) and ρ the input's restriction
+    to (c, c+1), polynomial in the supports (_light_cone_state).  That is
+    apply_block's answer only up to the block's gauge residual and
+    unitarity defects and apply_block's pruning, all bounded by
+    _light_cone_slack; where the light-cone distance lies within the bound
+    of tol, the images are formed by apply_block as for the other kinds, so
+    every verdict is the one apply_block gives, and a reported distance
+    lies within the bound of it.  A state too wide for apply_block is
+    matched to its unpruned step instead, so a Haar block decides at any
+    support; within the bound of tol it is refused as before.
     """
     context = tuple(sorted(int(c) for c in context_cells))
     ra = restrict_state(state_a, context)
@@ -670,35 +678,154 @@ def detect_signalling(evolution, state_a: SparseState, state_b: SparseState,
         raise PreconditionViolated(
             f"context restrictions differ by {defect:.2e} > tol")
 
-    if isinstance(evolution, WindowOperator):
-        offset = fit_offset(evolution, [state_a.support(), state_b.support()],
-                            extra_cells=list(context) + [probe_cell])
-        img_a = apply_window(evolution, state_a, offset)
-        img_b = apply_window(evolution, state_b, offset)
-    elif isinstance(evolution, BlockQCA):
-        img_a = apply_block(state_a, evolution)
-        img_b = apply_block(state_b, evolution)
-    elif isinstance(evolution, ClassicalRule):
-        img_a = evolution.apply(state_a)
-        img_b = evolution.apply(state_b)
-    else:
-        raise PreconditionViolated(f"cannot evolve with a {type(evolution).__name__}")
-    dist = la.trace_distance(restrict_state(img_a, {probe_cell}),
-                             restrict_state(img_b, {probe_cell}))
+    dist = None
+    if isinstance(evolution, BlockQCA):
+        cone = (probe_cell, probe_cell + 1)
+        patches = ((ra, rb) if context == cone else
+                   [restrict_state(s, cone) for s in (state_a, state_b)])
+        dist = _light_cone_distance(evolution, (state_a, state_b), patches, probe_cell, tol)
+    if dist is None:
+        if isinstance(evolution, WindowOperator):
+            offset = fit_offset(evolution, [state_a.support(), state_b.support()],
+                                extra_cells=list(context) + [probe_cell])
+            img_a = apply_window(evolution, state_a, offset)
+            img_b = apply_window(evolution, state_b, offset)
+        elif isinstance(evolution, BlockQCA):
+            img_a = apply_block(state_a, evolution)
+            img_b = apply_block(state_b, evolution)
+        elif isinstance(evolution, ClassicalRule):
+            img_a = evolution.apply(state_a)
+            img_b = evolution.apply(state_b)
+        else:
+            raise PreconditionViolated(f"cannot evolve with a {type(evolution).__name__}")
+        dist = la.trace_distance(restrict_state(img_a, {probe_cell}),
+                                 restrict_state(img_b, {probe_cell}))
     if dist > tol:
         return Witness(state_a, state_b, probe_cell, float(dist), context)
     return None
 
 
+def _light_cone_distance(g: BlockQCA, states, patches, cell: int, tol: float) -> float | None:
+    """Trace distance of the light-cone states of output cell ``cell`` of
+    two states, given their restrictions ``patches`` to cells (c, c+1),
+    when it lies farther from tol than the sum of their slacks, else None
+    (also for a state over another alphabet or with a zero light cone,
+    which apply_block refuses)."""
+    if any(state.alphabet.d != g.d for state in states):
+        return None
+    x, defects = _block_patch(g), _block_defects(g)
+    rhos, slack = [], 0.0
+    for state, patch in zip(states, patches):
+        rho = _light_cone_state(g, x, patch)
+        mass = float(np.trace(rho).real)
+        if not mass > 0:
+            return None
+        rhos.append(rho / mass)
+        slack += _light_cone_slack(defects, state, cell, mass)
+    dist = la.trace_distance(*rhos)
+    return dist if abs(dist - tol) > slack else None
+
+
+def _light_cone_state(g: BlockQCA, x: np.ndarray, patch: np.ndarray) -> np.ndarray:
+    """Tr_{a_c, b_{c+1}}[X ρ X†], ρ = ``patch`` a state's restriction to
+    cells (c, c+1) and X the patch matrix: one step's state of output cell
+    c, of trace Tr ρ when u and v are unitary."""
+    q, d, p = g.q, g.d, g.p
+    y = (x @ patch @ la.dagger(x)).reshape(q, d, p, q, d, p)
+    return np.einsum("aibajb->ij", y)
+
+
+def _block_defects(g: BlockQCA):
+    """What _light_cone_slack reads of a block: ν >= 1 and μ <= 1 bounding
+    the singular values of u and v and ||q1||·||q2|| (ν also 1 + ||r_v||),
+    and the sum of the gauge residual norms r_u = ||u|0> - q2 q1|| and
+    r_v = ||v q1 q2 - |0>||."""
+    d = g.d
+    s_u = np.linalg.svd(g.u, compute_uv=False)
+    s_v = np.linalg.svd(g.v, compute_uv=False)
+    res = g.gauge_residuals()
+    r_u, r_v = float(np.linalg.norm(res[:d])), float(np.linalg.norm(res[d:]))
+    flank = float(np.linalg.norm(g.q1) * np.linalg.norm(g.q2))
+    nu = np.float64(max(1.0, s_u[0], s_v[0], flank, 1.0 + r_v))
+    mu = np.float64(min(1.0, s_u[-1], s_v[-1], flank))
+    return nu, mu, r_u + r_v
+
+
+def _light_cone_slack(defects, state: SparseState, cell: int, mass: float) -> float:
+    """Bound on the trace distance between the light-cone state of output
+    cell ``cell`` divided by its trace ``mass`` and the restriction of
+    apply_block(state, g) to that cell, inf where none holds; ``defects``
+    is _block_defects(g).
+
+    Let W be the window of the state's supports and cells (c, c+1), and
+    B_W one step computed on all of W: u on every cell of W, then v on
+    every pair, with the exact flanks q1 and q2.  apply_block computes
+    A (each term on its own support, exact q1, q2 and |0> beyond it),
+    then prunes and renormalizes.  With ν, μ, r = r_u + r_v as in
+    _block_defects and α the amplitudes:
+
+    * each term's A and B_W images differ by at most (|W| + 1)·r·ν^(2|W|+2)
+      (replace u|0> by q2 q1 on each cell of W off the support, then each
+      pair's v q1 q2 by |0>), so ||Aψ - B_Wψ|| <= ||α||_1 of that (drift);
+    * output cell c of B_W is X on cells (c, c+1) followed by a map M of
+      the other factors with ||M†M - I|| <= max(ν^(4|W|+4) - 1,
+      1 - μ^(4|W|+4)), so B_W's cell-c state is the light-cone state
+      within that times ν^6 ||ψ||² in trace norm;
+    * a term x of s cells has N_x = d^(s+1) computed amplitudes, so the
+      entries pruned per term weigh θ Σ|α_x|√N_x and the entries pruned
+      after merging (before and after renormalizing) at most θ√(Σ N_x)
+      each, θ the prune threshold; these move the normalized image by its
+      angle and the restriction by that weight.  A state apply_block
+      refuses (_step_too_wide) has no image to match: its bound is to the
+      normalized Aψ, unpruned, so these two terms are 0.
+
+    The trace-norm steps add up as in the return line.  Rounding is not
+    bounded: an allowance of 64 ulp per cell of W covers it, where the
+    two routes part by about 1e-15 on Haar blocks of support <= 4
+    (test_light_cone_state_matches_the_image).  Overflow gives inf or
+    nan, and either leaves the verdict to apply_block.
+    """
+    nu, mu, gauge = defects
+    widths = _widths(state.words)
+    live = widths > 0
+    ends = state.starts[live] + widths[live] - 1
+    span = max(cell + 1, int(ends.max(initial=cell + 1))) - min(
+        cell, int(state.starts[live].min(initial=cell))) + 1
+    norm = state.norm()
+    k = 2 * span + 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.abs(state.amps).sum() * (span + 1) * gauge * nu ** k
+        mixing = max(np.expm1(2 * k * np.log(nu)), -np.expm1(2 * k * np.log(mu)))
+        cone = drift * (2 * nu ** k * norm + drift) + mixing * nu ** 6 * norm ** 2
+        if _step_too_wide(state.alphabet.d, int(widths.max(initial=0))):
+            pruned = merged = 0.0
+        else:
+            sizes = float(state.alphabet.d) ** (widths[live] + 1)
+            pruned = PRUNE_THRESHOLD * (np.abs(state.amps[live]) @ np.sqrt(sizes))
+            merged = PRUNE_THRESHOLD * np.sqrt(sizes.sum() + np.count_nonzero(~live))
+        image = mu ** k * norm - drift  # lower bound of ||Aψ||
+        kept = image - pruned - merged  # ... and of the norm apply_block divides by
+        if not kept > 0:
+            return np.inf
+        tail = merged * max(1.0, 1.0 / kept)
+        return float(tail * (1 + tail / 2) + (merged / kept) ** 2 / 2 + pruned / image
+                     + cone / mass + 64 * np.finfo(float).eps * (span + 2))
+
+
 # ------------------------------------------------------- block-native path
+
+def _block_patch(g: BlockQCA) -> np.ndarray:
+    """X = (I_q ⊗ v ⊗ I_p)(u ⊗ u), one step of a block automaton on its
+    minimal patch: from input cells (c, c+1) to (a_c, output cell c,
+    b_{c+1})."""
+    return la.kron(np.eye(g.q), g.v, np.eye(g.p)) @ la.kron(g.u, g.u)
+
 
 def _block_patch_units(g: BlockQCA):
     """Backward unit conjugation of one step of a block automaton on its
-    minimal patch: with X = (I_q ⊗ v ⊗ I_p)(u ⊗ u) from input cells
-    (c, c+1) to (a_c, output cell c, b_{c+1}) and X_k its rows whose output
-    digit is k, G† E_kl G = X_k† X_l on the input patch (_dense_units)."""
-    x = la.kron(np.eye(g.q), g.v, np.eye(g.p)) @ la.kron(g.u, g.u)
-    return _dense_units(x, g.d, g.q, forward=False)
+    minimal patch X (_block_patch), with X_k its rows whose output digit
+    is k: G† E_kl G = X_k† X_l on the input patch (_dense_units)."""
+    return _dense_units(_block_patch(g), g.d, g.q, forward=False)
 
 
 def block_neighborhood(g: BlockQCA, tol: float = la.DEFAULT_TOL) -> NeighborhoodReport:

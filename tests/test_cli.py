@@ -333,3 +333,25 @@ def test_commands_do_not_import_numpy_ma(argv):
     out = subprocess.run([sys.executable, "-c", script, *args], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "toffoli_grouped.json", "--window", "4", "--boundary", "periodic"],
+    ["verify", "xor.json", "--window", "8"],
+    ["decompose", "toffoli_grouped.json", "--window", "4"],
+])
+def test_one_hot_commands_count_injectivity_once(monkeypatch, capsys, argv):
+    # unitarity, then the neighborhood search or the decomposer, all read
+    # the window's one injectivity count
+    from qcablocks import model
+    counted = []
+
+    def spy(idx):
+        counted.append(len(idx))
+        return model_is_injective(idx)
+
+    model_is_injective = model.is_injective
+    monkeypatch.setattr(model, "is_injective", spy)
+    main([argv[0], spec(argv[1])] + argv[2:])
+    capsys.readouterr()
+    assert len(counted) == 1, counted

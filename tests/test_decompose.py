@@ -46,6 +46,7 @@ from qcablocks.model import (
     WindowOperator,
     apply_block,
     group_cells,
+    is_injective,
     quantize,
     shift,
     window_digits,
@@ -56,7 +57,6 @@ from qcablocks.verify import (
     _one_hot_conjugation,
     check_shift_invariance,
     check_unitary,
-    is_injective,
 )
 
 

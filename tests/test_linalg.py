@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 import kernel_oracle as oracle
 from qcablocks.errors import DimensionMismatch
 from qcablocks import linalg as la
-from qcablocks.model import window_index
+from qcablocks.model import is_injective, window_index
 from qcablocks.verify import (
     _group_ids,
     _one_hot_adjoint,
     _one_hot_conjugation,
     fast_localization_residual,
-    is_injective,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -194,9 +194,9 @@ def test_apply_block_peak_memory_is_support_sized():
 
 
 def test_detect_signalling_peak_memory_is_term_sized():
-    # d = 6 Haar block, two basis states of support 5: each image has ~41k
-    # terms, held as arrays with one byte per cell; as a dict of
-    # Configuration objects they take ~27 MiB
+    # d = 6 Haar block, two basis states of support 5: detect_signalling
+    # reads each state's two-cell light cone, a d² x d² restriction, where
+    # each apply_block image has ~41k terms (6^6 amplitudes computed)
     g = random_block_qca(6, 2, 3, seed=41)
     word_a = [int(x) for x in np.random.default_rng(41).integers(1, 6, size=5)]
     word_b = list(word_a)
@@ -209,7 +209,28 @@ def test_detect_signalling_peak_memory_is_term_sized():
     finally:
         tracemalloc.stop()
     assert witness is None
-    assert peak <= 10 * 2**20
+    assert peak <= 512 * 2**10
+
+
+@pytest.mark.parametrize("width", [10, 30])
+def test_detect_signalling_beyond_apply_block_cap(width):
+    # two basis states of a d = 6 Haar block differing in their last cell:
+    # apply_block refuses their 6^(width+1) amplitudes, the light cone of
+    # output cell 0 reads input cells (0, 1) alone
+    g = random_block_qca(6, 2, 3, seed=7)
+    word_a = [int(x) for x in np.random.default_rng(7).integers(1, 6, size=width)]
+    word_b = word_a[:-1] + [word_a[-1] % 5 + 1]
+    a, b = (SparseState(g.alphabet, {Configuration.make(0, w): 1.0}) for w in (word_a, word_b))
+    with pytest.raises(DimensionMismatch, match="amplitudes"):
+        apply_block(a, g)
+    tracemalloc.start()
+    try:
+        witness = detect_signalling(g, a, b, 0, (0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak <= 1 << 20
 
 
 def test_apply_block_refuses_oversized_support_before_allocating():

@@ -24,9 +24,12 @@ from qcablocks.gallery import (
 )
 from qcablocks.model import (
     Alphabet,
+    BlockQCA,
     ClassicalRule,
+    Configuration,
     SparseState,
     WindowOperator,
+    apply_block,
     apply_window,
     config_from_cells,
     group_cells,
@@ -36,7 +39,12 @@ from qcablocks.model import (
 )
 from qcablocks.rand import default_alphabet, random_unitary
 from qcablocks.verify import (
+    _block_defects,
+    _block_patch,
     _block_patch_units,
+    _light_cone_distance,
+    _light_cone_slack,
+    _light_cone_state,
     _unit_conjugation,
     block_neighborhood,
     check_inverse_locality,
@@ -814,6 +822,10 @@ def test_block_qca_never_signals():
     # probe next to the shared region, context covering its radius-1/2 cone
     witness = detect_signalling(g, a, b, 2, (2, 3), tol=1e-9)
     assert witness is None
+    # detect_signalling reads the light cone, which equal context
+    # restrictions make equal by construction; the images are the
+    # independent route
+    assert la.trace_distance(*(restrict_state(apply_block(s, g), [2]) for s in (a, b))) <= 1e-9
 
 
 def test_block_automata_never_signal_sweep():
@@ -834,6 +846,124 @@ def test_block_automata_never_signal_sweep():
         b = SparseState.from_cells(g.alphabet, {**shared, **far_b})
         witness = detect_signalling(g, a, b, 2, (2, 3), tol=1e-10)
         assert witness is None, f"trial {trial}: spurious signal"
+        images = (restrict_state(apply_block(s, g), [2]) for s in (a, b))
+        assert la.trace_distance(*images) <= 1e-10, f"trial {trial}: images differ"
+
+
+BLOCK_SPLITS = [(4, 2, 2), (4, 4, 1), (4, 1, 4), (6, 2, 3), (6, 3, 2)]
+
+
+def gauge_kicked(g: BlockQCA, delta: float, seed: int) -> BlockQCA:
+    """``g`` with its gauge parts q1 and q2 each turned by delta in a random
+    orthogonal direction (none for a part of dimension 1), so that
+    u|q> = |q2>|q1> and v(|q1>|q2>) = |q> both miss by about delta."""
+    rng = np.random.default_rng([seed, 1])
+
+    def turned(x):
+        kick = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+        kick -= np.vdot(x, kick) * x
+        return (x + delta * kick / max(np.linalg.norm(kick), 1e-300)) / np.sqrt(1 + delta ** 2)
+
+    q1, q2 = (turned(x) if len(x) > 1 else x for x in (g.q1, g.q2))
+    return BlockQCA(g.alphabet, g.p, g.q, g.u, g.v, q1, q2)
+
+
+@st.composite
+def light_cone_cases(draw):
+    """(g, state, cell): a Haar block of BLOCK_SPLITS, a superposition of
+    1 ... 12 configurations of support at most 4 cells starting in
+    [-2, 2], and an output cell inside the support, on a flank of the
+    image, or up to two cells beyond."""
+    d, p, q = draw(st.sampled_from(BLOCK_SPLITS))
+    g = random_block_qca(d, p, q, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 12))):
+        word = [int(x) for x in rng.integers(0, d, size=int(rng.integers(0, 5)))]
+        terms[Configuration.make(int(rng.integers(-2, 3)), word)] = complex(*rng.standard_normal(2))
+    state = SparseState(g.alphabet, terms)
+    lo, hi = state.support() or (0, 0)
+    return g, state, draw(st.integers(lo - 3, hi + 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(light_cone_cases())
+def test_light_cone_state_matches_the_image(case):
+    # output cell c after one step, read off input cells (c, c+1) alone,
+    # against the cell-c restriction of apply_block's normalized image
+    g, state, cell = case
+    rho = _light_cone_state(g, _block_patch(g), restrict_state(state, (cell, cell + 1)))
+    mass = float(np.trace(rho).real)
+    image = restrict_state(apply_block(state, g), [cell])
+    assert np.max(np.abs(rho / mass - image)) <= 1e-12
+    assert la.trace_distance(rho / mass, image) <= _light_cone_slack(
+        _block_defects(g), state, cell, mass)
+
+
+def relabelled(state: SparseState, cell: int) -> SparseState:
+    """``state`` with the symbols of one cell cyclically relabelled (the
+    quiescent one included): a unitary on that cell alone, so every
+    restriction to other cells is unchanged."""
+    alphabet, terms = state.alphabet, {}
+    for cfg, amp in state.terms.items():
+        cells = cfg.cells(alphabet)
+        digit = (alphabet.index(cells.get(cell, alphabet.quiescent)) + 1) % alphabet.d
+        cells[cell] = alphabet.symbol(digit)
+        terms[config_from_cells(alphabet, {c: x for c, x in cells.items()
+                                           if x != alphabet.quiescent})] = amp
+    return SparseState(alphabet, terms)
+
+
+@st.composite
+def signalling_pairs(draw):
+    """(g, state, cell): a Haar block of BLOCK_SPLITS, a superposition of
+    1 ... 4 configurations of support at most 3 cells starting at 0 or 1,
+    and an output cell in [-1, 2]."""
+    d, p, q = draw(st.sampled_from(BLOCK_SPLITS))
+    g = random_block_qca(d, p, q, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        word = [int(x) for x in rng.integers(0, d, size=int(rng.integers(0, 4)))]
+        terms[Configuration.make(int(rng.integers(0, 2)), word)] = complex(*rng.standard_normal(2))
+    return g, SparseState(g.alphabet, terms), draw(st.integers(-1, 2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(signalling_pairs(), st.integers(0, 2**16))
+def test_gauge_kicked_blocks_keep_the_image_verdict(case, seed):
+    # the light cone and apply_block part by about the gauge residual; where
+    # the slack cannot separate the light-cone distance from tol, the
+    # images decide, so every verdict is apply_block's.  Relabelling cell
+    # c + 2 cannot reach output cell c (context: the patch); relabelling
+    # c + 1 does, unseen by the context {c}.
+    g0, state_a, cell = case
+    fallbacks = 0
+    for delta in (1e-12, 1e-9, 1e-7):
+        g = gauge_kicked(g0, delta, seed)
+        x, defects = _block_patch(g), _block_defects(g)
+
+        def slack(s):
+            return _light_cone_slack(defects, s, cell, float(np.trace(
+                _light_cone_state(g, x, restrict_state(s, (cell, cell + 1)))).real))
+
+        image_a = restrict_state(apply_block(state_a, g), [cell])
+        for at, context in [(cell + 2, (cell, cell + 1)), (cell + 1, (cell,))]:
+            state_b = relabelled(state_a, at)
+            image_dist = la.trace_distance(
+                image_a, restrict_state(apply_block(state_b, g), [cell]))
+            bound = slack(state_a) + slack(state_b)
+            for tol in (1e-9, 1e-10):
+                witness = detect_signalling(g, state_a, state_b, cell, context, tol=tol)
+                assert (witness is not None) == (image_dist > tol), (delta, at, tol)
+                if witness is not None:
+                    assert abs(witness.trace_distance - image_dist) <= bound
+                pair = (state_a, state_b)
+                undecided = _light_cone_distance(
+                    g, pair, [restrict_state(s, (cell, cell + 1)) for s in pair], cell, tol) is None
+                fallbacks += delta == 1e-7 and at == cell + 2 and undecided
+    # at delta = 1e-7 the slack exceeds tol, so the patch context falls back
+    assert fallbacks == 2
 
 
 def test_classical_xor_on_basis_states_does_not_signal():
